@@ -29,16 +29,13 @@ from .architectures import (
     ResidualBlockSpec,
     build_resunet,
     build_trimmed_unet,
-    residual_block_forward,
     residual_block_graph,
 )
 from .checkpoint import save_checkpoint
-from .cli import run_ablation
 from .metrics import (
     TeamSummary,
     avd_percent,
     dice,
-    evaluate_case,
     h95,
     lesion_f1,
     lesion_recall,
@@ -49,6 +46,7 @@ from .phantom import PhantomConfig, generate_dataset, save_dataset
 from .pipeline import (
     CaseInput,
     PipelineConfig,
+    run_ablation,
     segment_white_matter,
     segment_wmh,
     wm_training_cases,
@@ -58,7 +56,6 @@ from .training import (
     LossConfig,
     TrainConfig,
     compute_beta,
-    predict_probabilities,
     train,
     weighted_bce,
 )
@@ -311,14 +308,14 @@ def crit_residual_identity() -> tuple[bool, dict, str]:
     g = residual_block_graph(blk, seed=0)
     for p in g.parameters():
         p.value[...] = 0.0
-    identity_exact = bool(np.array_equal(residual_block_forward(g, x), x))
+    identity_exact = bool(np.array_equal(g.forward(x), x))
 
     blk2 = ResidualBlockSpec(3, 5, projection=True, post_add_relu=False)
     g2 = residual_block_graph(blk2, seed=1)
     params = {p.name: p for p in g2.parameters()}
     for name in ("block.conv1.w", "block.conv1.b", "block.conv2.w", "block.conv2.b"):
         params[name].value[...] = 0.0
-    out = residual_block_forward(g2, x)
+    out = g2.forward(x)
     proj, _ = dc.conv2d_forward(x, params["block.skip.w"].value,
                                 params["block.skip.b"].value)
     proj_err = float(np.max(np.abs(out - proj)))
@@ -358,7 +355,28 @@ def crit_loss() -> tuple[bool, dict, str]:
     return ok, measured, "1e-10 summation; 1e-12 single pixel; beta exact"
 
 
-def _oracle_border(arr: np.ndarray) -> np.ndarray:
+# Brute-force metric oracles, independent of morphology and cKDTree: voxel
+# sets for the overlap metrics, an explicit 6-neighbour border scan, full
+# pairwise distances and a set-based 26-connected flood fill.
+
+
+def _voxels(m: BinaryMask3D) -> set:
+    return {tuple(c) for c in np.argwhere(m.data)}
+
+
+def oracle_dice(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
+    p, g = _voxels(pred), _voxels(gt)
+    if not p and not g:
+        return 1.0
+    return 2 * len(p & g) / (len(p) + len(g))
+
+
+def oracle_avd(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
+    p, g = len(_voxels(pred)), len(_voxels(gt))
+    return 100.0 * abs(p - g) / g
+
+
+def oracle_border(arr: np.ndarray) -> np.ndarray:
     coords = []
     shape = arr.shape
     for x, y, z in np.argwhere(arr):
@@ -377,9 +395,9 @@ def _oracle_border(arr: np.ndarray) -> np.ndarray:
     return np.array(coords, dtype=np.float64)
 
 
-def _oracle_h95(pred: BinaryMask3D, gt: BinaryMask3D, spacing) -> float:
-    a = _oracle_border(pred.data.astype(bool)) * spacing
-    b = _oracle_border(gt.data.astype(bool)) * spacing
+def oracle_h95(pred: BinaryMask3D, gt: BinaryMask3D, spacing) -> float:
+    a = oracle_border(pred.data.astype(bool)) * spacing
+    b = oracle_border(gt.data.astype(bool)) * spacing
 
     def directed(src, dst):
         d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(-1)  # full pairwise
@@ -390,7 +408,7 @@ def _oracle_h95(pred: BinaryMask3D, gt: BinaryMask3D, spacing) -> float:
     return max(directed(a, b), directed(b, a))
 
 
-def _oracle_components(arr: np.ndarray) -> list[set]:
+def oracle_components(arr: np.ndarray) -> list[set]:
     offs = [
         (dx, dy, dz)
         for dx in (-1, 0, 1)
@@ -415,6 +433,27 @@ def _oracle_components(arr: np.ndarray) -> list[set]:
     return comps
 
 
+def oracle_recall(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
+    comps = oracle_components(gt.data.astype(bool))
+    if not comps:
+        return 1.0
+    p = _voxels(pred)
+    return sum(1 for c in comps if c & p) / len(comps)
+
+
+def oracle_f1(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
+    comps = oracle_components(pred.data.astype(bool))
+    g = _voxels(gt)
+    if not comps:
+        precision = 1.0 if not g else 0.0
+    else:
+        precision = sum(1 for c in comps if c & g) / len(comps)
+    recall = oracle_recall(pred, gt)
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
 def crit_metric_oracles() -> tuple[bool, dict, str]:
     """Dice/H95/AVD/recall/F1 agree with brute-force implementations on
     100 seeded random 16^3 mask pairs."""
@@ -428,40 +467,14 @@ def crit_metric_oracles() -> tuple[bool, dict, str]:
         g_arr = (rng.random((16, 16, 16)) < 0.12).astype(np.uint8)
         pred = BinaryMask3D(data=p_arr, spacing=spacing)
         gt = BinaryMask3D(data=g_arr, spacing=spacing)
-
-        p_set = {tuple(c) for c in np.argwhere(p_arr)}
-        g_set = {tuple(c) for c in np.argwhere(g_arr)}
-        want_dice = (
-            1.0 if not p_set and not g_set
-            else 2 * len(p_set & g_set) / (len(p_set) + len(g_set))
-        )
-        if dice(pred, gt) != want_dice:
-            exact_failures += 1
-        if g_set:
-            want_avd = 100.0 * abs(len(p_set) - len(g_set)) / len(g_set)
-            if avd_percent(pred, gt) != want_avd:
-                exact_failures += 1
-        g_comps = _oracle_components(g_arr.astype(bool))
-        want_recall = (
-            1.0 if not g_comps
-            else sum(1 for c in g_comps if c & p_set) / len(g_comps)
-        )
-        if lesion_recall(pred, gt) != want_recall:
-            exact_failures += 1
-        p_comps = _oracle_components(p_arr.astype(bool))
-        if not p_comps:
-            precision = 1.0 if not g_set else 0.0
-        else:
-            precision = sum(1 for c in p_comps if c & g_set) / len(p_comps)
-        want_f1 = (
-            0.0 if precision + want_recall == 0
-            else 2 * precision * want_recall / (precision + want_recall)
-        )
-        if lesion_f1(pred, gt) != want_f1:
-            exact_failures += 1
-        if p_set and g_set:
+        exact_failures += dice(pred, gt) != oracle_dice(pred, gt)
+        if gt.voxel_count():
+            exact_failures += avd_percent(pred, gt) != oracle_avd(pred, gt)
+        exact_failures += lesion_recall(pred, gt) != oracle_recall(pred, gt)
+        exact_failures += lesion_f1(pred, gt) != oracle_f1(pred, gt)
+        if pred.voxel_count() and gt.voxel_count():
             worst_h95 = max(
-                worst_h95, abs(h95(pred, gt) - _oracle_h95(pred, gt, spacing))
+                worst_h95, abs(h95(pred, gt) - oracle_h95(pred, gt, spacing))
             )
     measured = {
         "trials": trials,

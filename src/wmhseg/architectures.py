@@ -146,10 +146,6 @@ def residual_block_graph(blk: ResidualBlockSpec, seed: int = 0) -> Graph:
     return g
 
 
-def residual_block_forward(graph: Graph, x: np.ndarray) -> np.ndarray:
-    return graph.forward(x)
-
-
 class Network:
     """A NetworkSpec instantiated with parameters, ready to run.
 
@@ -219,9 +215,6 @@ class Network:
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters())
 
-    def param_dict(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value for p in self.parameters()}
-
     def load_param_dict(self, values: dict[str, np.ndarray]) -> None:
         own = {p.name: p for p in self.parameters()}
         if set(own) != set(values):
@@ -260,9 +253,6 @@ class Network:
     def backward_from_logits(self, dz: np.ndarray) -> np.ndarray:
         """Backpropagate a gradient w.r.t. the pre-sigmoid head output."""
         return self.graph.backward(dz, at=self.head_logits_index)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return self.graph.backward(dy)
 
     def zero_grad(self) -> None:
         self.graph.zero_grad()

@@ -40,9 +40,9 @@ from .phantom import PhantomConfig, generate_dataset, load_dataset, save_dataset
 from .pipeline import (
     CaseInput,
     PipelineConfig,
+    run_ablation,
     run_pipeline,
     segment_white_matter,
-    segment_wmh,
     wm_training_cases,
     wmh_training_cases,
 )
@@ -467,64 +467,6 @@ def cmd_gradcheck(args) -> int:
         t0,
     )
     return 0 if ok else 1
-
-
-def run_ablation(data_dir: str | Path, train_cfg: TrainConfig,
-                 loss_cfg: LossConfig, base_width: int = 4,
-                 depth: int = 4, wm_checkpoint: str | None = None,
-                 wm_epochs: int = 8) -> dict:
-    """Train plain U-Net and ResU-Net under identical seeds/configs on the
-    lesion task and report paired validation metrics.
-
-    Inputs are normalized with stage-1 predicted masks and predictions are
-    scored after `segment_wmh` (threshold and confinement to the stage-1
-    mask), exactly like the real pipeline: a white matter network is
-    trained first (or loaded from wm_checkpoint), so the two variants
-    differ in architecture only."""
-    from dataclasses import replace
-
-    from .metrics import dice as dice_metric, lesion_f1
-
-    cases, _ = load_dataset(data_dir)
-    if wm_checkpoint:
-        wm_net = load_checkpoint(wm_checkpoint)
-    else:
-        wm_net, _ = train(
-            build_trimmed_unet(base_width=base_width, depth=3),
-            wm_training_cases(cases),
-            replace(train_cfg, epochs=wm_epochs, max_iterations=None),
-            LossConfig(),
-        )
-    pcfg = PipelineConfig()
-    masks = [segment_white_matter(c.t1, wm_net, pcfg) for c in cases]
-    tcs = wmh_training_cases(cases, masks)
-    report: dict = {"variants": {}}
-    for kind in ("plain", "residual"):
-        spec = build_resunet(base_width=base_width, depth=depth)
-        spec = type(spec)(**{**spec.to_dict(), "block_kind": kind})
-        net, history = train(spec, tcs, train_cfg, loss_cfg)
-        val_ids = set(history.val_case_ids)
-        dices, f1s = [], []
-        for case, mask in zip(cases, masks):
-            if case.case_id not in val_ids:
-                continue
-            ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
-            pred = segment_wmh(ci, mask, net, pcfg)
-            dices.append(dice_metric(pred, case.wmh_truth))
-            f1s.append(lesion_f1(pred, case.wmh_truth))
-        report["variants"][kind] = {
-            "val_dice": float(np.mean(dices)),
-            "val_lesion_f1": float(np.mean(f1s)),
-            "val_dice_per_epoch": history.val_dice,
-            "iterations": history.iterations,
-            "beta": history.beta,
-        }
-    report["seed"] = train_cfg.seed
-    report["train"] = asdict(train_cfg)
-    report["loss"] = asdict(loss_cfg)
-    report["base_width"] = base_width
-    report["depth"] = depth
-    return report
 
 
 def cmd_ablate(args) -> int:

@@ -19,18 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-OP_KINDS = (
-    "input",
-    "conv3x3",
-    "conv1x1",
-    "relu",
-    "maxpool2",
-    "upconv2",
-    "concat",
-    "add",
-    "sigmoid",
-)
-
 
 @dataclass
 class Parameter:
@@ -244,6 +232,46 @@ def sigmoid_backward(g: np.ndarray, cache) -> np.ndarray:
 # Graph
 
 
+# One entry per op kind: (forward, backward). forward(inputs, node) returns
+# (out, cache); backward(g, node, cache) returns one gradient per input,
+# followed by (dw, db) for ops with parameters. The entries look the op
+# functions up by module name at call time, so rebinding
+# `diff_core.conv2d_forward` and the others (e.g. to time them) takes
+# effect in the executor.
+_CONV = (
+    lambda ins, n: conv2d_forward(ins[0], n.weight.value, n.bias.value),
+    lambda g, n, c: conv2d_backward(g, n.weight.value, c),
+)
+OPS: dict[str, tuple[Callable, Callable]] = {
+    "conv3x3": _CONV,
+    "conv1x1": _CONV,
+    "relu": (
+        lambda ins, n: relu_forward(ins[0]),
+        lambda g, n, c: (relu_backward(g, c),),
+    ),
+    "maxpool2": (
+        lambda ins, n: maxpool2_forward(ins[0]),
+        lambda g, n, c: (maxpool2_backward(g, c),),
+    ),
+    "upconv2": (
+        lambda ins, n: upconv2_forward(ins[0], n.weight.value, n.bias.value),
+        lambda g, n, c: upconv2_backward(g, n.weight.value, c),
+    ),
+    "concat": (
+        lambda ins, n: concat_forward(ins[0], ins[1]),
+        lambda g, n, c: concat_backward(g, c),
+    ),
+    "add": (
+        lambda ins, n: add_forward(ins[0], ins[1]),
+        lambda g, n, c: add_backward(g, c),
+    ),
+    "sigmoid": (
+        lambda ins, n: sigmoid_forward(ins[0]),
+        lambda g, n, c: (sigmoid_backward(g, c),),
+    ),
+}
+
+
 @dataclass
 class OpNode:
     """One operator application; inputs reference earlier node indices."""
@@ -259,7 +287,7 @@ class Graph:
 
     def __init__(self) -> None:
         self.nodes: list[OpNode] = [OpNode(kind="input")]
-        self._acts: list[np.ndarray] | None = None
+        self._x: np.ndarray | None = None
         self._caches: list | None = None
 
     def add(
@@ -269,7 +297,7 @@ class Graph:
         weight: Parameter | None = None,
         bias: Parameter | None = None,
     ) -> int:
-        if kind not in OP_KINDS or kind == "input":
+        if kind not in OPS:
             raise ValueError(f"unknown op kind {kind!r}")
         idx = len(self.nodes)
         for i in inputs:
@@ -292,41 +320,31 @@ class Graph:
             p.zero_grad()
 
     def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
+        """Run every node in order. keep_cache=True keeps the per-op caches
+        for backward; otherwise each cache is dropped as soon as its op
+        returns, and those of an earlier forward are released too."""
+        self._x = self._caches = None
         acts: list[np.ndarray] = [np.asarray(x)]
         caches: list = [None]
         for n in self.nodes[1:]:
-            ins = [acts[i] for i in n.inputs]
-            if n.kind in ("conv3x3", "conv1x1"):
-                out, cache = conv2d_forward(ins[0], n.weight.value, n.bias.value)
-            elif n.kind == "relu":
-                out, cache = relu_forward(ins[0])
-            elif n.kind == "maxpool2":
-                out, cache = maxpool2_forward(ins[0])
-            elif n.kind == "upconv2":
-                out, cache = upconv2_forward(ins[0], n.weight.value, n.bias.value)
-            elif n.kind == "concat":
-                out, cache = concat_forward(ins[0], ins[1])
-            elif n.kind == "add":
-                out, cache = add_forward(ins[0], ins[1])
-            elif n.kind == "sigmoid":
-                out, cache = sigmoid_forward(ins[0])
-            else:  # pragma: no cover
-                raise AssertionError(n.kind)
+            out, cache = OPS[n.kind][0]([acts[i] for i in n.inputs], n)
             acts.append(out)
-            caches.append(cache)
+            if keep_cache:
+                caches.append(cache)
+            del cache
         if keep_cache:
-            self._acts, self._caches = acts, caches
+            self._x, self._caches = acts[0], caches
         return acts[-1]
 
     def backward(self, g_out: np.ndarray, at: int | None = None) -> np.ndarray:
         """Backpropagate from node `at` (default: output node).
 
-        Accumulates into Parameter.grad and returns dL/d(input). Requires a
-        prior forward(..., keep_cache=True).
+        Accumulates into Parameter.grad and returns dL/d(input). Requires
+        the last forward to be forward(..., keep_cache=True).
         """
-        if self._acts is None or self._caches is None:
+        if self._caches is None:
             raise RuntimeError("backward requires a forward(keep_cache=True) first")
-        acts, caches = self._acts, self._caches
+        caches = self._caches
         if at is None:
             at = len(self.nodes) - 1
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
@@ -336,37 +354,16 @@ class Graph:
             if g is None:
                 continue
             n = self.nodes[idx]
-            if n.kind in ("conv3x3", "conv1x1"):
-                dx, dw, db = conv2d_backward(g, n.weight.value, caches[idx])
+            in_grads = OPS[n.kind][1](g, n, caches[idx])
+            if n.weight is not None:
+                *in_grads, dw, db = in_grads
                 n.weight.grad += dw
                 n.bias.grad += db
-                _accumulate(grads, n.inputs[0], dx)
-            elif n.kind == "relu":
-                _accumulate(grads, n.inputs[0], relu_backward(g, caches[idx]))
-            elif n.kind == "maxpool2":
-                _accumulate(grads, n.inputs[0], maxpool2_backward(g, caches[idx]))
-            elif n.kind == "upconv2":
-                dx, dw, db = upconv2_backward(g, n.weight.value, caches[idx])
-                n.weight.grad += dw
-                n.bias.grad += db
-                _accumulate(grads, n.inputs[0], dx)
-            elif n.kind == "concat":
-                ga, gb = concat_backward(g, caches[idx])
-                _accumulate(grads, n.inputs[0], ga)
-                _accumulate(grads, n.inputs[1], gb)
-            elif n.kind == "add":
-                _accumulate(grads, n.inputs[0], g)
-                _accumulate(grads, n.inputs[1], g)
-            elif n.kind == "sigmoid":
-                _accumulate(grads, n.inputs[0], sigmoid_backward(g, caches[idx]))
+            for i, gi in zip(n.inputs, in_grads):
+                _accumulate(grads, i, gi)
             grads[idx] = None
         out = grads[0]
-        return out if out is not None else np.zeros_like(acts[0])
-
-    def activation(self, idx: int) -> np.ndarray:
-        if self._acts is None:
-            raise RuntimeError("no cached activations")
-        return self._acts[idx]
+        return out if out is not None else np.zeros_like(self._x)
 
 
 def _accumulate(grads: list, idx: int, g: np.ndarray) -> None:

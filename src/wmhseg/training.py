@@ -27,12 +27,13 @@ SGD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .architectures import Network, NetworkSpec
+from .metrics import dice
 from .volume_io import BinaryMask3D, Volume3D
 
 
@@ -49,6 +50,14 @@ class LossConfig:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.weight_placement not in ("paper", "swapped"):
             raise ValueError(f"unknown weight placement {self.weight_placement!r}")
+
+    def class_weights(self) -> tuple[float, float]:
+        """(w_fg, w_bg) of the weight placement; beta must be set."""
+        if self.beta is None:
+            raise ValueError("LossConfig.beta is unset; compute it or supply it")
+        if self.weight_placement == "paper":
+            return self.beta, 1.0 - self.beta
+        return 1.0 - self.beta, self.beta
 
 
 @dataclass
@@ -139,13 +148,8 @@ def weighted_bce(
     y = np.asarray(y)
     if yhat.shape != y.shape:
         raise ValueError(f"shape mismatch: {yhat.shape} vs {y.shape}")
-    if cfg.beta is None:
-        raise ValueError("LossConfig.beta is unset; compute it or supply it")
+    w_fg, w_bg = cfg.class_weights()
     fg = y > 0
-    if cfg.weight_placement == "paper":
-        w_fg, w_bg = cfg.beta, 1.0 - cfg.beta
-    else:
-        w_fg, w_bg = 1.0 - cfg.beta, cfg.beta
     yc = np.clip(yhat, cfg.epsilon, 1.0 - cfg.epsilon)
     loss = -(
         w_fg * float(np.sum(np.log(yc[fg])))
@@ -229,17 +233,6 @@ class SGD:
             p.zero_grad()
 
 
-def sgd_step(params: Sequence, lr: float, momentum: float, velocities: dict) -> None:
-    """Functional form of the momentum update without spike clipping;
-    velocities keyed by parameter name."""
-    for p in params:
-        v = velocities.setdefault(p.name, np.zeros_like(p.value))
-        v *= momentum
-        v += p.grad
-        p.value -= lr * v
-        p.zero_grad()
-
-
 def split_cases(
     n_cases: int, fraction: float, rng: np.random.Generator
 ) -> tuple[list[int], list[int]]:
@@ -271,20 +264,6 @@ def predict_probabilities(
         out = net.forward(batch, train=False)
         probs[:, :, start:stop] = out[:, 0].transpose(1, 2, 0)
     return probs
-
-
-def _validation_dice(net: Network, cases: list[TrainingCase], threshold: float) -> float:
-    scores = []
-    for case in cases:
-        probs = predict_probabilities(net, case.images)
-        pred = probs >= threshold
-        truth = case.labels > 0
-        denom = int(pred.sum()) + int(truth.sum())
-        if denom == 0:
-            scores.append(1.0)
-        else:
-            scores.append(2.0 * int((pred & truth).sum()) / denom)
-    return float(np.mean(scores))
 
 
 def train(
@@ -321,12 +300,7 @@ def train(
             for case in train_cases
             for z in range(case.labels.shape[2])
         )
-        beta = compute_beta(planes)
-        loss_cfg = LossConfig(
-            beta=beta,
-            epsilon=loss_cfg.epsilon,
-            weight_placement=loss_cfg.weight_placement,
-        )
+        loss_cfg = replace(loss_cfg, beta=compute_beta(planes))
 
     dtype = np.float32 if train_cfg.precision == "float32" else np.float64
     net = Network(spec, seed=seed_init, dtype=dtype)
@@ -373,10 +347,7 @@ def train(
             # normalize by the batch's total class-weight mass so step sizes
             # stay comparable across beta regimes and slice sizes
             mass = 0.0
-            if loss_cfg.weight_placement == "paper":
-                w_fg, w_bg = loss_cfg.beta, 1.0 - loss_cfg.beta
-            else:
-                w_fg, w_bg = 1.0 - loss_cfg.beta, loss_cfg.beta
+            w_fg, w_bg = loss_cfg.class_weights()
             for _img, lab in planes:
                 n_fg = int(np.count_nonzero(lab))
                 mass += w_fg * n_fg + w_bg * (lab.size - n_fg)
@@ -396,7 +367,12 @@ def train(
             optimizer.step()
             history.losses.append(float(loss_acc))
             iteration += 1
-        history.val_dice.append(_validation_dice(net, val_cases, 0.5))
+        val_scores = [
+            dice(BinaryMask3D(predict_probabilities(net, c.images) >= 0.5, c.spacing),
+                 BinaryMask3D(c.labels > 0, c.spacing))
+            for c in val_cases
+        ]
+        history.val_dice.append(float(np.mean(val_scores)))
         if budget is not None and iteration >= budget:
             break
 

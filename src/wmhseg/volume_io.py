@@ -1,5 +1,4 @@
-"""Volumetric image I/O: a NIfTI-1 single-file subset, an internal raw
-format, and axial slice extraction/reassembly.
+"""Volumetric image I/O: a NIfTI-1 single-file subset.
 
 Volumes are numpy arrays indexed ``[x, y, z]``; the on-disk payload is
 x-fastest (Fortran order), matching NIfTI. Spacing is mm per voxel.
@@ -10,7 +9,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +26,6 @@ _DTYPE_BY_CODE = {
     DT_FLOAT32: np.dtype(np.float32),
 }
 _CODE_BY_NAME = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
-
-_VOL_MAGIC = b"WMHVOL1\x00"
 
 
 class VolumeIOError(ValueError):
@@ -191,12 +187,13 @@ def _parse_header(raw: bytes) -> NiftiHeaderSubset:
     )
 
 
-def read_nifti(path: str | Path) -> Volume3D:
+def read_nifti(path: str | Path, stored_dtype: bool = False) -> Volume3D:
     """Read an uncompressed single-file NIfTI-1 volume.
 
     Spacing is taken from pixdim[1..3]. If scl_slope is nonzero the stored
-    values are mapped through value = slope*raw + inter; otherwise raw
-    values are used as-is. Raises a distinct VolumeIOError subclass for
+    values are mapped through value = slope*raw + inter (in float64);
+    otherwise raw values are used as-is, converted to float64 unless
+    stored_dtype is set. Raises a distinct VolumeIOError subclass for
     each malformation (wrong magic, unsupported datatype, gzip stream,
     extra axes, truncated payload).
     """
@@ -212,16 +209,20 @@ def read_nifti(path: str | Path) -> Volume3D:
             f"payload has {len(payload)} bytes, expected {count * dtype.itemsize}"
         )
     flat = np.frombuffer(payload, dtype=dtype)
-    data = flat.reshape((nx, ny, nz), order="F").astype(np.float64)
+    data = flat.reshape((nx, ny, nz), order="F")
     if hdr.scl_slope != 0.0:
-        data = hdr.scl_slope * data + hdr.scl_inter
+        data = hdr.scl_slope * data.astype(np.float64) + hdr.scl_inter
+    elif not stored_dtype:
+        data = data.astype(np.float64)
     return Volume3D(data=data, spacing=hdr.pixdim)
 
 
 def read_nifti_mask(path: str | Path) -> BinaryMask3D:
-    """Read a NIfTI file expected to contain a {0,1} mask."""
-    v = read_nifti(path)
-    return BinaryMask3D(data=v.data.astype(np.uint8), spacing=v.spacing)
+    """Read a NIfTI file expected to contain a {0,1} mask. The values are
+    checked as stored (after scl_slope scaling), so a probability map or
+    an integer label outside {0, 1} raises ValueError."""
+    v = read_nifti(path, stored_dtype=True)
+    return BinaryMask3D(data=v.data, spacing=v.spacing)
 
 
 def write_nifti(
@@ -268,52 +269,3 @@ def write_nifti(
         f.write(bytes(header))
         f.write(b"\x00\x00\x00\x00")  # extension flag, none
         f.write(np.asfortranarray(payload).tobytes(order="F"))
-
-
-def write_vol(v: Volume3D | BinaryMask3D, path: str | Path) -> None:
-    """Write the internal raw format: magic, dtype code, dims, spacing,
-    little-endian x-fastest payload. float64 for volumes, uint8 for masks."""
-    is_mask = isinstance(v, BinaryMask3D)
-    dtype = np.dtype("<u1") if is_mask else np.dtype("<f8")
-    code = 1 if is_mask else 2
-    nx, ny, nz = v.data.shape
-    with open(path, "wb") as f:
-        f.write(_VOL_MAGIC)
-        f.write(struct.pack("<B3I3d", code, nx, ny, nz, *v.spacing))
-        f.write(v.data.astype(dtype).tobytes(order="F"))
-
-
-def read_vol(path: str | Path) -> Volume3D | BinaryMask3D:
-    raw = Path(path).read_bytes()
-    if raw[:8] != _VOL_MAGIC:
-        raise WrongMagicError(f"not an internal .vol file: {raw[:8]!r}")
-    code, nx, ny, nz, sx, sy, sz = struct.unpack_from("<B3I3d", raw, 8)
-    dtype = np.dtype("<u1") if code == 1 else np.dtype("<f8")
-    offset = 8 + struct.calcsize("<B3I3d")
-    count = nx * ny * nz
-    payload = raw[offset : offset + count * dtype.itemsize]
-    if len(payload) < count * dtype.itemsize:
-        raise TruncatedPayloadError("truncated .vol payload")
-    data = np.frombuffer(payload, dtype=dtype).reshape((nx, ny, nz), order="F")
-    if code == 1:
-        return BinaryMask3D(data=data.copy(), spacing=(sx, sy, sz))
-    return Volume3D(data=data.astype(np.float64), spacing=(sx, sy, sz))
-
-
-def axial_slices(v: Volume3D | BinaryMask3D) -> list[np.ndarray]:
-    """Split into nz planes of shape (nx, ny); plane k holds voxels [:, :, k]."""
-    return [np.ascontiguousarray(v.data[:, :, k]) for k in range(v.data.shape[2])]
-
-
-def stack_slices(
-    planes: Sequence[np.ndarray], spacing: tuple[float, float, float]
-) -> Volume3D:
-    """Inverse of axial_slices: stack (nx, ny) planes into a Volume3D."""
-    if len(planes) == 0:
-        raise ValueError("need at least one plane")
-    shape0 = planes[0].shape
-    for k, p in enumerate(planes):
-        if p.shape != shape0:
-            raise ValueError(f"plane {k} has shape {p.shape}, expected {shape0}")
-    data = np.stack(planes, axis=2)
-    return Volume3D(data=data.astype(np.float64), spacing=spacing)

@@ -7,7 +7,6 @@ from wmhseg.architectures import (
     ResidualBlockSpec,
     build_resunet,
     build_trimmed_unet,
-    residual_block_forward,
     residual_block_graph,
 )
 from wmhseg.checkpoint import load_checkpoint, save_checkpoint
@@ -100,7 +99,7 @@ class TestResidualBlock:
         for p in g.parameters():
             p.value[...] = 0.0
         x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
-        out = residual_block_forward(g, x)
+        out = g.forward(x)
         assert np.array_equal(out, x)
 
     def test_zero_residual_equals_projection(self):
@@ -111,7 +110,7 @@ class TestResidualBlock:
             params[name].value[...] = 0.0
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 2, 6, 6))
-        out = residual_block_forward(g, x)
+        out = g.forward(x)
         from wmhseg.diff_core import conv2d_forward
 
         proj, _ = conv2d_forward(
@@ -122,7 +121,7 @@ class TestResidualBlock:
     def test_projection_maps_channels(self):
         blk = ResidualBlockSpec(2, 4)
         g = residual_block_graph(blk, seed=4)
-        out = residual_block_forward(g, np.zeros((1, 2, 4, 4)))
+        out = g.forward(np.zeros((1, 2, 4, 4)))
         assert out.shape == (1, 4, 4, 4)
 
     def test_gradients_through_block(self):
@@ -194,7 +193,7 @@ class TestNetworkForward:
         for p in g.parameters():
             p.value[...] = 0.0
         x = np.random.default_rng(12).normal(size=(1, 4, 8, 8))
-        assert np.array_equal(residual_block_forward(g, x), x)
+        assert np.array_equal(g.forward(x), x)
 
 
 class TestCheckpoint:

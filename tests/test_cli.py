@@ -7,18 +7,19 @@ import pytest
 
 from wmhseg.architectures import build_resunet
 from wmhseg.checkpoint import load_checkpoint
-from wmhseg.cli import dispatch, run_ablation
+from wmhseg.cli import dispatch
 from wmhseg.metrics import dice, lesion_f1
 from wmhseg.phantom import load_dataset
 from wmhseg.pipeline import (
     CaseInput,
     PipelineConfig,
+    run_ablation,
     segment_white_matter,
     segment_wmh,
     wmh_training_cases,
 )
 from wmhseg.training import LossConfig, TrainConfig, predict_probabilities, train
-from wmhseg.volume_io import BinaryMask3D, read_nifti_mask, write_nifti
+from wmhseg.volume_io import BinaryMask3D, Volume3D, read_nifti_mask, write_nifti
 
 
 def run(argv):
@@ -265,3 +266,15 @@ class TestErrors:
         report = json.loads(rpt.read_text())
         assert report["status"] == "error"
         assert report["command"] == "train-wm"
+
+    def test_evaluate_probability_map_exits_1_with_report(self, tmp_path, dataset):
+        gt = dataset / "case_000" / "wmh.nii"
+        truth = read_nifti_mask(gt)
+        prob = tmp_path / "prob.nii"
+        write_nifti(Volume3D(data=0.7 * truth.data, spacing=truth.spacing), prob)
+        rpt = tmp_path / "fail.json"
+        code = run(["evaluate", "--pred", str(prob), "--gt", str(gt),
+                    "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("evaluate", "error")

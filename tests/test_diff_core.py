@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wmhseg import diff_core
 from wmhseg.diff_core import (
     Graph,
     Parameter,
@@ -304,6 +305,29 @@ class TestGraph:
         g.forward(x, keep_cache=True)
         dx = g.backward(np.full((1, 1, 2, 2), 3.0))
         assert np.array_equal(dx, np.full((1, 1, 2, 2), 6.0))
+
+    def test_backward_after_inference_forward_raises(self):
+        # an inference forward keeps no caches and drops the training ones
+        g = Graph()
+        g.add("relu", (0,))
+        x = np.ones((1, 1, 2, 2))
+        g.forward(x, keep_cache=True)
+        g.forward(-x)
+        with pytest.raises(RuntimeError):
+            g.backward(np.ones((1, 1, 2, 2)))
+
+    def test_ops_resolved_by_module_name_at_call_time(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return relu_forward(x)
+
+        monkeypatch.setattr(diff_core, "relu_forward", counted)
+        g = Graph()
+        g.add("relu", (0,))
+        g.forward(np.ones((1, 1, 2, 2)))
+        assert calls == [(1, 1, 2, 2)]
 
 
 class TestGradCheck:

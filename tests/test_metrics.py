@@ -1,10 +1,16 @@
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wmhseg.acceptance import (
+    TABLE1,
+    TABLE2,
+    oracle_avd,
+    oracle_dice,
+    oracle_f1,
+    oracle_h95,
+    oracle_recall,
+)
 from wmhseg.metrics import (
     CaseMetrics,
     TeamSummary,
@@ -24,21 +30,6 @@ from wmhseg.volume_io import BinaryMask3D
 
 SP = (1.0, 1.0, 1.0)
 
-TABLE1 = [
-    TeamSummary("sysu_media", 0.80, 6.3, 21.9, 0.84, 0.76),
-    TeamSummary("cain", 0.78, 6.8, 21.7, 0.83, 0.70),
-    TeamSummary("nlp_logix", 0.77, 7.2, 18.4, 0.73, 0.78),
-    TeamSummary("nih_cidi_2", 0.75, 7.35, 27.26, 0.81, 0.69),
-    TeamSummary("nic-vicorob", 0.77, 8.3, 28.5, 0.75, 0.71),
-]
-TABLE2 = [
-    TeamSummary("sysu_media", 0.74, 11.0, 26.2, 0.87, 0.72),
-    TeamSummary("nih_cidi_2", 0.70, 9.7, 21.9, 0.79, 0.68),
-    TeamSummary("cain", 0.74, 14.1, 28.4, 0.82, 0.66),
-    TeamSummary("nic-vicorob", 0.71, 13.5, 56.3, 0.81, 0.62),
-    TeamSummary("nlp_logix", 0.68, 13.0, 27.9, 0.66, 0.73),
-]
-
 
 def mask(arr, spacing=SP) -> BinaryMask3D:
     return BinaryMask3D(data=np.asarray(arr, dtype=np.uint8), spacing=spacing)
@@ -46,105 +37,6 @@ def mask(arr, spacing=SP) -> BinaryMask3D:
 
 def random_mask(rng, dims=(16, 16, 16), p=0.15, spacing=SP) -> BinaryMask3D:
     return mask((rng.random(dims) < p).astype(np.uint8), spacing)
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force oracles
-
-
-def oracle_dice(pred, gt) -> float:
-    p = {tuple(c) for c in np.argwhere(pred.data)}
-    g = {tuple(c) for c in np.argwhere(gt.data)}
-    if not p and not g:
-        return 1.0
-    return 2 * len(p & g) / (len(p) + len(g))
-
-
-def oracle_avd(pred, gt) -> float:
-    p = int(pred.data.sum())
-    g = int(gt.data.sum())
-    return 100.0 * abs(p - g) / g
-
-
-def oracle_border(m) -> list[tuple[int, int, int]]:
-    arr = m.data.astype(bool)
-    out = []
-    for x, y, z in np.argwhere(arr):
-        for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                           (0, 0, 1), (0, 0, -1)):
-            nx, ny, nz = x + dx, y + dy, z + dz
-            if not (0 <= nx < arr.shape[0] and 0 <= ny < arr.shape[1]
-                    and 0 <= nz < arr.shape[2]) or not arr[nx, ny, nz]:
-                out.append((int(x), int(y), int(z)))
-                break
-    return out
-
-
-def oracle_h95(pred, gt, spacing) -> float:
-    """O(n^2) pairwise distances with an exact nearest-rank percentile."""
-    a = np.array(oracle_border(pred), dtype=np.float64) * spacing
-    b = np.array(oracle_border(gt), dtype=np.float64) * spacing
-
-    def directed(src, dst):
-        dists = sorted(
-            min(math.dist(s, d) for d in dst) for s in src
-        )
-        rank = math.ceil(Fraction(95, 100) * len(dists))  # 1-based nearest rank
-        return dists[rank - 1]
-
-    return max(directed(a, b), directed(b, a))
-
-
-def oracle_components(m, connectivity=26) -> list[set]:
-    arr = m.data.astype(bool)
-    offs = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
-        and (connectivity == 26 or abs(dx) + abs(dy) + abs(dz) <= {6: 1, 18: 2}[connectivity])
-    ]
-    remaining = {tuple(c) for c in np.argwhere(arr)}
-    comps = []
-    while remaining:
-        seed = next(iter(remaining))
-        stack, comp = [seed], set()
-        remaining.discard(seed)
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            for dx, dy, dz in offs:
-                n = (v[0] + dx, v[1] + dy, v[2] + dz)
-                if n in remaining:
-                    remaining.discard(n)
-                    stack.append(n)
-        comps.append(comp)
-    return comps
-
-
-def oracle_recall(pred, gt, connectivity=26) -> float:
-    comps = oracle_components(gt, connectivity)
-    if not comps:
-        return 1.0
-    p = {tuple(c) for c in np.argwhere(pred.data)}
-    return sum(1 for comp in comps if comp & p) / len(comps)
-
-
-def oracle_f1(pred, gt, connectivity=26) -> float:
-    pred_comps = oracle_components(pred, connectivity)
-    g = {tuple(c) for c in np.argwhere(gt.data)}
-    if not pred_comps:
-        precision = 1.0 if not g else 0.0
-    else:
-        precision = sum(1 for comp in pred_comps if comp & g) / len(pred_comps)
-    recall = oracle_recall(pred, gt, connectivity)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
-# ---------------------------------------------------------------------------
 
 
 class TestDice:

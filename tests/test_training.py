@@ -17,7 +17,6 @@ from wmhseg.training import (
     compute_beta,
     normalize_to_mask,
     predict_probabilities,
-    sgd_step,
     split_cases,
     train,
     weighted_bce,
@@ -260,18 +259,6 @@ class TestSgd:
         p.grad[...] = 3.0
         SGD([p], 0.1, 0.0).step()
         assert p.grad.item() == 0.0
-
-    def test_functional_form_matches_class(self):
-        p1 = Parameter("w", np.array([1.0, 2.0]))
-        p2 = Parameter("w", np.array([1.0, 2.0]))
-        opt = SGD([p1], 0.1, 0.9)
-        vel: dict = {}
-        for _ in range(3):
-            p1.grad[...] = 0.7
-            p2.grad[...] = 0.7
-            opt.step()
-            sgd_step([p2], 0.1, 0.9, vel)
-        assert np.array_equal(p1.value, p2.value)
 
     def test_quadratic_descent_matches_closed_form(self):
         # loss 0.5*w^2: w_{k+1} = (1 - lr) w_k without momentum

@@ -14,13 +14,9 @@ from wmhseg.volume_io import (
     Volume3D,
     VolumeIOError,
     WrongMagicError,
-    axial_slices,
     read_nifti,
     read_nifti_mask,
-    read_vol,
-    stack_slices,
     write_nifti,
-    write_vol,
 )
 
 
@@ -75,6 +71,28 @@ class TestNifti:
         write_nifti(m, path)
         back = read_nifti_mask(path)
         assert np.array_equal(back.data, m.data)
+
+    @pytest.mark.parametrize("datatype,value", [("float32", 0.7), ("int16", 257)])
+    def test_mask_reader_checks_stored_values(self, tmp_path, datatype, value):
+        # a uint8 cast first would read 0.7 as 0 and 257 as 1
+        data = np.zeros((3, 3, 3))
+        data[1, 1, 1] = value
+        path = tmp_path / "m.nii"
+        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path, datatype)
+        with pytest.raises(ValueError):
+            read_nifti_mask(path)
+
+    def test_mask_reader_applies_scl_slope(self, tmp_path):
+        data = np.zeros((3, 3, 3))
+        data[0, 1, 2] = 2.0
+        path = tmp_path / "m.nii"
+        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path, "uint8")
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 112, 0.5)  # scl_slope
+        path.write_bytes(bytes(raw))
+        back = read_nifti_mask(path)
+        assert back.data.dtype == np.uint8
+        assert np.array_equal(back.data, (data > 0).astype(np.uint8))
 
     def test_int16_values_preserved(self, tmp_path):
         v = Volume3D(
@@ -217,64 +235,3 @@ class TestFuzz:
             path.write_bytes(data)
             with pytest.raises(VolumeIOError):
                 read_nifti(path)
-
-
-class TestInternalVol:
-    def test_volume_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        v = Volume3D(data=rng.normal(size=(3, 4, 5)), spacing=(0.5, 1.0, 2.0))
-        write_vol(v, tmp_path / "v.vol")
-        back = read_vol(tmp_path / "v.vol")
-        assert isinstance(back, Volume3D)
-        assert np.array_equal(back.data, v.data)
-        assert back.spacing == v.spacing
-
-    def test_mask_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        m = BinaryMask3D(
-            data=(rng.random((3, 4, 5)) < 0.5).astype(np.uint8), spacing=(1, 1, 1)
-        )
-        write_vol(m, tmp_path / "m.vol")
-        back = read_vol(tmp_path / "m.vol")
-        assert isinstance(back, BinaryMask3D)
-        assert np.array_equal(back.data, m.data)
-
-    def test_wrong_magic(self, tmp_path):
-        (tmp_path / "x.vol").write_bytes(b"NOTAVOL!" + b"\x00" * 64)
-        with pytest.raises(WrongMagicError):
-            read_vol(tmp_path / "x.vol")
-
-
-class TestSlices:
-    def test_shapes_and_content(self):
-        data = np.arange(4 * 4 * 3, dtype=np.float64).reshape(4, 4, 3)
-        v = Volume3D(data=data, spacing=(1, 1, 1))
-        planes = axial_slices(v)
-        assert len(planes) == 3
-        assert all(p.shape == (4, 4) for p in planes)
-        assert np.array_equal(planes[1], data[:, :, 1])
-
-    def test_inverse_pair(self):
-        rng = np.random.default_rng(4)
-        v = Volume3D(data=rng.normal(size=(5, 6, 7)), spacing=(1, 2, 3))
-        back = stack_slices(axial_slices(v), v.spacing)
-        assert np.array_equal(back.data, v.data)
-        assert back.spacing == v.spacing
-
-    def test_constant_volume_identical_planes(self):
-        v = Volume3D(data=np.full((3, 3, 4), 7.0), spacing=(1, 1, 1))
-        planes = axial_slices(v)
-        for p in planes[1:]:
-            assert np.array_equal(p, planes[0])
-
-    def test_single_plane(self):
-        v = stack_slices([np.zeros((2, 3))], (1, 1, 1))
-        assert v.dims == (2, 3, 1)
-
-    def test_inconsistent_plane_dims(self):
-        with pytest.raises(ValueError):
-            stack_slices([np.zeros((2, 2)), np.zeros((3, 3))], (1, 1, 1))
-
-    def test_empty_plane_list(self):
-        with pytest.raises(ValueError):
-            stack_slices([], (1, 1, 1))
