@@ -17,7 +17,7 @@ import struct
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,21 +85,6 @@ class AcceptanceReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "results": [
-                {
-                    "criterion_id": r.criterion_id,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                    "tolerance": r.tolerance,
-                    "runtime_seconds": r.runtime_seconds,
-                }
-                for r in self.results
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -171,31 +156,6 @@ def checkpoint_bytes(net: Network) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# small numeric helpers (criterion-local oracles)
-
-
-def _numeric_grad(f, x, h=1e-6):
-    g = np.zeros_like(x, dtype=np.float64)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        fp = f()
-        x[idx] = orig - h
-        fm = f()
-        x[idx] = orig
-        g[idx] = (fp - fm) / (2 * h)
-        it.iternext()
-    return g
-
-
-def _rel(a, b) -> float:
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
-    return float(np.max(np.abs(a - b)) / denom)
-
-
-# ---------------------------------------------------------------------------
 # criteria
 
 
@@ -209,9 +169,9 @@ def crit_gradients() -> tuple[bool, dict, str]:
         out, cache = forward()
         din = backward(r, cache)
         for name, arr, analytic in zip(arrays.keys(), arrays.values(), din):
-            numeric = _numeric_grad(lambda: float(np.sum(forward()[0] * r)), arr)
+            numeric = numeric_grad(lambda: float(np.sum(forward()[0] * r)), arr)
             errors_key = f"{op_name}.{name}"
-            errors[errors_key] = max(errors.get(errors_key, 0.0), _rel(analytic, numeric))
+            errors[errors_key] = max(errors.get(errors_key, 0.0), rel_err(analytic, numeric))
 
     # conv3x3 / conv1x1
     for op_name, k in (("conv3x3", 3), ("conv1x1", 1)):
@@ -355,7 +315,34 @@ def crit_loss() -> tuple[bool, dict, str]:
     return ok, measured, "1e-10 summation; 1e-12 single pixel; beta exact"
 
 
-# Brute-force metric oracles, independent of morphology and cKDTree: voxel
+# Brute-force oracles, also imported by the tests: a central
+# finite-difference gradient with its relative error, then the metrics.
+
+
+def numeric_grad(f, x, h=1e-6):
+    """Central-difference gradient of the scalar f() with respect to the
+    array x, which f reads and this function perturbs in place."""
+    g = np.zeros_like(x, dtype=np.float64)
+    it = np.nditer(x, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + h
+        fp = f()
+        x[idx] = orig - h
+        fm = f()
+        x[idx] = orig
+        g[idx] = (fp - fm) / (2 * h)
+        it.iternext()
+    return g
+
+
+def rel_err(a, b) -> float:
+    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
+    return float(np.max(np.abs(a - b)) / denom)
+
+
+# The metric oracles are independent of morphology and cKDTree: voxel
 # sets for the overlap metrics, an explicit 6-neighbour border scan, full
 # pairwise distances and a set-based 26-connected flood fill.
 
@@ -621,8 +608,8 @@ def crit_determinism() -> tuple[bool, dict, str]:
         and checkpoint_bytes(wmh_a) == checkpoint_bytes(wmh_b)
     )
     hist_equal = (
-        wm_hist_a.to_dict() == wm_hist_b.to_dict()
-        and wmh_hist_a.to_dict() == wmh_hist_b.to_dict()
+        asdict(wm_hist_a) == asdict(wm_hist_b)
+        and asdict(wmh_hist_a) == asdict(wmh_hist_b)
     )
     abl_a = ablation_report()
     abl_b = run_ablation(
@@ -748,7 +735,8 @@ def main(argv: list[str] | None = None) -> int:
             f"({r.runtime_seconds:.1f}s)  tolerance: {r.tolerance}"
         )
     if out_path:
-        Path(out_path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        record = {"passed": report.passed, **asdict(report)}
+        Path(out_path).write_text(json.dumps(record, indent=2, sort_keys=True))
     print(f"acceptance: {'PASS' if report.passed else 'FAIL'} "
           f"({len(report.results)} criteria)")
     return 0 if report.passed else 1

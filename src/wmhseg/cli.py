@@ -2,10 +2,11 @@
 prediction, evaluation, ranking, gradient self-check, and the
 plain-vs-residual ablation harness.
 
-Every sub-command emits a machine-readable JSON run report (to --report,
-else stdout) echoing all resolved flag values, and logs human-readable
-progress to stderr. Exit codes: 0 success, 2 usage errors, 1 runtime
-failures (the failing stage is named).
+Each sub-command returns the resolved flag values and its outputs;
+`dispatch` times it and writes the machine-readable JSON run report (to
+--report, else stdout). Progress is logged to stderr. Exit codes: 0
+success, 2 usage errors, 1 runtime failures (the failing stage is named,
+and the error report goes to --report only).
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .architectures import build_resunet, build_trimmed_unet
+from .architectures import Network, build_resunet, build_trimmed_unet
 from .checkpoint import load_checkpoint, save_checkpoint
 from .diff_core import Graph, Parameter, grad_check
 from .metrics import (
-    CaseMetrics,
     evaluate_case,
     rank_teams,
     read_team_summaries,
@@ -53,34 +53,15 @@ log = logging.getLogger("wmhseg")
 
 REPORT_SCHEMA_VERSION = 1
 
-TRAIN_KEYS = (
-    "learning_rate",
-    "momentum",
-    "epochs",
-    "seed",
-    "validation_fraction",
-    "augment",
-    "batch_size",
-    "precision",
-    "max_iterations",
-)
-LOSS_KEYS = ("beta", "epsilon", "weight_placement")
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+LOSS_KEYS = tuple(f.name for f in fields(LossConfig))
 
 
-def _emit_report(args, command: str, config: dict, outputs: dict, t0: float) -> None:
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "outputs": outputs,
-        "runtime_seconds": time.time() - t0,
-        "status": "ok",
-    }
+def _write_report(report: dict, path: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.report:
-        Path(args.report).write_text(text + "\n")
-        log.info("run report written to %s", args.report)
+    if path:
+        Path(path).write_text(text + "\n")
+        log.info("run report written to %s", path)
     else:
         print(text)
 
@@ -140,7 +121,7 @@ def _write_history(history, out_stem: Path) -> dict:
         for i, loss in enumerate(history.losses):
             w.writerow([i, repr(loss)])
     json_path = out_stem.with_suffix(".history.json")
-    json_path.write_text(json.dumps(history.to_dict(), indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(asdict(history), indent=2, sort_keys=True) + "\n")
     return {"history_csv": str(csv_path), "history_json": str(json_path)}
 
 
@@ -148,8 +129,7 @@ def _write_history(history, out_stem: Path) -> dict:
 # sub-commands
 
 
-def cmd_phantom(args) -> int:
-    t0 = time.time()
+def cmd_phantom(args) -> tuple[dict, dict]:
     cfg = PhantomConfig(
         dims=tuple(args.dims),
         spacing=tuple(args.spacing),
@@ -161,21 +141,20 @@ def cmd_phantom(args) -> int:
     log.info("generating %d phantom cases into %s", args.cases, args.out)
     cases = generate_dataset(cfg, args.cases, args.seed)
     save_dataset(cases, cfg, args.out)
-    _emit_report(
-        args,
-        "phantom",
+    return (
         {"cases": args.cases, "seed": args.seed, "out": str(args.out),
          "phantom": cfg.to_dict()},
         {"dataset_dir": str(args.out), "case_ids": [c.case_id for c in cases]},
-        t0,
     )
-    return 0
 
 
-def _train_stage(args, stage: str) -> int:
-    t0 = time.time()
+def _train_stage(args) -> tuple[dict, dict]:
+    """train-wm and train-wmh: the stage is named by the sub-command."""
+    stage = args.command.removeprefix("train-")
     train_cfg, loss_cfg = _resolve_train_configs(args)
     cases, _ = load_dataset(args.data)
+    config: dict = {"data": str(args.data), "out": str(args.out),
+                    "train": asdict(train_cfg), "loss": asdict(loss_cfg)}
     if stage == "wm":
         spec = build_trimmed_unet(
             base_width=args.base_width or 64, depth=args.depth or 3
@@ -194,6 +173,9 @@ def _train_stage(args, stage: str) -> int:
             masks = [segment_white_matter(c.t1, wm_net, pcfg) for c in cases]
         spec = build_resunet(base_width=args.base_width or 64, depth=args.depth or 4)
         tcs = wmh_training_cases(cases, masks)
+        config.update(wm_checkpoint=args.wm_checkpoint, use_truth_wm=args.use_truth_wm,
+                      threshold=args.threshold, dilation_radius=args.dilation_radius)
+    config.update(base_width=spec.base_width, depth=spec.depth)
     log.info(
         "training %s: %d cases, width %d, depth %d", stage, len(tcs),
         spec.base_width, spec.depth,
@@ -207,39 +189,7 @@ def _train_stage(args, stage: str) -> int:
                "val_dice": history.val_dice, "iterations": history.iterations}
     outputs.update(_write_history(history, out))
     log.info("%s training done: final val dice %.4f", stage, history.val_dice[-1])
-    _emit_report(
-        args,
-        f"train-{stage}",
-        {
-            "data": str(args.data),
-            "out": str(args.out),
-            "train": asdict(train_cfg),
-            "loss": asdict(loss_cfg),
-            "base_width": spec.base_width,
-            "depth": spec.depth,
-            **(
-                {
-                    "wm_checkpoint": args.wm_checkpoint,
-                    "use_truth_wm": args.use_truth_wm,
-                    "threshold": args.threshold,
-                    "dilation_radius": args.dilation_radius,
-                }
-                if stage == "wmh"
-                else {}
-            ),
-        },
-        outputs,
-        t0,
-    )
-    return 0
-
-
-def cmd_train_wm(args) -> int:
-    return _train_stage(args, "wm")
-
-
-def cmd_train_wmh(args) -> int:
-    return _train_stage(args, "wmh")
+    return config, outputs
 
 
 def _predict_one(case_dir: Path, out_dir: Path, cfg, wm_net, wmh_net) -> dict:
@@ -253,14 +203,12 @@ def _predict_one(case_dir: Path, out_dir: Path, cfg, wm_net, wmh_net) -> dict:
     d.mkdir(parents=True, exist_ok=True)
     write_nifti(wmh_mask, d / "wmh.nii")
     write_nifti(wm_mask, d / "wm.nii")
-    (d / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    return report.to_dict()
+    record = asdict(report)
+    (d / "report.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return record
 
 
-def cmd_predict(args) -> int:
-    t0 = time.time()
+def cmd_predict(args) -> tuple[dict, dict]:
     cfg = PipelineConfig(
         wm_checkpoint=args.wm_checkpoint,
         wmh_checkpoint=args.wmh_checkpoint,
@@ -281,7 +229,7 @@ def cmd_predict(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_nifti(wmh_mask, out_dir / f"{case.case_id}_wmh.nii")
         write_nifti(wm_mask, out_dir / f"{case.case_id}_wm.nii")
-        reports = [report.to_dict()]
+        reports = [asdict(report)]
     else:
         root = Path(args.data)
         case_dirs = sorted(
@@ -295,26 +243,18 @@ def cmd_predict(args) -> int:
                 for d in case_dirs
             ]
             reports = [f.result() for f in futures]
-    _emit_report(
-        args,
-        "predict",
-        {
-            "data": args.data,
-            "t1": args.t1,
-            "flair": args.flair,
-            "out": str(args.out),
-            "threads": args.threads,
-            "pipeline": cfg.to_dict(),
-        },
-        {"cases": reports},
-        t0,
-    )
-    return 0
+    config = {
+        "data": args.data,
+        "t1": args.t1,
+        "flair": args.flair,
+        "out": str(args.out),
+        "threads": args.threads,
+        "pipeline": asdict(cfg),
+    }
+    return config, {"cases": reports}
 
 
-def cmd_evaluate(args) -> int:
-    t0 = time.time()
-    rows: list[tuple[str, CaseMetrics]] = []
+def cmd_evaluate(args) -> tuple[dict, dict]:
     if args.pred or args.gt:
         if not (args.pred and args.gt):
             raise ValueError("single-case mode needs both --pred and --gt")
@@ -338,45 +278,27 @@ def cmd_evaluate(args) -> int:
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         rows = list(pool.map(one, pairs))
 
-    outputs: dict = {
-        "cases": {
-            cid: {
-                "dice": m.dice,
-                "h95_mm": m.h95_mm,
-                "avd_percent": m.avd_percent,
-                "lesion_recall": m.lesion_recall,
-                "lesion_f1": m.lesion_f1,
-            }
-            for cid, m in rows
-        }
-    }
+    outputs: dict = {"cases": {cid: asdict(m) for cid, m in rows}}
     if args.out_csv:
         write_case_csv(args.out_csv, rows)
         outputs["case_csv"] = str(args.out_csv)
     if args.team:
         summary = summarize_cases(args.team, [m for _, m in rows])
         outputs["team_summary"] = asdict(summary)
-    _emit_report(
-        args,
-        "evaluate",
-        {
-            "pred": args.pred,
-            "gt": args.gt,
-            "pred_dir": args.pred_dir,
-            "gt_dir": args.gt_dir,
-            "connectivity": args.connectivity,
-            "threads": args.threads,
-            "out_csv": args.out_csv,
-            "team": args.team,
-        },
-        outputs,
-        t0,
-    )
-    return 0
+    config = {
+        "pred": args.pred,
+        "gt": args.gt,
+        "pred_dir": args.pred_dir,
+        "gt_dir": args.gt_dir,
+        "connectivity": args.connectivity,
+        "threads": args.threads,
+        "out_csv": args.out_csv,
+        "team": args.team,
+    }
+    return config, outputs
 
 
-def cmd_rank(args) -> int:
-    t0 = time.time()
+def cmd_rank(args) -> tuple[dict, dict]:
     summaries = read_team_summaries(args.summaries)
     table = rank_teams(summaries)
     outputs = {
@@ -391,19 +313,14 @@ def cmd_rank(args) -> int:
         outputs["rank_json"] = str(args.out_json)
     for i, team in enumerate(table.teams):
         log.info("team %-16s overall rank %.4f", team, table.overall[i])
-    _emit_report(
-        args,
-        "rank",
-        {"summaries": str(args.summaries), "out_csv": args.out_csv,
-         "out_json": args.out_json},
-        outputs,
-        t0,
-    )
-    return 0
+    config = {"summaries": str(args.summaries), "out_csv": args.out_csv,
+              "out_json": args.out_json}
+    return config, outputs
 
 
-def cmd_gradcheck(args) -> int:
-    t0 = time.time()
+def cmd_gradcheck(args) -> tuple[dict, dict, int]:
+    """The report says whether every check passed; the exit code is 1
+    when one failed."""
     rng = np.random.default_rng(args.seed)
     results = {}
 
@@ -437,8 +354,6 @@ def cmd_gradcheck(args) -> int:
         spec = build_resunet(base_width=args.base_width, depth=args.depth)
     else:
         spec = build_trimmed_unet(base_width=args.base_width, depth=args.depth)
-    from .architectures import Network
-
     net = Network(spec, seed=args.seed)
     x = rng.normal(size=(1, spec.in_channels, args.size, args.size))
     rep = grad_check(net.graph, x, tolerance=args.tolerance,
@@ -451,26 +366,19 @@ def cmd_gradcheck(args) -> int:
     worst = max(worst, rep.max_rel_error)
     ok = all(r["passed"] for r in results.values())
     log.info("gradcheck %s: max rel error %.3g", "PASS" if ok else "FAIL", worst)
-    _emit_report(
-        args,
-        "gradcheck",
-        {
-            "arch": args.arch,
-            "base_width": args.base_width,
-            "depth": args.depth,
-            "size": args.size,
-            "tolerance": args.tolerance,
-            "seed": args.seed,
-            "max_elements": args.max_elements,
-        },
-        {"results": results, "passed": ok},
-        t0,
-    )
-    return 0 if ok else 1
+    config = {
+        "arch": args.arch,
+        "base_width": args.base_width,
+        "depth": args.depth,
+        "size": args.size,
+        "tolerance": args.tolerance,
+        "seed": args.seed,
+        "max_elements": args.max_elements,
+    }
+    return config, {"results": results, "passed": ok}, 0 if ok else 1
 
 
-def cmd_ablate(args) -> int:
-    t0 = time.time()
+def cmd_ablate(args) -> tuple[dict, dict]:
     train_cfg, loss_cfg = _resolve_train_configs(args)
     report = run_ablation(
         args.data, train_cfg, loss_cfg,
@@ -483,15 +391,11 @@ def cmd_ablate(args) -> int:
     for kind, r in report["variants"].items():
         log.info("%s: val dice %.4f lesion F1 %.4f", kind, r["val_dice"],
                  r["val_lesion_f1"])
-    _emit_report(
-        args,
-        "ablate",
+    return (
         {"data": str(args.data), "out": str(args.out),
          "train": asdict(train_cfg), "loss": asdict(loss_cfg)},
         {"report_path": str(out), "variants": report["variants"]},
-        t0,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-confounder", action="store_true")
     p.add_argument("--noise-std", type=float, default=0.02)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_phantom, stage="phantom")
+    p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("train-wm", help="train the white matter network")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     _add_train_flags(p)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_train_wm, stage="train-wm")
+    p.set_defaults(func=_train_stage)
 
     p = sub.add_parser("train-wmh", help="train the lesion network")
     p.add_argument("--data", required=True)
@@ -536,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dilation-radius", type=int, default=2)
     _add_train_flags(p)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_train_wmh, stage="train-wmh")
+    p.set_defaults(func=_train_stage)
 
     p = sub.add_parser("predict", help="run the two-stage pipeline")
     p.add_argument("--data", help="dataset dir with per-case t1.nii/flair.nii")
@@ -551,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-confine", action="store_true")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_predict, stage="predict")
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="compute the five challenge metrics")
     p.add_argument("--pred")
@@ -563,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--team", help="also emit a team summary under this name")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_evaluate, stage="evaluate")
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("rank", help="rank team summaries")
     p.add_argument("--summaries", required=True)
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_rank, stage="rank")
+    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
     p.add_argument("--arch", choices=("resunet", "trimmed"), default="resunet")
@@ -581,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-elements", type=int, default=256)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_gradcheck, stage="gradcheck")
+    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="paired plain-vs-residual training run")
     p.add_argument("--data", required=True)
@@ -590,38 +494,41 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stage-1 checkpoint for input normalization; trained fresh when omitted")
     _add_train_flags(p)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_ablate, stage="ablate")
+    p.set_defaults(func=cmd_ablate)
 
     return parser
 
 
 def dispatch(argv: list[str] | None = None) -> int:
+    """Run one sub-command, time it and write its run report. A command
+    returns (config, outputs) and may add its exit code; an exception
+    exits 1 with an error report, written only to --report."""
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO,
         format="%(asctime)s %(levelname)s %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        config, outputs, *code = args.func(args)
     except Exception as exc:  # noqa: BLE001 - report the failing stage, exit 1
-        log.error("stage %s failed: %s", args.stage, exc)
-        if getattr(args, "report", None):
-            Path(args.report).write_text(
-                json.dumps(
-                    {
-                        "schema_version": REPORT_SCHEMA_VERSION,
-                        "command": args.stage,
-                        "status": "error",
-                        "error": str(exc),
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        log.error("stage %s failed: %s", args.command, exc)
+        if args.report:
+            _write_report({"schema_version": REPORT_SCHEMA_VERSION,
+                           "command": args.command, "status": "error",
+                           "error": str(exc)}, args.report)
         return 1
+    _write_report({
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "version": __version__,
+        "command": args.command,
+        "config": config,
+        "outputs": outputs,
+        "runtime_seconds": time.time() - t0,
+        "status": "ok",
+    }, args.report)
+    return code[0] if code else 0
 
 
 def main() -> None:

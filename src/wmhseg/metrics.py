@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -159,21 +159,16 @@ def lesion_recall(pred: BinaryMask3D, gt: BinaryMask3D, connectivity: int = 26) 
 
 
 def lesion_f1(pred: BinaryMask3D, gt: BinaryMask3D, connectivity: int = 26) -> float:
-    """Component-level F-1: precision over predicted components, recall
-    over ground-truth components, 0 when precision + recall is 0.
+    """Component-level F-1: the harmonic mean of precision and recall, 0
+    when both are 0. Precision is lesion recall with the masks swapped:
+    the fraction of predicted components that touch the ground truth.
 
-    An empty prediction has precision 1.0 against an empty ground truth
-    (nothing predicted, nothing to find) and 0.0 otherwise.
+    An empty ground truth has recall 1.0 and an empty prediction
+    precision 1.0 (nothing to find), so F-1 is 1.0 when both masks are
+    empty and 0.0 when only one is.
     """
-    _check_grids(pred, gt)
-    pred_lab = connected_components(pred, connectivity)
-    if pred_lab.count == 0:
-        precision = 1.0 if int(np.count_nonzero(gt.data)) == 0 else 0.0
-    else:
-        hit = np.unique(pred_lab.labels[gt.data > 0])
-        hit = hit[hit > 0]
-        precision = hit.size / pred_lab.count
     recall = lesion_recall(pred, gt, connectivity)
+    precision = lesion_recall(gt, pred, connectivity)
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -307,13 +302,5 @@ def write_rank_csv(path: str | Path, table: RankTable) -> None:
             )
 
 
-def rank_table_to_dict(table: RankTable) -> dict:
-    return {
-        "teams": table.teams,
-        "ranks": {m: table.ranks[m] for m in METRIC_ORDER},
-        "overall": table.overall,
-    }
-
-
 def write_rank_json(path: str | Path, table: RankTable) -> None:
-    Path(path).write_text(json.dumps(rank_table_to_dict(table), indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(asdict(table), indent=2, sort_keys=True))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .volume_io import BinaryMask3D, Volume3D, read_nifti, read_nifti_mask, write_nifti
-from .morphology import _neighbor_offsets, _shifted, dilate
+from .morphology import dilate
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,6 @@ def _sphere(dims, center, radius) -> np.ndarray:
     return _ellipsoid(dims, center, (radius, radius, radius))
 
 
-def _dilate_bool(arr: np.ndarray, connectivity: int = 26) -> np.ndarray:
-    out = arr.copy()
-    for dx, dy, dz in _neighbor_offsets(connectivity):
-        out |= _shifted(arr, dx, dy, dz)
-    return out
-
-
 def _place_spheres(
     rng: np.random.Generator,
     count: int,
@@ -135,7 +128,7 @@ def _place_spheres(
             sphere = _sphere(dims, center.astype(np.float64), radius)
             if not (sphere & ~allowed).any() and not (sphere & blocked).any():
                 placed |= sphere
-                blocked |= _dilate_bool(sphere)
+                blocked |= dilate(BinaryMask3D(sphere, (1, 1, 1)), 1, 26).data > 0
                 break
         else:
             raise PlacementError(f"could not place sphere after {max_tries} tries")

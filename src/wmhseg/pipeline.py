@@ -67,17 +67,6 @@ class PipelineConfig:
         if self.dilation_radius < 0:
             raise ValueError("dilation radius must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "wm_checkpoint": self.wm_checkpoint,
-            "wmh_checkpoint": self.wmh_checkpoint,
-            "threshold": self.threshold,
-            "dilation_radius": self.dilation_radius,
-            "dilation_connectivity": self.dilation_connectivity,
-            "component_connectivity": self.component_connectivity,
-            "confine": self.confine,
-        }
-
 
 @dataclass
 class CaseReport:
@@ -87,16 +76,6 @@ class CaseReport:
     wm_voxels: int
     wm_volume_mm3: float
     config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "wmh_voxels": self.wmh_voxels,
-            "wmh_volume_mm3": self.wmh_volume_mm3,
-            "wm_voxels": self.wm_voxels,
-            "wm_volume_mm3": self.wm_volume_mm3,
-            "config": self.config,
-        }
 
 
 def segment_white_matter(
@@ -176,7 +155,7 @@ def run_pipeline(
         wmh_volume_mm3=wmh_mask.voxel_count() * vox,
         wm_voxels=wm_mask.voxel_count(),
         wm_volume_mm3=wm_mask.voxel_count() * vox,
-        config=cfg.to_dict(),
+        config=asdict(cfg),
     )
     return wmh_mask, wm_mask, report
 
@@ -251,8 +230,7 @@ def run_ablation(data_dir: str | Path, train_cfg: TrainConfig,
     tcs = wmh_training_cases(cases, masks)
     report: dict = {"variants": {}}
     for kind in ("plain", "residual"):
-        spec = build_resunet(base_width=base_width, depth=depth)
-        spec = type(spec)(**{**spec.to_dict(), "block_kind": kind})
+        spec = replace(build_resunet(base_width=base_width, depth=depth), block_kind=kind)
         net, history = train(spec, tcs, train_cfg, loss_cfg)
         val_ids = set(history.val_case_ids)
         dices, f1s = [], []

@@ -92,18 +92,6 @@ class TrainHistory:
     iterations: int = 0
     checkpoint_path: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "losses": self.losses,
-            "grad_norms": self.grad_norms,
-            "val_dice": self.val_dice,
-            "beta": self.beta,
-            "train_case_ids": self.train_case_ids,
-            "val_case_ids": self.val_case_ids,
-            "iterations": self.iterations,
-            "checkpoint_path": self.checkpoint_path,
-        }
-
 
 @dataclass
 class TrainingCase:

@@ -89,7 +89,8 @@ class Volume3D:
 
 @dataclass
 class BinaryMask3D:
-    """Same grid contract as Volume3D, values restricted to {0, 1}."""
+    """Same grid contract as Volume3D, values restricted to {0, 1} and
+    stored as uint8. uint8 data is kept as given, without a copy."""
 
     data: np.ndarray
     spacing: tuple[float, float, float]
@@ -98,10 +99,13 @@ class BinaryMask3D:
         self.data = np.asarray(self.data)
         if self.data.ndim != 3:
             raise ValueError(f"expected 3-D data, got ndim={self.data.ndim}")
-        vals = np.unique(self.data)
-        if not np.isin(vals, (0, 1)).all():
+        if self.data.dtype.kind in "bu":  # nothing below 0: the maximum decides
+            binary = self.data.max(initial=0) <= 1
+        else:  # NaN equals neither
+            binary = ((self.data == 0) | (self.data == 1)).all()
+        if not binary:
             raise ValueError("mask values must be exactly 0 or 1")
-        self.data = self.data.astype(np.uint8)
+        self.data = self.data.astype(np.uint8, copy=False)
         self.spacing = tuple(float(s) for s in self.spacing)
         if not all(np.isfinite(s) and s > 0 for s in self.spacing):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")

@@ -252,6 +252,33 @@ class TestGradcheckCommand:
                     "--tolerance", "1e-18"]) == 1
 
 
+class TestRunReports:
+    KEYS = {"schema_version", "version", "command", "config", "outputs",
+            "runtime_seconds", "status"}
+
+    def test_every_command_writes_the_same_report_shape(self, tmp_path, dataset):
+        gt = dataset / "case_000" / "wmh.nii"
+        teams = tmp_path / "teams.csv"
+        teams.write_text(TestRank.TABLE2_CSV)
+        flags = {
+            "phantom": ["--out", str(tmp_path / "d"), "--cases", "1"],
+            "evaluate": ["--pred", str(gt), "--gt", str(gt)],
+            "rank": ["--summaries", str(teams)],
+            # a failed check is still a completed run: status ok, exit 1
+            "gradcheck": ["--base-width", "2", "--depth", "2", "--size", "16",
+                          "--max-elements", "4", "--tolerance", "1e-18"],
+        }
+        for command, extra in flags.items():
+            rpt = tmp_path / f"{command}.json"
+            code = run([command, *extra, "--report", str(rpt)])
+            report = json.loads(rpt.read_text())
+            assert set(report) == self.KEYS
+            assert (report["command"], report["status"]) == (command, "ok")
+            assert code == (1 if command == "gradcheck" else 0)
+        assert json.loads((tmp_path / "gradcheck.json").read_text())[
+            "outputs"]["passed"] is False
+
+
 class TestErrors:
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmhseg import diff_core
+from wmhseg.acceptance import numeric_grad, rel_err
 from wmhseg.diff_core import (
     Graph,
     Parameter,
@@ -22,28 +23,6 @@ from wmhseg.diff_core import (
     upconv2_backward,
     upconv2_forward,
 )
-
-
-def numeric_grad(f, x, h=1e-6):
-    """Central-difference gradient of scalar f with respect to array x."""
-    g = np.zeros_like(x, dtype=np.float64)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        fp = f()
-        x[idx] = orig - h
-        fm = f()
-        x[idx] = orig
-        g[idx] = (fp - fm) / (2 * h)
-        it.iternext()
-    return g
-
-
-def rel_err(a, b):
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
-    return np.max(np.abs(a - b)) / denom
 
 
 class TestConv2d:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -345,7 +346,7 @@ class TestSpikeClipping:
         _, hist = train(spec, tiny_cases(), cfg, LossConfig())
         assert len(hist.grad_norms) == hist.iterations
         assert all(np.isfinite(n) and n > 0 for n in hist.grad_norms)
-        assert hist.to_dict()["grad_norms"] == hist.grad_norms
+        assert asdict(hist)["grad_norms"] == hist.grad_norms
 
 
 def tiny_cases(n=3, dims=(8, 8, 4), seed=0):

@@ -39,8 +39,11 @@ class TestVolumeTypes:
             Volume3D(data=np.zeros((2, 2, 2)), spacing=(1.0, np.inf, 1.0))
 
     def test_mask_values_restricted(self):
-        with pytest.raises(ValueError):
-            BinaryMask3D(data=np.full((2, 2, 2), 2), spacing=(1, 1, 1))
+        for bad in (2, -1, np.nan, 0.7, np.uint8(2), np.int16(257)):
+            data = np.zeros((2, 2, 2), dtype=np.asarray(bad).dtype)
+            data[1, 1, 1] = bad
+            with pytest.raises(ValueError):
+                BinaryMask3D(data=data, spacing=(1, 1, 1))
         m = BinaryMask3D(data=np.eye(2)[..., None], spacing=(1, 1, 1))
         assert m.voxel_count() == 2
 
