@@ -3,7 +3,8 @@
 Each criterion runs end to end with fixed seeds and a pinned tolerance
 and reports a deterministic verdict plus its measured values and runtime.
 Run the full suite with `python -m wmhseg.acceptance`, or a subset by
-selector substring (e.g. `python -m wmhseg.acceptance metrics`). The
+number, id or one word of an id (e.g. `python -m wmhseg.acceptance metric`
+runs `4-metric-oracles`; a selector that names nothing exits 2). The
 suite needs no network access; heavyweight artifacts (the phantom
 dataset and trained checkpoints) are built once and shared between
 criteria, except where a criterion is explicitly about re-running them.
@@ -29,6 +30,7 @@ from .architectures import (
     ResidualBlockSpec,
     build_resunet,
     build_trimmed_unet,
+    he_init,
     residual_block_graph,
 )
 from .checkpoint import save_checkpoint
@@ -245,18 +247,23 @@ def crit_gradients() -> tuple[bool, dict, str]:
     )
 
     # full ResU-Net at base width 2, depth 2, on a 16x16 input: every element
-    net = Network(build_resunet(base_width=2, depth=2), seed=7)
+    net = Network(build_resunet(base_width=2, depth=2))
+    he_init(net.graph, 7)
     xin = np.random.default_rng(3).normal(size=(1, 2, 16, 16))
     report = dc.grad_check(net.graph, xin, tolerance=1e-4, max_elements=10**9)
     errors["resunet.full"] = report.max_rel_error
+    # a zero weight would leave its input's gradient unchecked
+    nonzero = all(n.weight.value.all() for n in net.graph.nodes if n.weight is not None)
 
     worst = max(errors.values())
     measured = {
         "per_check_max_rel_error": errors,
         "worst_rel_error": worst,
         "network_elements_checked": sum(c.checked_elements for c in report.checks),
+        "all_weights_nonzero": nonzero,
     }
-    return worst <= 1e-4, measured, "relative error <= 1e-4"
+    ok = worst <= 1e-4 and nonzero
+    return ok, measured, "relative error <= 1e-4; no zero weight"
 
 
 def crit_residual_identity() -> tuple[bool, dict, str]:
@@ -265,13 +272,12 @@ def crit_residual_identity() -> tuple[bool, dict, str]:
     rng = np.random.default_rng(21)
     x = rng.normal(size=(2, 3, 8, 8))
     blk = ResidualBlockSpec(3, 3, projection=False, post_add_relu=False)
-    g = residual_block_graph(blk, seed=0)
-    for p in g.parameters():
-        p.value[...] = 0.0
+    g = residual_block_graph(blk)  # every parameter zero
     identity_exact = bool(np.array_equal(g.forward(x), x))
 
     blk2 = ResidualBlockSpec(3, 5, projection=True, post_add_relu=False)
-    g2 = residual_block_graph(blk2, seed=1)
+    g2 = residual_block_graph(blk2)
+    he_init(g2, 1)
     params = {p.name: p for p in g2.parameters()}
     for name in ("block.conv1.w", "block.conv1.b", "block.conv2.w", "block.conv2.b"):
         params[name].value[...] = 0.0
@@ -705,10 +711,11 @@ CRITERIA = [
 
 
 def run_acceptance(selector: str | None = None) -> AcceptanceReport:
-    """Run all criteria, or only those whose id contains the selector."""
+    """Run all criteria, or those the selector names: a number ("10"), a
+    full id ("10-io") or one dash-separated word of an id ("io")."""
     report = AcceptanceReport()
     for cid, fn in CRITERIA:
-        if selector and selector not in cid:
+        if selector and selector != cid and selector not in cid.split("-"):
             continue
         t0 = time.time()
         passed, measured, tolerance = fn()
@@ -729,6 +736,11 @@ def main(argv: list[str] | None = None) -> int:
     selector = argv[0] if argv else None
     out_path = argv[1] if len(argv) > 1 else None
     report = run_acceptance(selector)
+    if not report.results:
+        ids = ", ".join(cid for cid, _ in CRITERIA)
+        print(f"acceptance: {selector!r} names no criterion; ids: {ids}",
+              file=sys.stderr)
+        return 2
     for r in report.results:
         print(
             f"[{'PASS' if r.passed else 'FAIL'}] {r.criterion_id:24s} "

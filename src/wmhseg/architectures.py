@@ -6,12 +6,18 @@ followed by 2x2 max pooling, a bottleneck stage, and a decoder of
 upconv -> concat(skip) -> stage, ending in a 1x1 conv + sigmoid head.
 Stage s carries base_width * 2^s channels. Residual stages compute
 skip(x) + conv3x3(relu(conv3x3(x))) with a 1x1 projection on the skip
-path; plain stages are the classic double conv3x3/relu.
+path; plain stages are the classic double conv3x3/relu. One block builder
+wires both.
+
+Building and initializing are separate steps. `Network(spec, dtype)`
+builds the graph with every parameter zero and draws no random numbers;
+`he_init(graph, seed)` then draws the weights in one pass over the graph
+(biases stay zero), or `checkpoint.load_checkpoint` reads them from a file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,24 +66,12 @@ class NetworkSpec:
     def bottleneck_channels(self) -> int:
         return self.base_width * 2**self.depth
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "NetworkSpec":
-        return NetworkSpec(**d)
-
 
 def build_resunet(
     in_channels: int = 2, base_width: int = 64, depth: int = 4
 ) -> NetworkSpec:
     """The lesion-segmentation network: residual stages, 2-channel input."""
-    return NetworkSpec(
-        in_channels=in_channels,
-        base_width=base_width,
-        depth=depth,
-        block_kind="residual",
-    )
+    return NetworkSpec(in_channels, base_width, depth, "residual")
 
 
 def build_trimmed_unet(
@@ -85,69 +79,74 @@ def build_trimmed_unet(
 ) -> NetworkSpec:
     """The white-matter network: plain double-conv stages, one fewer
     pooling stage than the 4-deep original."""
-    return NetworkSpec(
-        in_channels=in_channels,
-        base_width=base_width,
-        depth=depth,
-        block_kind="plain",
-    )
+    return NetworkSpec(in_channels, base_width, depth, "plain")
 
 
-def _he_conv(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int):
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+def _param_node(
+    graph: Graph, kind: str, at: int, prefix: str, shape: tuple[int, ...], dtype
+) -> int:
+    """Append a `kind` node on `at` with a zero `{prefix}.w` of `shape` and
+    a zero `{prefix}.b` over its output channels; returns the node."""
+    n_out = shape[1] if kind == "upconv2" else shape[0]
+    w = Parameter(f"{prefix}.w", np.zeros(shape, dtype))
+    b = Parameter(f"{prefix}.b", np.zeros(n_out, dtype))
+    return graph.add(kind, (at,), w, b)
 
 
-def _append_residual_block(
+def _append_block(
     graph: Graph,
     at: int,
     blk: ResidualBlockSpec,
     prefix: str,
-    rng: np.random.Generator,
+    dtype,
+    residual: bool = True,
 ) -> int:
-    """Wire one residual block starting from node `at`; returns output node."""
+    """Wire conv3x3-relu-conv3x3 from node `at`. A residual block adds the
+    skip (1x1 projection or identity) to it; a relu follows when
+    `blk.post_add_relu` is set. Returns the output node."""
     ci, co = blk.in_channels, blk.out_channels
-    w1 = Parameter(f"{prefix}.conv1.w", _he_conv(rng, (co, ci, 3, 3), ci * 9))
-    b1 = Parameter(f"{prefix}.conv1.b", np.zeros(co))
-    w2 = Parameter(f"{prefix}.conv2.w", _he_conv(rng, (co, co, 3, 3), co * 9))
-    b2 = Parameter(f"{prefix}.conv2.b", np.zeros(co))
-    c1 = graph.add("conv3x3", (at,), w1, b1)
-    r1 = graph.add("relu", (c1,))
-    c2 = graph.add("conv3x3", (r1,), w2, b2)
-    if blk.projection:
-        wp = Parameter(f"{prefix}.skip.w", _he_conv(rng, (co, ci, 1, 1), ci))
-        bp = Parameter(f"{prefix}.skip.b", np.zeros(co))
-        skip = graph.add("conv1x1", (at,), wp, bp)
-    else:
+    out = _param_node(graph, "conv3x3", at, f"{prefix}.conv1", (co, ci, 3, 3), dtype)
+    out = graph.add("relu", (out,))
+    out = _param_node(graph, "conv3x3", out, f"{prefix}.conv2", (co, co, 3, 3), dtype)
+    if residual:
         skip = at
-    out = graph.add("add", (c2, skip))
+        if blk.projection:
+            skip = _param_node(
+                graph, "conv1x1", at, f"{prefix}.skip", (co, ci, 1, 1), dtype
+            )
+        out = graph.add("add", (out, skip))
     if blk.post_add_relu:
         out = graph.add("relu", (out,))
     return out
 
 
-def _append_plain_block(
-    graph: Graph, at: int, ci: int, co: int, prefix: str, rng: np.random.Generator
-) -> int:
-    """Classic U-Net double conv: conv3x3-relu-conv3x3-relu."""
-    w1 = Parameter(f"{prefix}.conv1.w", _he_conv(rng, (co, ci, 3, 3), ci * 9))
-    b1 = Parameter(f"{prefix}.conv1.b", np.zeros(co))
-    w2 = Parameter(f"{prefix}.conv2.w", _he_conv(rng, (co, co, 3, 3), co * 9))
-    b2 = Parameter(f"{prefix}.conv2.b", np.zeros(co))
-    c1 = graph.add("conv3x3", (at,), w1, b1)
-    r1 = graph.add("relu", (c1,))
-    c2 = graph.add("conv3x3", (r1,), w2, b2)
-    return graph.add("relu", (c2,))
-
-
-def residual_block_graph(blk: ResidualBlockSpec, seed: int = 0) -> Graph:
-    """A standalone single-block graph, mainly for unit-level checks."""
+def residual_block_graph(blk: ResidualBlockSpec) -> Graph:
+    """A standalone single-block graph with zero parameters, mainly for
+    unit-level checks."""
     g = Graph()
-    _append_residual_block(g, 0, blk, "block", np.random.default_rng(seed))
+    _append_block(g, 0, blk, "block", np.float64)
     return g
 
 
+def he_init(graph: Graph, seed: int) -> None:
+    """Fill every weight of `graph` from N(0, 2/fan_in) (He et al., 2015),
+    one draw per weight in node order from one generator. fan_in is
+    in-channels x kernel area for conv3x3/conv1x1 and in-channels for
+    upconv2 (kernel stored (in, out, 2, 2)). Biases are left as they are."""
+    rng = np.random.default_rng(seed)
+    for node in graph.nodes:
+        if node.weight is None:
+            continue
+        w = node.weight.value
+        fan_in = w.shape[0] if node.kind == "upconv2" else w.size // w.shape[0]
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+
+
 class Network:
-    """A NetworkSpec instantiated with parameters, ready to run.
+    """A NetworkSpec built into a graph, ready to run.
+
+    Every parameter starts at zero in `dtype`; `he_init(net.graph, seed)`
+    draws the weights, `load_checkpoint` reads them from a file.
 
     Inputs whose spatial dims are not divisible by 2^depth are
     reflect-padded on the bottom/right and the output is cropped back;
@@ -155,58 +154,41 @@ class Network:
     cached backward sees the true geometry).
     """
 
-    def __init__(self, spec: NetworkSpec, seed: int = 0, dtype=np.float64):
+    def __init__(self, spec: NetworkSpec, dtype=np.float64):
         self.spec = spec
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
             raise ValueError(f"dtype must be float32 or float64, got {dtype}")
-        self.graph = Graph()
-        self.head_logits_index = -1
-        self._build(np.random.default_rng(seed))
-        if self.dtype != np.float64:
-            for p in self.parameters():
-                p.value = p.value.astype(self.dtype)
-                p.grad = p.grad.astype(self.dtype)
-
-    def _build(self, rng: np.random.Generator) -> None:
-        spec, g = self.spec, self.graph
+        self.graph = g = Graph()
+        dt = self.dtype
+        residual = spec.block_kind == "residual"
         channels = spec.stage_channels()
-        cur = 0
-        cur_c = spec.in_channels
-        enc_outs: list[int] = []
 
         def stage(at: int, ci: int, co: int, prefix: str) -> int:
-            if spec.block_kind == "residual":
-                blk = ResidualBlockSpec(
-                    ci, co, projection=True, post_add_relu=spec.post_add_relu
-                )
-                return _append_residual_block(g, at, blk, prefix, rng)
-            return _append_plain_block(g, at, ci, co, prefix, rng)
+            relu = spec.post_add_relu or not residual  # plain stages end in relu
+            blk = ResidualBlockSpec(ci, co, post_add_relu=relu)
+            return _append_block(g, at, blk, prefix, dt, residual)
 
+        cur, cur_c = 0, spec.in_channels
+        enc_outs: list[int] = []
         for s, co in enumerate(channels):
             cur = stage(cur, cur_c, co, f"enc{s}")
             enc_outs.append(cur)
             cur = g.add("maxpool2", (cur,))
             cur_c = co
 
-        bott_c = spec.bottleneck_channels()
-        cur = stage(cur, cur_c, bott_c, "bottleneck")
-        cur_c = bott_c
+        cur = stage(cur, cur_c, spec.bottleneck_channels(), "bottleneck")
+        cur_c = spec.bottleneck_channels()
 
         for s in reversed(range(spec.depth)):
             co = channels[s]
-            wu = Parameter(f"dec{s}.up.w", _he_conv(rng, (cur_c, co, 2, 2), cur_c))
-            bu = Parameter(f"dec{s}.up.b", np.zeros(co))
-            up = g.add("upconv2", (cur,), wu, bu)
-            cat = g.add("concat", (up, enc_outs[s]))
-            cur = stage(cat, 2 * co, co, f"dec{s}")
+            up = _param_node(g, "upconv2", cur, f"dec{s}.up", (cur_c, co, 2, 2), dt)
+            cur = stage(g.add("concat", (up, enc_outs[s])), 2 * co, co, f"dec{s}")
             cur_c = co
 
-        wh = Parameter(
-            "head.w", _he_conv(rng, (spec.out_channels, cur_c, 1, 1), cur_c)
+        self.head_logits_index = _param_node(
+            g, "conv1x1", cur, "head", (spec.out_channels, cur_c, 1, 1), dt
         )
-        bh = Parameter("head.b", np.zeros(spec.out_channels))
-        self.head_logits_index = g.add("conv1x1", (cur,), wh, bh)
         g.add("sigmoid", (self.head_logits_index,))
 
     def parameters(self) -> list[Parameter]:
@@ -214,19 +196,6 @@ class Network:
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters())
-
-    def load_param_dict(self, values: dict[str, np.ndarray]) -> None:
-        own = {p.name: p for p in self.parameters()}
-        if set(own) != set(values):
-            missing = set(own) ^ set(values)
-            raise ValueError(f"parameter name mismatch: {sorted(missing)}")
-        for name, arr in values.items():
-            p = own[name]
-            if p.value.shape != arr.shape:
-                raise ValueError(
-                    f"{name}: shape {arr.shape} != expected {p.value.shape}"
-                )
-            p.value[...] = arr
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)

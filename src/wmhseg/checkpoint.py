@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,48 +21,63 @@ MAGIC = b"WMHCKPT1"
 FORMAT_VERSION = 1
 
 
-def save_checkpoint(path: str | Path, network: Network) -> None:
-    params = network.parameters()
-    le = network.dtype.newbyteorder("<")
-    index = {
+def _index(network: Network) -> dict:
+    """The JSON index written for `network`."""
+    le = network.dtype.newbyteorder("<").str
+    return {
         "format_version": FORMAT_VERSION,
-        "spec": network.spec.to_dict(),
-        "dtype": le.str,
+        "spec": asdict(network.spec),
+        "dtype": le,
         "params": [
-            {"name": p.name, "shape": list(p.value.shape), "dtype": le.str}
-            for p in params
+            {"name": p.name, "shape": list(p.value.shape), "dtype": le}
+            for p in network.parameters()
         ],
     }
-    blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
+
+
+def save_checkpoint(path: str | Path, network: Network) -> None:
+    blob = json.dumps(_index(network), sort_keys=True, separators=(",", ":")).encode()
+    le = network.dtype.newbyteorder("<")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         f.write(blob)
-        for p in params:
+        for p in network.parameters():
             f.write(np.ascontiguousarray(p.value, dtype=le).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Network:
+    """Build the indexed network with zero parameters and read the payload
+    into it. Raises ValueError for a file it cannot trust: a short header,
+    a wrong magic or version, a malformed index or spec, a payload dtype
+    other than float32 or float64, an index other than the one the writer
+    makes for the built network (parameter names, shapes, dtypes and their
+    order), a truncated payload, or trailing bytes after it."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ValueError(f"not a checkpoint file: {raw[:8]!r}")
+    if len(raw) < 16:
+        raise ValueError(f"truncated checkpoint header: {len(raw)} bytes")
     version, blob_len = struct.unpack_from("<II", raw, 8)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    index = json.loads(raw[16 : 16 + blob_len].decode())
-    spec = NetworkSpec.from_dict(index["spec"])
-    dtype = np.dtype(index.get("dtype", "<f8"))
-    net = Network(spec, seed=0, dtype=dtype.newbyteorder("="))
     offset = 16 + blob_len
-    values: dict[str, np.ndarray] = {}
-    for entry in index["params"]:
-        shape = tuple(entry["shape"])
-        dtype = np.dtype(entry["dtype"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        chunk = raw[offset : offset + nbytes]
-        if len(chunk) < nbytes:
-            raise ValueError(f"truncated checkpoint payload at {entry['name']}")
-        values[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-        offset += nbytes
-    net.load_param_dict(values)
+    try:
+        index = json.loads(raw[16:offset])
+        dtype = np.dtype(index["dtype"]).newbyteorder("=")
+        net = Network(NetworkSpec(**index["spec"]), dtype)  # float32 or float64
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed checkpoint index or spec: {e}") from e
+    if index != _index(net):
+        raise ValueError("the index differs from the one written for its network: "
+                         "a parameter name, shape, dtype or order, or a key")
+    params = net.parameters()
+    size, need = len(raw) - offset, sum(p.value.nbytes for p in params)
+    if size != need:
+        what = "is truncated" if size < need else "has trailing bytes"
+        raise ValueError(f"checkpoint payload {what}: {size} bytes, {need} expected")
+    for p in params:
+        w = p.value
+        w[...] = np.frombuffer(raw, index["dtype"], w.size, offset).reshape(w.shape)
+        offset += w.nbytes
     return net

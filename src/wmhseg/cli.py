@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .architectures import Network, build_resunet, build_trimmed_unet
+from .architectures import Network, build_resunet, build_trimmed_unet, he_init
 from .checkpoint import load_checkpoint, save_checkpoint
 from .diff_core import Graph, Parameter, grad_check
 from .metrics import (
@@ -143,7 +143,7 @@ def cmd_phantom(args) -> tuple[dict, dict]:
     save_dataset(cases, cfg, args.out)
     return (
         {"cases": args.cases, "seed": args.seed, "out": str(args.out),
-         "phantom": cfg.to_dict()},
+         "phantom": asdict(cfg)},
         {"dataset_dir": str(args.out), "case_ids": [c.case_id for c in cases]},
     )
 
@@ -354,7 +354,8 @@ def cmd_gradcheck(args) -> tuple[dict, dict, int]:
         spec = build_resunet(base_width=args.base_width, depth=args.depth)
     else:
         spec = build_trimmed_unet(base_width=args.base_width, depth=args.depth)
-    net = Network(spec, seed=args.seed)
+    net = Network(spec)
+    he_init(net.graph, args.seed)
     x = rng.normal(size=(1, spec.in_channels, args.size, args.size))
     rep = grad_check(net.graph, x, tolerance=args.tolerance,
                      max_elements=args.max_elements)

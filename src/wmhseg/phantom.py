@@ -60,9 +60,6 @@ class PhantomConfig:
         ):
             raise ValueError(f"bad lesion count range {self.lesion_count_range}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
     def from_dict(d: dict) -> "PhantomConfig":
         d = dict(d)
@@ -209,7 +206,7 @@ def save_dataset(cases: list[PhantomCase], cfg: PhantomConfig, out_dir: str | Pa
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "cases": [{"case_id": c.case_id, "seed": c.seed} for c in cases],
     }
     for case in cases:

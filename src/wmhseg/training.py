@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .architectures import Network, NetworkSpec
+from .architectures import Network, NetworkSpec, he_init
 from .metrics import dice
 from .volume_io import BinaryMask3D, Volume3D
 
@@ -291,7 +291,8 @@ def train(
         loss_cfg = replace(loss_cfg, beta=compute_beta(planes))
 
     dtype = np.float32 if train_cfg.precision == "float32" else np.float64
-    net = Network(spec, seed=seed_init, dtype=dtype)
+    net = Network(spec, dtype)
+    he_init(net.graph, seed_init)
     optimizer = SGD(net.parameters(), train_cfg.learning_rate, train_cfg.momentum)
     loop_rng = np.random.default_rng(seed_loop)
 

@@ -39,3 +39,20 @@ def test_selector_filters_criteria():
     report = acceptance.run_acceptance("rank")
     assert [r.criterion_id for r in report.results] == ["5-rank-paper-inputs"]
     assert report.results[0].runtime_seconds >= 0.0
+
+
+def test_selector_names_number_id_or_word(monkeypatch, capsys):
+    stubs = [(cid, lambda: (True, {}, "stub")) for cid, _ in acceptance.CRITERIA]
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+
+    def chosen(selector):
+        return [r.criterion_id for r in acceptance.run_acceptance(selector).results]
+
+    assert chosen("io") == ["10-io"]
+    assert chosen("10") == ["10-io"]
+    assert chosen("1") == ["1-gradients"]
+    assert chosen("8-ablation") == ["8-ablation"]
+    assert chosen("metric") == ["4-metric-oracles"]
+    assert chosen("") == [cid for cid, _ in stubs]
+    assert acceptance.main(["metrics"]) != 0
+    assert "10-io" in capsys.readouterr().err

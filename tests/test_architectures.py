@@ -1,3 +1,8 @@
+import hashlib
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -7,10 +12,18 @@ from wmhseg.architectures import (
     ResidualBlockSpec,
     build_resunet,
     build_trimmed_unet,
+    he_init,
     residual_block_graph,
 )
-from wmhseg.checkpoint import load_checkpoint, save_checkpoint
+from wmhseg import architectures
+from wmhseg.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from wmhseg.diff_core import grad_check
+
+
+def he_network(spec: NetworkSpec, seed: int, dtype=np.float64) -> Network:
+    net = Network(spec, dtype)
+    he_init(net.graph, seed)
+    return net
 
 
 def closed_form_parameter_count(spec: NetworkSpec) -> int:
@@ -79,12 +92,45 @@ class TestBuilders:
             build_resunet(base_width=4, depth=3),
             build_trimmed_unet(base_width=2, depth=2),
         ):
-            net = Network(spec, seed=0)
+            net = Network(spec)
             assert net.parameter_count() == closed_form_parameter_count(spec)
 
     def test_spec_round_trips_through_dict(self):
         spec = build_resunet(base_width=8, depth=3)
-        assert NetworkSpec.from_dict(spec.to_dict()) == spec
+        assert NetworkSpec(**asdict(spec)) == spec
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_network_is_built_with_zero_parameters(self, dtype):
+        for spec in (build_resunet(base_width=2, depth=2),
+                     build_trimmed_unet(base_width=2, depth=3)):
+            params = Network(spec, dtype).parameters()
+            assert all(p.value.dtype == dtype for p in params)
+            assert all(not p.value.any() for p in params)
+
+    def test_he_init_draws_weights_and_keeps_biases_zero(self):
+        net = he_network(build_resunet(base_width=2, depth=2), 0)
+        for node in net.graph.nodes:
+            if node.weight is not None:
+                assert np.all(node.weight.value != 0)
+                assert not node.bias.value.any()
+
+    # sha256 of save_checkpoint bytes after he_init(net.graph, 1234). A change
+    # to the init order, fan-in rule or scheme must update these on purpose.
+    @pytest.mark.parametrize("builder,depth,dtype,digest", [
+        (build_resunet, 4, np.float64,
+         "8c8f700addc7b50bb928b68ef3d6812770e820b32914c5214578007c7c0fd6fc"),
+        (build_resunet, 4, np.float32,
+         "c504d9a02ae92c8b5caf91cfc7aebd428eb57955fb1d034c7a1e915cd43813f6"),
+        (build_trimmed_unet, 3, np.float64,
+         "bab1f047aedd525627382078261055c59ae5426729b50b0c91250e117c824a9e"),
+        (build_trimmed_unet, 3, np.float32,
+         "908ef9d21a899bf5777a8363dde7c3c46555f833a58292f511d5a9dc4c02e5b9"),
+    ], ids=["resunet-w4d4-float64", "resunet-w4d4-float32",
+            "trimmed-w4d3-float64", "trimmed-w4d3-float32"])
+    def test_he_init_checkpoint_digest(self, tmp_path, builder, depth, dtype, digest):
+        net = he_network(builder(base_width=4, depth=depth), 1234, dtype)
+        save_checkpoint(tmp_path / "he.ckpt", net)
+        assert hashlib.sha256((tmp_path / "he.ckpt").read_bytes()).hexdigest() == digest
 
 
 class TestResidualBlock:
@@ -95,16 +141,15 @@ class TestResidualBlock:
     def test_zero_residual_identity_bit_exact(self):
         # zero residual path + identity skip + no post-add relu: out == x
         blk = ResidualBlockSpec(3, 3, projection=False, post_add_relu=False)
-        g = residual_block_graph(blk, seed=0)
-        for p in g.parameters():
-            p.value[...] = 0.0
+        g = residual_block_graph(blk)  # built with every parameter zero
         x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
         out = g.forward(x)
         assert np.array_equal(out, x)
 
     def test_zero_residual_equals_projection(self):
         blk = ResidualBlockSpec(2, 4, projection=True, post_add_relu=False)
-        g = residual_block_graph(blk, seed=2)
+        g = residual_block_graph(blk)
+        he_init(g, 2)
         params = {p.name: p for p in g.parameters()}
         for name in ("block.conv1.w", "block.conv1.b", "block.conv2.w", "block.conv2.b"):
             params[name].value[...] = 0.0
@@ -120,20 +165,21 @@ class TestResidualBlock:
 
     def test_projection_maps_channels(self):
         blk = ResidualBlockSpec(2, 4)
-        g = residual_block_graph(blk, seed=4)
+        g = residual_block_graph(blk)
         out = g.forward(np.zeros((1, 2, 4, 4)))
         assert out.shape == (1, 4, 4, 4)
 
     def test_gradients_through_block(self):
         blk = ResidualBlockSpec(2, 3)
-        g = residual_block_graph(blk, seed=5)
+        g = residual_block_graph(blk)
+        he_init(g, 5)
         report = grad_check(g, np.random.default_rng(6).normal(size=(1, 2, 4, 4)))
         assert report.passed and report.max_rel_error <= 1e-4
 
 
 class TestNetworkForward:
     def test_output_shape_and_range(self):
-        net = Network(build_resunet(base_width=2, depth=2), seed=0)
+        net = he_network(build_resunet(base_width=2, depth=2), 0)
         rng = np.random.default_rng(7)
         out = net.forward(rng.normal(size=(2, 2, 16, 16)))
         assert out.shape == (2, 1, 16, 16)
@@ -143,42 +189,42 @@ class TestNetworkForward:
         # zero biases at init: conv stacks of zeros stay zero, sigmoid(0)=0.5
         for spec in (build_resunet(base_width=2, depth=2),
                      build_trimmed_unet(base_width=2, depth=2)):
-            net = Network(spec, seed=1)
+            net = he_network(spec, 1)
             out = net.forward(np.zeros((1, spec.in_channels, 8, 8)))
             assert np.array_equal(out, np.full((1, 1, 8, 8), 0.5))
 
     def test_batch_determinism_identical_slices(self):
-        net = Network(build_resunet(base_width=2, depth=2), seed=2)
+        net = he_network(build_resunet(base_width=2, depth=2), 2)
         x = np.random.default_rng(8).normal(size=(1, 2, 16, 16))
         out = net.forward(np.concatenate([x, x]))
         assert np.array_equal(out[0], out[1])
 
     def test_same_seed_same_parameters(self):
-        a = Network(build_resunet(base_width=2, depth=2), seed=3)
-        b = Network(build_resunet(base_width=2, depth=2), seed=3)
+        a = he_network(build_resunet(base_width=2, depth=2), 3)
+        b = he_network(build_resunet(base_width=2, depth=2), 3)
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert pa.name == pb.name
             assert np.array_equal(pa.value, pb.value)
 
     def test_padding_rule_restores_dims(self):
         # 12 is not divisible by 8: reflect-pad then crop back
-        net = Network(build_trimmed_unet(base_width=2, depth=3), seed=4)
+        net = he_network(build_trimmed_unet(base_width=2, depth=3), 4)
         out = net.forward(np.random.default_rng(9).normal(size=(1, 1, 12, 12)))
         assert out.shape == (1, 1, 12, 12)
 
     def test_training_rejects_nondivisible_dims(self):
-        net = Network(build_trimmed_unet(base_width=2, depth=3), seed=5)
+        net = he_network(build_trimmed_unet(base_width=2, depth=3), 5)
         with pytest.raises(ValueError):
             net.forward(np.zeros((1, 1, 12, 12)), train=True)
 
     def test_wrong_channel_count_rejected(self):
-        net = Network(build_resunet(base_width=2, depth=2), seed=6)
+        net = he_network(build_resunet(base_width=2, depth=2), 6)
         with pytest.raises(ValueError):
             net.forward(np.zeros((1, 3, 16, 16)))
 
     def test_plain_block_kind_is_standard_unet(self):
         spec = NetworkSpec(in_channels=2, base_width=2, depth=2, block_kind="plain")
-        net = Network(spec, seed=7)
+        net = he_network(spec, 7)
         # no projection parameters anywhere
         assert not any("skip" in p.name for p in net.parameters())
         out = net.forward(np.random.default_rng(10).normal(size=(1, 2, 8, 8)))
@@ -189,16 +235,40 @@ class TestNetworkForward:
         # stage an identity map (checked block-by-block at the block level,
         # network-level with matching channels)
         blk = ResidualBlockSpec(4, 4, projection=False, post_add_relu=False)
-        g = residual_block_graph(blk, seed=11)
-        for p in g.parameters():
-            p.value[...] = 0.0
+        g = residual_block_graph(blk)  # built with every parameter zero
         x = np.random.default_rng(12).normal(size=(1, 4, 8, 8))
         assert np.array_equal(g.forward(x), x)
 
 
+def _rewrite_index(raw: bytes, edit) -> bytes:
+    n = struct.unpack_from("<I", raw, 12)[0]
+    index = json.loads(raw[16 : 16 + n])
+    edit(index)
+    blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + n :]
+
+
+def _first_entry_float32(index: dict) -> None:
+    index["params"][0]["dtype"] = "<f4"
+
+
+MALFORMED = {
+    "magic-only": (lambda raw: MAGIC, "truncated checkpoint header"),
+    "unknown-spec-key": (
+        lambda raw: _rewrite_index(raw, lambda i: i["spec"].update(bogus=1)),
+        "spec",
+    ),
+    "entry-dtype-differs-from-index": (
+        lambda raw: _rewrite_index(raw, _first_entry_float32),
+        "index differs",
+    ),
+    "trailing-bytes": (lambda raw: raw + b"\0" * 8, "trailing bytes"),
+}
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        net = Network(build_resunet(base_width=2, depth=2), seed=8)
+        net = he_network(build_resunet(base_width=2, depth=2), 8)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, net)
         back = load_checkpoint(path)
@@ -208,7 +278,7 @@ class TestCheckpoint:
             assert np.array_equal(pa.value, pb.value)
 
     def test_rebuilt_network_predicts_identically(self, tmp_path):
-        net = Network(build_trimmed_unet(base_width=2, depth=2), seed=9)
+        net = he_network(build_trimmed_unet(base_width=2, depth=2), 9)
         x = np.random.default_rng(13).normal(size=(1, 1, 8, 8))
         expected = net.forward(x)
         save_checkpoint(tmp_path / "n.ckpt", net)
@@ -216,7 +286,7 @@ class TestCheckpoint:
         assert np.array_equal(back.forward(x), expected)
 
     def test_write_is_byte_deterministic(self, tmp_path):
-        net = Network(build_resunet(base_width=2, depth=2), seed=10)
+        net = he_network(build_resunet(base_width=2, depth=2), 10)
         save_checkpoint(tmp_path / "a.ckpt", net)
         save_checkpoint(tmp_path / "b.ckpt", net)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
@@ -227,9 +297,30 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "x.ckpt")
 
     def test_float32_round_trip(self, tmp_path):
-        net = Network(build_resunet(base_width=2, depth=2), seed=11, dtype=np.float32)
+        net = he_network(build_resunet(base_width=2, depth=2), 11, np.float32)
         save_checkpoint(tmp_path / "f32.ckpt", net)
         back = load_checkpoint(tmp_path / "f32.ckpt")
         assert back.dtype == np.float32
         for pa, pb in zip(net.parameters(), back.parameters()):
             assert np.array_equal(pa.value, pb.value)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        net = he_network(build_resunet(base_width=2, depth=2), 12)
+        save_checkpoint(tmp_path / "n.ckpt", net)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(architectures.np.random, "default_rng", no_rng)
+        back = load_checkpoint(tmp_path / "n.ckpt")
+        for pa, pb in zip(net.parameters(), back.parameters()):
+            assert np.array_equal(pa.value, pb.value)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_checkpoint_raises_value_error(self, tmp_path, case):
+        make, message = MALFORMED[case]
+        net = he_network(build_resunet(base_width=2, depth=2), 13)
+        save_checkpoint(tmp_path / "ok.ckpt", net)
+        (tmp_path / "bad.ckpt").write_bytes(make((tmp_path / "ok.ckpt").read_bytes()))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(tmp_path / "bad.ckpt")

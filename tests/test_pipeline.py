@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wmhseg.architectures import Network, build_resunet, build_trimmed_unet
+from wmhseg.architectures import Network, build_resunet, build_trimmed_unet, he_init
 from wmhseg.checkpoint import save_checkpoint
 from wmhseg.phantom import PhantomConfig, generate_case
 from wmhseg.pipeline import (
@@ -26,8 +26,10 @@ def phantom_case():
 
 @pytest.fixture(scope="module")
 def untrained_models():
-    wm = Network(build_trimmed_unet(base_width=2, depth=3), seed=1)
-    wmh = Network(build_resunet(base_width=2, depth=4), seed=2)
+    wm = Network(build_trimmed_unet(base_width=2, depth=3))
+    wmh = Network(build_resunet(base_width=2, depth=4))
+    he_init(wm.graph, 1)
+    he_init(wmh.graph, 2)
     return wm, wmh
 
 
@@ -93,7 +95,8 @@ class TestSegmentWhiteMatter:
     def test_empty_prediction_raises(self, phantom_case):
         # force an empty thresholded mask with an extreme threshold on an
         # untrained net biased toward 0.5 outputs
-        net = Network(build_trimmed_unet(base_width=2, depth=3), seed=3)
+        net = Network(build_trimmed_unet(base_width=2, depth=3))
+        he_init(net.graph, 3)
         cfg = PipelineConfig(threshold=0.999999)
         with pytest.raises(PipelineError, match="empty"):
             segment_white_matter(phantom_case.t1, net, cfg)
