@@ -34,15 +34,7 @@ from .architectures import (
     residual_block_graph,
 )
 from .checkpoint import save_checkpoint
-from .metrics import (
-    TeamSummary,
-    avd_percent,
-    dice,
-    h95,
-    lesion_f1,
-    lesion_recall,
-    rank_teams,
-)
+from .metrics import TeamSummary, detected_components, dice, evaluate_case, rank_teams
 from .morphology import connected_components
 from .phantom import PhantomConfig, generate_dataset, save_dataset
 from .pipeline import (
@@ -448,8 +440,8 @@ def oracle_f1(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
 
 
 def crit_metric_oracles() -> tuple[bool, dict, str]:
-    """Dice/H95/AVD/recall/F1 agree with brute-force implementations on
-    100 seeded random 16^3 mask pairs."""
+    """The Dice/H95/AVD/recall/F1 of `evaluate_case` agree with brute-force
+    implementations on 100 seeded random 16^3 mask pairs."""
     rng = np.random.default_rng(41)
     worst_h95 = 0.0
     exact_failures = 0
@@ -460,15 +452,14 @@ def crit_metric_oracles() -> tuple[bool, dict, str]:
         g_arr = (rng.random((16, 16, 16)) < 0.12).astype(np.uint8)
         pred = BinaryMask3D(data=p_arr, spacing=spacing)
         gt = BinaryMask3D(data=g_arr, spacing=spacing)
-        exact_failures += dice(pred, gt) != oracle_dice(pred, gt)
+        m = evaluate_case(pred, gt)
+        exact_failures += m.dice != oracle_dice(pred, gt)
         if gt.voxel_count():
-            exact_failures += avd_percent(pred, gt) != oracle_avd(pred, gt)
-        exact_failures += lesion_recall(pred, gt) != oracle_recall(pred, gt)
-        exact_failures += lesion_f1(pred, gt) != oracle_f1(pred, gt)
+            exact_failures += m.avd_percent != oracle_avd(pred, gt)
+        exact_failures += m.lesion_recall != oracle_recall(pred, gt)
+        exact_failures += m.lesion_f1 != oracle_f1(pred, gt)
         if pred.voxel_count() and gt.voxel_count():
-            worst_h95 = max(
-                worst_h95, abs(h95(pred, gt) - oracle_h95(pred, gt, spacing))
-            )
+            worst_h95 = max(worst_h95, abs(m.h95_mm - oracle_h95(pred, gt, spacing)))
     measured = {
         "trials": trials,
         "exact_metric_failures": exact_failures,
@@ -557,29 +548,20 @@ def crit_end_to_end() -> tuple[bool, dict, str]:
     return ok, measured, "dice >= 0.85; <= 500 iterations/stage; <= 600 s"
 
 
-def _false_positive_components(pred: BinaryMask3D, gt: BinaryMask3D) -> int:
-    lab = connected_components(pred, 26)
-    if lab.count == 0:
-        return 0
-    hit = np.unique(lab.labels[gt.data > 0])
-    hit = hit[hit > 0]
-    return lab.count - hit.size
-
-
 def crit_confinement() -> tuple[bool, dict, str]:
     """With the FLAIR confounder present, confinement strictly reduces
     false-positive lesion components."""
     wm_net, _, wm_masks, wmh_net, _ = trained_models()
     cases = phantom_dataset()
-    fp_on = fp_off = 0
+    fp = {True: 0, False: 0}  # confine -> predicted components touching no lesion
     for case, mask in zip(cases, wm_masks):
         ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
-        pred_on = segment_wmh(ci, mask, wmh_net, PipelineConfig(confine=True))
-        pred_off = segment_wmh(ci, mask, wmh_net, PipelineConfig(confine=False))
-        fp_on += _false_positive_components(pred_on, case.wmh_truth)
-        fp_off += _false_positive_components(pred_off, case.wmh_truth)
-    measured = {"fp_components_confined": fp_on, "fp_components_unconfined": fp_off}
-    return fp_on < fp_off, measured, "strict reduction"
+        for confine in fp:
+            pred = segment_wmh(ci, mask, wmh_net, PipelineConfig(confine=confine))
+            lab = connected_components(pred, 26)
+            fp[confine] += lab.count - detected_components(lab, case.wmh_truth)
+    measured = {"fp_components_confined": fp[True], "fp_components_unconfined": fp[False]}
+    return fp[True] < fp[False], measured, "strict reduction"
 
 
 def crit_ablation() -> tuple[bool, dict, str]:

@@ -17,7 +17,6 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -235,20 +234,13 @@ def cmd_predict(args) -> tuple[dict, dict]:
         case_dirs = sorted(
             d for d in root.iterdir() if d.is_dir() and (d / "t1.nii").exists()
         )
-        log.info("predicting %d cases with %d threads", len(case_dirs), args.threads)
-        # thread pool over independent cases; results collected in case order
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [
-                pool.submit(_predict_one, d, out_dir, cfg, wm_net, wmh_net)
-                for d in case_dirs
-            ]
-            reports = [f.result() for f in futures]
+        log.info("predicting %d cases", len(case_dirs))
+        reports = [_predict_one(d, out_dir, cfg, wm_net, wmh_net) for d in case_dirs]
     config = {
         "data": args.data,
         "t1": args.t1,
         "flair": args.flair,
         "out": str(args.out),
-        "threads": args.threads,
         "pipeline": asdict(cfg),
     }
     return config, {"cases": reports}
@@ -269,14 +261,11 @@ def cmd_evaluate(args) -> tuple[dict, dict]:
         if not pairs:
             raise ValueError(f"no prediction/truth pairs under {pred_root}")
 
-    def one(item):
-        case_id, pred_path, gt_path = item
-        pred = read_nifti_mask(pred_path)
-        gt = read_nifti_mask(gt_path)
-        return case_id, evaluate_case(pred, gt, connectivity=args.connectivity)
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(one, pairs))
+    rows = [
+        (case_id, evaluate_case(read_nifti_mask(pred_path), read_nifti_mask(gt_path),
+                                connectivity=args.connectivity))
+        for case_id, pred_path, gt_path in pairs
+    ]
 
     outputs: dict = {"cases": {cid: asdict(m) for cid, m in rows}}
     if args.out_csv:
@@ -291,7 +280,6 @@ def cmd_evaluate(args) -> tuple[dict, dict]:
         "pred_dir": args.pred_dir,
         "gt_dir": args.gt_dir,
         "connectivity": args.connectivity,
-        "threads": args.threads,
         "out_csv": args.out_csv,
         "team": args.team,
     }
@@ -454,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--dilation-radius", type=int, default=2)
     p.add_argument("--no-confine", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report")
     p.set_defaults(func=cmd_predict)
 
@@ -466,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connectivity", type=int, default=26)
     p.add_argument("--out-csv")
     p.add_argument("--team", help="also emit a team summary under this name")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report")
     p.set_defaults(func=cmd_evaluate)
 

@@ -4,6 +4,8 @@ Voxel-overlap metrics (Dice, AVD%) work on voxel counts; the modified
 Hausdorff distance (H95) works on border-voxel centers in mm; the lesion
 metrics (recall, F-1) work on connected components, where a component
 counts as detected when it shares at least one voxel with the other mask.
+That rule lives in `detected_components` alone; recall, precision and the
+acceptance false-positive count all go through it.
 
 Empty-mask conventions: both-empty Dice is 1.0; H95 is undefined unless
 both masks are nonempty; AVD% is undefined for an empty ground truth.
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .morphology import border_voxels, connected_components
+from .morphology import LabelVolume, border_voxels, connected_components
 from .volume_io import BinaryMask3D
 
 HIGHER_BETTER = ("dice", "recall", "f1")
@@ -144,31 +146,33 @@ def avd_percent(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
     return 100.0 * abs(p - g) / g
 
 
+def detected_components(lab: LabelVolume, other: BinaryMask3D) -> int:
+    """Number of components of `lab` that share a voxel with `other`."""
+    hit = np.unique(lab.labels[other.data > 0])
+    return int(np.count_nonzero(hit))
+
+
 def lesion_recall(pred: BinaryMask3D, gt: BinaryMask3D, connectivity: int = 26) -> float:
     """Fraction of ground-truth components touched by the prediction.
 
-    Empty ground truth counts as fully recalled (1.0).
+    Empty ground truth counts as fully recalled (1.0). With the masks
+    swapped this is lesion precision.
     """
     _check_grids(pred, gt)
     lab = connected_components(gt, connectivity)
     if lab.count == 0:
         return 1.0
-    hit = np.unique(lab.labels[pred.data > 0])
-    hit = hit[hit > 0]
-    return hit.size / lab.count
+    return detected_components(lab, pred) / lab.count
 
 
-def lesion_f1(pred: BinaryMask3D, gt: BinaryMask3D, connectivity: int = 26) -> float:
-    """Component-level F-1: the harmonic mean of precision and recall, 0
-    when both are 0. Precision is lesion recall with the masks swapped:
-    the fraction of predicted components that touch the ground truth.
+def lesion_f1(precision: float, recall: float) -> float:
+    """Component-level F-1: the harmonic mean of lesion precision and
+    recall, 0 when both are 0.
 
     An empty ground truth has recall 1.0 and an empty prediction
     precision 1.0 (nothing to find), so F-1 is 1.0 when both masks are
     empty and 0.0 when only one is.
     """
-    recall = lesion_recall(pred, gt, connectivity)
-    precision = lesion_recall(gt, pred, connectivity)
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -192,7 +196,8 @@ def evaluate_case(
     except ValueError:
         a = None
     r = lesion_recall(pred, gt, connectivity)
-    f1 = lesion_f1(pred, gt, connectivity)
+    precision = lesion_recall(gt, pred, connectivity)
+    f1 = lesion_f1(precision, r)
     return CaseMetrics(dice=d, h95_mm=h, avd_percent=a, lesion_recall=r, lesion_f1=f1)
 
 

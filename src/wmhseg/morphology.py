@@ -2,10 +2,9 @@
 iterated dilation, and border extraction.
 
 Connectivity is the 3-D neighbour count: 6 (faces), 18 (faces+edges) or
-26 (full). The 2-D values 4 and 8 are accepted as aliases for masks with
-a single slice (4 -> 6, 8 -> 18). Component labels are assigned in
-first-visit order with a row-major (C-order on the (nx, ny, nz) array)
-seed scan, so labeling is deterministic.
+26 (full). Component labels are assigned in first-visit order with a
+row-major (C-order on the (nx, ny, nz) array) seed scan, so labeling is
+deterministic.
 """
 
 from __future__ import annotations
@@ -16,14 +15,10 @@ import numpy as np
 
 from .volume_io import BinaryMask3D
 
-_CONN_ALIASES = {4: 6, 8: 18}
-
 
 def _neighbor_offsets(connectivity: int) -> np.ndarray:
-    connectivity = _CONN_ALIASES.get(connectivity, connectivity)
     if connectivity not in (6, 18, 26):
-        raise ValueError(f"connectivity must be one of 6, 18, 26 (or 4/8), "
-                         f"got {connectivity}")
+        raise ValueError(f"connectivity must be one of 6, 18, 26, got {connectivity}")
     offs = []
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
@@ -45,7 +40,6 @@ class LabelVolume:
 
     labels: np.ndarray
     count: int
-    spacing: tuple[float, float, float]
 
     def component_sizes(self) -> np.ndarray:
         """Voxel count per label, index 0 unused."""
@@ -79,7 +73,7 @@ def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume
                 cand = np.unique(cand, axis=0)
                 labels[cand[:, 0], cand[:, 1], cand[:, 2]] = count
             frontier = cand
-    return LabelVolume(labels=labels, count=count, spacing=m.spacing)
+    return LabelVolume(labels=labels, count=count)
 
 
 def largest_component(m: BinaryMask3D, connectivity: int = 6) -> BinaryMask3D:

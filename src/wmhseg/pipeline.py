@@ -13,7 +13,7 @@ import numpy as np
 
 from .architectures import Network, build_resunet, build_trimmed_unet
 from .checkpoint import load_checkpoint
-from .metrics import dice, lesion_f1
+from .metrics import evaluate_case
 from .morphology import dilate, largest_component
 from .phantom import load_dataset
 from .training import (
@@ -25,6 +25,11 @@ from .training import (
     train,
 )
 from .volume_io import BinaryMask3D, Volume3D
+
+
+# white matter refinement: largest 6-connected component, 6-connected dilation
+COMPONENT_CONNECTIVITY = 6
+DILATION_CONNECTIVITY = 6
 
 
 class PipelineError(RuntimeError):
@@ -57,8 +62,6 @@ class PipelineConfig:
     wmh_checkpoint: str | None = None
     threshold: float = 0.5
     dilation_radius: int = 2
-    dilation_connectivity: int = 6
-    component_connectivity: int = 6
     confine: bool = True
 
     def __post_init__(self) -> None:
@@ -94,8 +97,8 @@ def segment_white_matter(
     )
     if raw.voxel_count() == 0:
         raise PipelineError("white matter prediction is empty; model unusable")
-    refined = largest_component(raw, cfg.component_connectivity)
-    return dilate(refined, cfg.dilation_radius, cfg.dilation_connectivity)
+    refined = largest_component(raw, COMPONENT_CONNECTIVITY)
+    return dilate(refined, cfg.dilation_radius, DILATION_CONNECTIVITY)
 
 
 def stack_case_channels(
@@ -238,9 +241,9 @@ def run_ablation(data_dir: str | Path, train_cfg: TrainConfig,
             if case.case_id not in val_ids:
                 continue
             ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
-            pred = segment_wmh(ci, mask, net, pcfg)
-            dices.append(dice(pred, case.wmh_truth))
-            f1s.append(lesion_f1(pred, case.wmh_truth))
+            scores = evaluate_case(segment_wmh(ci, mask, net, pcfg), case.wmh_truth)
+            dices.append(scores.dice)
+            f1s.append(scores.lesion_f1)
         report["variants"][kind] = {
             "val_dice": float(np.mean(dices)),
             "val_lesion_f1": float(np.mean(f1s)),

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from wmhseg.architectures import build_resunet
 from wmhseg.checkpoint import load_checkpoint
 from wmhseg.cli import dispatch
-from wmhseg.metrics import dice, lesion_f1
+from wmhseg.metrics import dice, evaluate_case
 from wmhseg.phantom import load_dataset
 from wmhseg.pipeline import (
     CaseInput,
@@ -136,9 +137,10 @@ class TestAblation:
                 if case.case_id not in hist.val_case_ids:
                     continue
                 ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
-                pred = segment_wmh(ci, mask, net, PipelineConfig())
-                dices.append(dice(pred, case.wmh_truth))
-                f1s.append(lesion_f1(pred, case.wmh_truth))
+                scores = evaluate_case(segment_wmh(ci, mask, net, PipelineConfig()),
+                                       case.wmh_truth)
+                dices.append(scores.dice)
+                f1s.append(scores.lesion_f1)
                 probs = predict_probabilities(net, tc.images)
                 unconfined = BinaryMask3D(
                     data=(probs >= 0.5).astype(np.uint8), spacing=case.t1.spacing
@@ -167,21 +169,28 @@ class TestPredictEvaluate:
             rep = json.loads((d / "report.json").read_text())
             assert rep["wmh_volume_mm3"] == rep["wmh_voxels"] * 3.0
 
-    def test_predict_thread_count_invariant(self, tmp_path, dataset, trained):
+    def test_single_case_mode_matches_directory_mode(self, tmp_path, dataset, trained):
         wm, wmh = trained
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"pred_t{threads}"
-            assert run(
-                ["predict", "--data", str(dataset), "--out", str(out),
-                 "--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh),
-                 "--threads", threads]
-            ) == 0
-            outs.append(out)
-        for d in sorted(p.name for p in outs[0].iterdir() if p.is_dir()):
-            a = (outs[0] / d / "wmh.nii").read_bytes()
-            b = (outs[1] / d / "wmh.nii").read_bytes()
-            assert a == b
+        ckpts = ["--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh)]
+        case = dataset / "case_000"
+        shutil.copytree(case, tmp_path / "data" / "case_000")
+        assert run(["predict", "--data", str(tmp_path / "data"),
+                    "--out", str(tmp_path / "dir"), *ckpts]) == 0
+        assert run(["predict", "--t1", str(case / "t1.nii"), "--flair", str(case / "flair.nii"),
+                    "--case-id", "X", "--out", str(tmp_path / "single"), *ckpts]) == 0
+        for kind in ("wmh", "wm"):
+            assert (tmp_path / "single" / f"X_{kind}.nii").read_bytes() == (
+                tmp_path / "dir" / "case_000" / f"{kind}.nii").read_bytes()
+
+    def test_single_case_mode_needs_flair(self, tmp_path, dataset, trained):
+        wm, wmh = trained
+        rpt = tmp_path / "fail.json"
+        code = run(["predict", "--t1", str(dataset / "case_000" / "t1.nii"),
+                    "--out", str(tmp_path / "single"), "--wm-checkpoint", str(wm),
+                    "--wmh-checkpoint", str(wmh), "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("predict", "error")
 
     def test_evaluate_identical_masks(self, tmp_path, dataset, capsys):
         gt = dataset / "case_000" / "wmh.nii"

@@ -6,19 +6,21 @@ from wmhseg.acceptance import (
     TABLE1,
     TABLE2,
     oracle_avd,
+    oracle_components,
     oracle_dice,
     oracle_f1,
     oracle_h95,
     oracle_recall,
 )
+from wmhseg import metrics
 from wmhseg.metrics import (
     CaseMetrics,
     TeamSummary,
     avd_percent,
+    detected_components,
     dice,
     evaluate_case,
     h95,
-    lesion_f1,
     lesion_recall,
     rank_teams,
     read_team_summaries,
@@ -26,6 +28,7 @@ from wmhseg.metrics import (
     write_case_csv,
     write_rank_csv,
 )
+from wmhseg.morphology import connected_components
 from wmhseg.volume_io import BinaryMask3D
 
 SP = (1.0, 1.0, 1.0)
@@ -166,19 +169,29 @@ class TestLesionMetrics:
         pred = np.zeros((10, 10, 1))
         pred[0:2, 0:2, 0] = 1  # hits the first gt lesion
         pred[4, 4, 0] = 1  # false positive
-        assert lesion_f1(mask(pred), mask(gt)) == 0.5
+        assert evaluate_case(mask(pred), mask(gt)).lesion_f1 == 0.5
 
     def test_f1_perfect(self):
         rng = np.random.default_rng(9)
         m = random_mask(rng, (8, 8, 8), 0.1)
-        assert lesion_f1(m, m) == 1.0
+        assert evaluate_case(m, m).lesion_f1 == 1.0
 
     def test_f1_no_overlap(self):
         a = np.zeros((6, 6, 1))
         b = np.zeros((6, 6, 1))
         a[0, 0, 0] = 1
         b[5, 5, 0] = 1
-        assert lesion_f1(mask(a), mask(b)) == 0.0
+        assert evaluate_case(mask(a), mask(b)).lesion_f1 == 0.0
+
+    def test_criterion_7_false_positive_count(self):
+        # the count of criterion 7: three predicted components, one on the truth
+        pred = np.zeros((9, 9, 1))
+        pred[0, 0, 0] = pred[4, 4, 0] = pred[8, 8, 0] = 1
+        gt = np.zeros((9, 9, 1))
+        gt[0:2, 0, 0] = 1
+        lab = connected_components(mask(pred), 26)
+        assert lab.count == 3
+        assert lab.count - detected_components(lab, mask(gt)) == 2
 
 
 class TestOracleEquivalence:
@@ -188,16 +201,33 @@ class TestOracleEquivalence:
             spacing = (1.0, 1.0, 1.0) if trial % 2 == 0 else (0.5, 1.0, 2.0)
             pred = random_mask(rng, (16, 16, 16), 0.12, spacing)
             gt = random_mask(rng, (16, 16, 16), 0.12, spacing)
-            assert dice(pred, gt) == oracle_dice(pred, gt)
+            m = evaluate_case(pred, gt)
+            assert m.dice == oracle_dice(pred, gt)
             if gt.voxel_count():
-                assert avd_percent(pred, gt) == oracle_avd(pred, gt)
-            assert lesion_recall(pred, gt) == oracle_recall(pred, gt)
-            assert lesion_f1(pred, gt) == oracle_f1(pred, gt)
+                assert m.avd_percent == oracle_avd(pred, gt)
+            assert m.lesion_recall == oracle_recall(pred, gt)
+            assert m.lesion_f1 == oracle_f1(pred, gt)
             if pred.voxel_count() and gt.voxel_count():
-                assert abs(h95(pred, gt) - oracle_h95(pred, gt, spacing)) <= 1e-9
+                assert abs(m.h95_mm - oracle_h95(pred, gt, spacing)) <= 1e-9
+            gt_voxels = {tuple(c) for c in np.argwhere(gt.data)}
+            assert detected_components(connected_components(pred, 26), gt) == sum(
+                1 for c in oracle_components(pred.data.astype(bool)) if c & gt_voxels
+            )
 
 
 class TestEvaluateCase:
+    def test_labels_each_mask_once(self, monkeypatch):
+        calls = []
+
+        def counted(m, connectivity=26):
+            calls.append(connectivity)
+            return connected_components(m, connectivity)
+
+        monkeypatch.setattr(metrics, "connected_components", counted)
+        rng = np.random.default_rng(12)
+        evaluate_case(random_mask(rng), random_mask(rng))
+        assert len(calls) == 2
+
     def test_perfect_case(self):
         m = random_mask(np.random.default_rng(10))
         cm = evaluate_case(m, m)

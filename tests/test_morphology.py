@@ -115,13 +115,6 @@ class TestConnectedComponents:
             lab = connected_components(mask(m), connectivity)
             assert partition_of(lab) == oracle_partition(m, connectivity)
 
-    def test_2d_aliases(self):
-        m = np.zeros((3, 3, 1))
-        m[0, 0, 0] = 1
-        m[1, 1, 0] = 1
-        assert connected_components(mask(m), 8).count == 1
-        assert connected_components(mask(m), 4).count == 2
-
     def test_component_sizes(self):
         m = np.zeros((6, 6, 1))
         m[0:2, 0, 0] = 1

@@ -5,6 +5,7 @@ from wmhseg.architectures import Network, build_resunet, build_trimmed_unet, he_
 from wmhseg.checkpoint import save_checkpoint
 from wmhseg.phantom import PhantomConfig, generate_case
 from wmhseg.pipeline import (
+    COMPONENT_CONNECTIVITY,
     CaseInput,
     PipelineConfig,
     PipelineError,
@@ -76,7 +77,7 @@ class TestSegmentWhiteMatter:
         from wmhseg.morphology import connected_components
 
         mask = segment_white_matter(phantom_case.t1, wm_model)
-        assert connected_components(mask, 6).count == 1
+        assert connected_components(mask, COMPONENT_CONNECTIVITY).count == 1
 
     def test_refined_superset_of_largest_component(self, phantom_case, untrained_models):
         wm_model, _ = untrained_models
@@ -88,7 +89,7 @@ class TestSegmentWhiteMatter:
             data=(probs >= cfg.threshold).astype(np.uint8),
             spacing=phantom_case.t1.spacing,
         )
-        pre = largest_component(raw, cfg.component_connectivity)
+        pre = largest_component(raw, COMPONENT_CONNECTIVITY)
         refined = segment_white_matter(phantom_case.t1, wm_model, cfg)
         assert np.all(refined.data >= pre.data)
 
