@@ -191,14 +191,12 @@ def _train_stage(args) -> tuple[dict, dict]:
     return config, outputs
 
 
-def _predict_one(case_dir: Path, out_dir: Path, cfg, wm_net, wmh_net) -> dict:
-    case = CaseInput(
-        t1=read_nifti(case_dir / "t1.nii"),
-        flair=read_nifti(case_dir / "flair.nii"),
-        case_id=case_dir.name,
-    )
+def _predict_one(case_id: str, t1_path: Path, flair_path: Path, out_dir: Path,
+                 cfg, wm_net, wmh_net) -> dict:
+    case = CaseInput(t1=read_nifti(t1_path), flair=read_nifti(flair_path),
+                     case_id=case_id)
     wmh_mask, wm_mask, report = run_pipeline(case, cfg, wm_net, wmh_net)
-    d = out_dir / case.case_id
+    d = out_dir / case_id
     d.mkdir(parents=True, exist_ok=True)
     write_nifti(wmh_mask, d / "wmh.nii")
     write_nifti(wm_mask, d / "wm.nii")
@@ -208,9 +206,18 @@ def _predict_one(case_dir: Path, out_dir: Path, cfg, wm_net, wmh_net) -> dict:
 
 
 def cmd_predict(args) -> tuple[dict, dict]:
+    """The single-case mode is a one-case list: both modes write
+    <out>/<case_id>/{wmh.nii, wm.nii, report.json}."""
+    if args.t1 or args.flair:
+        if not (args.t1 and args.flair):
+            raise ValueError("single-case mode needs both --t1 and --flair")
+        inputs = [(args.case_id, Path(args.t1), Path(args.flair))]
+    else:
+        case_dirs = sorted(
+            d for d in Path(args.data).iterdir() if d.is_dir() and (d / "t1.nii").exists()
+        )
+        inputs = [(d.name, d / "t1.nii", d / "flair.nii") for d in case_dirs]
     cfg = PipelineConfig(
-        wm_checkpoint=args.wm_checkpoint,
-        wmh_checkpoint=args.wmh_checkpoint,
         threshold=args.threshold,
         dilation_radius=args.dilation_radius,
         confine=not args.no_confine,
@@ -218,29 +225,16 @@ def cmd_predict(args) -> tuple[dict, dict]:
     wm_net = load_checkpoint(args.wm_checkpoint)
     wmh_net = load_checkpoint(args.wmh_checkpoint)
     out_dir = Path(args.out)
-    if args.t1 or args.flair:
-        if not (args.t1 and args.flair):
-            raise ValueError("single-case mode needs both --t1 and --flair")
-        case = CaseInput(
-            t1=read_nifti(args.t1), flair=read_nifti(args.flair), case_id=args.case_id
-        )
-        wmh_mask, wm_mask, report = run_pipeline(case, cfg, wm_net, wmh_net)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_nifti(wmh_mask, out_dir / f"{case.case_id}_wmh.nii")
-        write_nifti(wm_mask, out_dir / f"{case.case_id}_wm.nii")
-        reports = [asdict(report)]
-    else:
-        root = Path(args.data)
-        case_dirs = sorted(
-            d for d in root.iterdir() if d.is_dir() and (d / "t1.nii").exists()
-        )
-        log.info("predicting %d cases", len(case_dirs))
-        reports = [_predict_one(d, out_dir, cfg, wm_net, wmh_net) for d in case_dirs]
+    log.info("predicting %d cases", len(inputs))
+    reports = [_predict_one(*case, out_dir, cfg, wm_net, wmh_net) for case in inputs]
     config = {
         "data": args.data,
         "t1": args.t1,
         "flair": args.flair,
+        "case_id": args.case_id,
         "out": str(args.out),
+        "wm_checkpoint": args.wm_checkpoint,
+        "wmh_checkpoint": args.wmh_checkpoint,
         "pipeline": asdict(cfg),
     }
     return config, {"cases": reports}
@@ -369,11 +363,13 @@ def cmd_gradcheck(args) -> tuple[dict, dict, int]:
 
 def cmd_ablate(args) -> tuple[dict, dict]:
     train_cfg, loss_cfg = _resolve_train_configs(args)
-    report = run_ablation(
-        args.data, train_cfg, loss_cfg,
-        base_width=args.base_width or 4, depth=args.depth or 4,
-        wm_checkpoint=args.wm_checkpoint,
-    )
+    base_width, depth = args.base_width or 4, args.depth or 4
+    cases, _ = load_dataset(args.data)
+    wm_net = load_checkpoint(args.wm_checkpoint)
+    log.info("computing stage-1 white matter masks for normalization")
+    masks = [segment_white_matter(c.t1, wm_net) for c in cases]
+    report, _ = run_ablation(cases, masks, train_cfg, loss_cfg,
+                             base_width=base_width, depth=depth)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -382,7 +378,8 @@ def cmd_ablate(args) -> tuple[dict, dict]:
                  r["val_lesion_f1"])
     return (
         {"data": str(args.data), "out": str(args.out),
-         "train": asdict(train_cfg), "loss": asdict(loss_cfg)},
+         "wm_checkpoint": args.wm_checkpoint, "base_width": base_width,
+         "depth": depth, "train": asdict(train_cfg), "loss": asdict(loss_cfg)},
         {"report_path": str(out), "variants": report["variants"]},
     )
 
@@ -477,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="paired plain-vs-residual training run")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--wm-checkpoint",
-                   help="stage-1 checkpoint for input normalization; trained fresh when omitted")
+    p.add_argument("--wm-checkpoint", required=True,
+                   help="stage-1 checkpoint whose masks normalize and confine the lesion inputs")
     _add_train_flags(p)
     p.add_argument("--report")
     p.set_defaults(func=cmd_ablate)

@@ -7,18 +7,16 @@ assembly for both stages and the plain-vs-residual ablation run.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .architectures import Network, build_resunet, build_trimmed_unet
-from .checkpoint import load_checkpoint
+from .architectures import Network, build_resunet
 from .metrics import evaluate_case
 from .morphology import dilate, largest_component
-from .phantom import load_dataset
 from .training import (
     LossConfig,
     TrainConfig,
+    TrainHistory,
     TrainingCase,
     normalize_to_mask,
     predict_probabilities,
@@ -38,11 +36,10 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class CaseInput:
-    """Co-registered T1 and FLAIR volumes, optional ground truth."""
+    """Co-registered T1 and FLAIR volumes."""
 
     t1: Volume3D
     flair: Volume3D
-    wmh_truth: BinaryMask3D | None = None
     case_id: str = "case"
 
     def __post_init__(self) -> None:
@@ -58,8 +55,6 @@ class CaseInput:
 
 @dataclass
 class PipelineConfig:
-    wm_checkpoint: str | None = None
-    wmh_checkpoint: str | None = None
     threshold: float = 0.5
     dilation_radius: int = 2
     confine: bool = True
@@ -135,20 +130,9 @@ def segment_wmh(
 
 
 def run_pipeline(
-    case: CaseInput,
-    cfg: PipelineConfig,
-    wm_model: Network | None = None,
-    wmh_model: Network | None = None,
+    case: CaseInput, cfg: PipelineConfig, wm_model: Network, wmh_model: Network
 ) -> tuple[BinaryMask3D, BinaryMask3D, CaseReport]:
     """Both stages end to end; returns (wmh mask, wm mask, report)."""
-    if wm_model is None:
-        if not cfg.wm_checkpoint:
-            raise PipelineError("no white matter checkpoint configured")
-        wm_model = load_checkpoint(cfg.wm_checkpoint)
-    if wmh_model is None:
-        if not cfg.wmh_checkpoint:
-            raise PipelineError("no lesion checkpoint configured")
-        wmh_model = load_checkpoint(cfg.wmh_checkpoint)
     wm_mask = segment_white_matter(case.t1, wm_model, cfg)
     wmh_mask = segment_wmh(case, wm_mask, wmh_model, cfg)
     vox = case.t1.voxel_volume_mm3()
@@ -206,35 +190,28 @@ def wmh_training_cases(
 # The plain-vs-residual ablation
 
 
-def run_ablation(data_dir: str | Path, train_cfg: TrainConfig,
-                 loss_cfg: LossConfig, base_width: int = 4,
-                 depth: int = 4, wm_checkpoint: str | None = None,
-                 wm_epochs: int = 8) -> dict:
+def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
+                 loss_cfg: LossConfig, base_width: int = 4, depth: int = 4
+                 ) -> tuple[dict, dict[str, tuple[Network, TrainHistory]]]:
     """Train plain U-Net and ResU-Net under identical seeds/configs on the
     lesion task and report paired validation metrics.
 
-    Inputs are normalized with stage-1 predicted masks and predictions are
-    scored after `segment_wmh` (threshold and confinement to the stage-1
-    mask), exactly like the real pipeline: a white matter network is
-    trained first (or loaded from wm_checkpoint), so the two variants
-    differ in architecture only."""
-    cases, _ = load_dataset(data_dir)
-    if wm_checkpoint:
-        wm_net = load_checkpoint(wm_checkpoint)
-    else:
-        wm_net, _ = train(
-            build_trimmed_unet(base_width=base_width, depth=3),
-            wm_training_cases(cases),
-            replace(train_cfg, epochs=wm_epochs, max_iterations=None),
-            LossConfig(),
-        )
-    pcfg = PipelineConfig()
-    masks = [segment_white_matter(c.t1, wm_net, pcfg) for c in cases]
+    `cases` and their stage-1 white matter `masks` are what
+    `wmh_training_cases` takes: inputs are normalized with the masks, and
+    predictions are scored after `segment_wmh` (threshold and confinement
+    to the same mask), exactly like the real pipeline, so the two variants
+    differ in architecture only. Returns (report, trained), where trained
+    maps "plain" and "residual" to (network, history). The residual
+    variant is the network `train-wmh` trains from the same cases, masks
+    and configs, bit for bit."""
     tcs = wmh_training_cases(cases, masks)
+    pcfg = PipelineConfig()
     report: dict = {"variants": {}}
+    trained = {}
     for kind in ("plain", "residual"):
         spec = replace(build_resunet(base_width=base_width, depth=depth), block_kind=kind)
         net, history = train(spec, tcs, train_cfg, loss_cfg)
+        trained[kind] = (net, history)
         val_ids = set(history.val_case_ids)
         dices, f1s = [], []
         for case, mask in zip(cases, masks):
@@ -256,4 +233,4 @@ def run_ablation(data_dir: str | Path, train_cfg: TrainConfig,
     report["loss"] = asdict(loss_cfg)
     report["base_width"] = base_width
     report["depth"] = depth
-    return report
+    return report, trained

@@ -1,9 +1,11 @@
 """Release acceptance suite: one test per criterion, each printing a
 pass/fail line with its measured values and runtime.
 
-The heavyweight artifacts (phantom dataset, trained checkpoints, ablation
-runs) are cached inside wmhseg.acceptance and shared across criteria, so
-this module is fastest when run as a whole. Run everything with
+The heavyweight artifacts (the phantom dataset and one pinned training
+run: the white matter network, its masks and the plain-vs-residual
+ablation, whose residual variant is the lesion network) are cached inside
+wmhseg.acceptance and shared across criteria; criterion 9 repeats the run
+once. This module is fastest when run as a whole. Run everything with
 `pytest tests/test_acceptance.py -v -s`, or a single criterion by keyword,
 e.g. `pytest tests/test_acceptance.py -k metric-oracles`.
 """

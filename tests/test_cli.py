@@ -1,11 +1,11 @@
 import json
 import shutil
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from wmhseg.acceptance import checkpoint_bytes
 from wmhseg.architectures import build_resunet
 from wmhseg.checkpoint import load_checkpoint
 from wmhseg.cli import dispatch
@@ -117,21 +117,23 @@ class TestTraining:
 
 
 class TestAblation:
-    def test_scores_confined_pipeline_output(self, dataset, trained):
-        wm_ckpt, _ = trained
-        train_cfg = TrainConfig(epochs=1, seed=2, max_iterations=3)
-        report = run_ablation(dataset, train_cfg, LossConfig(), base_width=2,
-                              depth=2, wm_checkpoint=str(wm_ckpt))
-        # rebuild both variants (training is bit-reproducible) and score
-        # their validation cases both ways
+    @pytest.fixture(scope="class")
+    def ablation(self, dataset, trained):
+        """The ablation on the stage-1 masks of the CLI checkpoint, 3 iterations."""
         cases, _ = load_dataset(dataset)
-        wm_net = load_checkpoint(wm_ckpt)
+        wm_net = load_checkpoint(trained[0])
         masks = [segment_white_matter(c.t1, wm_net) for c in cases]
+        train_cfg = TrainConfig(epochs=1, seed=2, max_iterations=3)
+        report, nets = run_ablation(cases, masks, train_cfg, LossConfig(),
+                                    base_width=2, depth=2)
+        return cases, masks, train_cfg, report, nets
+
+    def test_scores_confined_pipeline_output(self, ablation):
+        # score each variant's validation cases both ways
+        cases, masks, _, report, nets = ablation
         tcs = wmh_training_cases(cases, masks)
         raw_differs = False
-        for kind in ("plain", "residual"):
-            spec = replace(build_resunet(base_width=2, depth=2), block_kind=kind)
-            net, hist = train(spec, tcs, train_cfg, LossConfig())
+        for kind, (net, hist) in nets.items():
             dices, f1s, raw = [], [], []
             for case, mask, tc in zip(cases, masks, tcs):
                 if case.case_id not in hist.val_case_ids:
@@ -149,8 +151,38 @@ class TestAblation:
             got = report["variants"][kind]
             assert got["val_dice"] == float(np.mean(dices))
             assert got["val_lesion_f1"] == float(np.mean(f1s))
+            assert got["iterations"] == hist.iterations
             raw_differs |= got["val_dice"] != float(np.mean(raw))
+        assert sorted(nets) == ["plain", "residual"]
         assert raw_differs  # the two scorings are told apart on this data
+
+    def test_residual_variant_is_the_lesion_network(self, ablation):
+        # the property that lets one training run serve as both the
+        # pipeline's lesion network and the ablation's residual variant
+        cases, masks, train_cfg, _, nets = ablation
+        direct, direct_hist = train(build_resunet(base_width=2, depth=2),
+                                    wmh_training_cases(cases, masks), train_cfg,
+                                    LossConfig())
+        net, hist = nets["residual"]
+        assert checkpoint_bytes(net) == checkpoint_bytes(direct)
+        assert asdict(hist) == asdict(direct_hist)
+
+    def test_command_writes_the_library_report(self, tmp_path, dataset, trained, ablation):
+        out, rpt = tmp_path / "ablation.json", tmp_path / "report.json"
+        assert run(["ablate", "--data", str(dataset), "--out", str(out),
+                    "--wm-checkpoint", str(trained[0]), "--base-width", "2",
+                    "--depth", "2", "--epochs", "1", "--seed", "2",
+                    "--max-iterations", "3", "--report", str(rpt)]) == 0
+        report = ablation[3]
+        assert out.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        config = json.loads(rpt.read_text())["config"]
+        assert config["wm_checkpoint"] == str(trained[0])
+        assert (config["base_width"], config["depth"]) == (2, 2)
+
+    def test_command_needs_wm_checkpoint(self, tmp_path, dataset):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["ablate", "--data", str(dataset), "--out", str(tmp_path / "a.json")])
+        assert exc.value.code == 2
 
 
 class TestPredictEvaluate:
@@ -179,18 +211,21 @@ class TestPredictEvaluate:
         assert run(["predict", "--t1", str(case / "t1.nii"), "--flair", str(case / "flair.nii"),
                     "--case-id", "X", "--out", str(tmp_path / "single"), *ckpts]) == 0
         for kind in ("wmh", "wm"):
-            assert (tmp_path / "single" / f"X_{kind}.nii").read_bytes() == (
+            assert (tmp_path / "single" / "X" / f"{kind}.nii").read_bytes() == (
                 tmp_path / "dir" / "case_000" / f"{kind}.nii").read_bytes()
+        assert (tmp_path / "single" / "X" / "report.json").exists()
 
-    def test_single_case_mode_needs_flair(self, tmp_path, dataset, trained):
-        wm, wmh = trained
+    def test_single_case_mode_needs_flair(self, tmp_path, dataset):
+        # the pair is checked before either checkpoint is read
         rpt = tmp_path / "fail.json"
+        missing = str(tmp_path / "missing.ckpt")
         code = run(["predict", "--t1", str(dataset / "case_000" / "t1.nii"),
-                    "--out", str(tmp_path / "single"), "--wm-checkpoint", str(wm),
-                    "--wmh-checkpoint", str(wmh), "--report", str(rpt)])
+                    "--out", str(tmp_path / "single"), "--wm-checkpoint", missing,
+                    "--wmh-checkpoint", missing, "--report", str(rpt)])
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("predict", "error")
+        assert "--t1" in report["error"] and "--flair" in report["error"]
 
     def test_evaluate_identical_masks(self, tmp_path, dataset, capsys):
         gt = dataset / "case_000" / "wmh.nii"

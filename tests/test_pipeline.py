@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wmhseg.architectures import Network, build_resunet, build_trimmed_unet, he_init
-from wmhseg.checkpoint import save_checkpoint
 from wmhseg.phantom import PhantomConfig, generate_case
 from wmhseg.pipeline import (
     COMPONENT_CONNECTIVITY,
@@ -165,22 +164,6 @@ class TestRunPipeline:
         b = run_pipeline(case_input(phantom_case), cfg, wm_model, wmh_model)
         assert np.array_equal(a[0].data, b[0].data)
         assert np.array_equal(a[1].data, b[1].data)
-
-    def test_loads_models_from_checkpoints(self, tmp_path, phantom_case, untrained_models):
-        wm_model, wmh_model = untrained_models
-        save_checkpoint(tmp_path / "wm.ckpt", wm_model)
-        save_checkpoint(tmp_path / "wmh.ckpt", wmh_model)
-        cfg = PipelineConfig(
-            wm_checkpoint=str(tmp_path / "wm.ckpt"),
-            wmh_checkpoint=str(tmp_path / "wmh.ckpt"),
-        )
-        direct = run_pipeline(case_input(phantom_case), cfg, wm_model, wmh_model)
-        loaded = run_pipeline(case_input(phantom_case), cfg)
-        assert np.array_equal(direct[0].data, loaded[0].data)
-
-    def test_missing_checkpoints_rejected(self, phantom_case):
-        with pytest.raises(PipelineError):
-            run_pipeline(case_input(phantom_case), PipelineConfig())
 
     def test_order_invariance_across_cases(self, untrained_models):
         wm_model, wmh_model = untrained_models
