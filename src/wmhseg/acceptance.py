@@ -490,9 +490,9 @@ def crit_end_to_end() -> tuple[bool, dict, str]:
     """Two-stage training on the default phantom config reaches validation
     Dice >= 0.85 for both stages within 500 iterations each, and the
     pipeline's refined masks and final predictions hold the same bar. The
-    wall time covers the whole pinned run, the plain variant included."""
-    t0 = time.time()
+    wall time counts the pinned run, plain variant included, once."""
     _, wm_hist, wm_masks, _, trained = trained_models()
+    t0 = time.time()
     wmh_net, wmh_hist = trained["residual"]
     cases = phantom_dataset()
     pcfg = PipelineConfig()
@@ -509,7 +509,7 @@ def crit_end_to_end() -> tuple[bool, dict, str]:
         pred = segment_wmh(ci, mask, wmh_net, pcfg)
         e2e_dice.append(dice(pred, case.wmh_truth))
 
-    wall = time.time() - t0 + _CACHE.get("train_wall", 0.0)
+    wall = time.time() - t0 + _CACHE["train_wall"]
     measured = {
         "wm_val_dice": wm_hist.val_dice[-1],
         "wm_iterations": wm_hist.iterations,

@@ -7,9 +7,11 @@ inputs reference earlier nodes only, so construction order is the
 topological order and the reverse order drives backpropagation.
 
 Convolutions use zero "same" padding so every stage preserves spatial
-dims. Max-pool tie-breaking is first occurrence in row-major window scan.
-Forward passes are deterministic: identical inputs and parameters produce
-bit-identical outputs.
+dims; each is one GEMM against its (inC*k*k, B*H*W) im2col columns, and
+its input gradient is the convolution of the upstream gradient with the
+flipped, channel-transposed kernel. Max-pool tie-breaking is first
+occurrence in row-major window scan. Forward passes are deterministic:
+identical inputs and parameters produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -55,36 +57,24 @@ def _check4(x: np.ndarray, who: str) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, C*k*k, H*W) with zero 'same' padding."""
+    """(B, C, H, W) -> (C*k*k, B*H*W) with zero 'same' padding: one column
+    per output pixel of the whole batch."""
     b, c, h, w = x.shape
     pad = (k - 1) // 2
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((b, c, k, k, h, w), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, b, h, w), dtype=x.dtype)
     for di in range(k):
         for dj in range(k):
-            cols[:, :, di, dj] = x[:, :, di : di + h, dj : dj + w]
-    return cols.reshape(b, c * k * k, h * w)
-
-
-def _col2im(cols: np.ndarray, shape: tuple[int, ...], k: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back to (B, C, H, W)."""
-    b, c, h, w = shape
-    pad = (k - 1) // 2
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols = cols.reshape(b, c, k, k, h, w)
-    for di in range(k):
-        for dj in range(k):
-            xp[:, :, di : di + h, dj : dj + w] += cols[:, :, di, dj]
-    if pad:
-        return xp[:, :, pad : pad + h, pad : pad + w]
-    return xp
+            cols[:, di, dj] = xt[:, :, di : di + h, dj : dj + w]
+    return cols.reshape(c * k * k, b * h * w)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Same-padded stride-1 convolution, kernel (outC, inC, k, k), k in {1, 3}.
 
-    Returns (out, cache) where cache feeds conv2d_backward.
+    Returns (out, cache); the cache is the (inC*k*k, B*H*W) column matrix.
     """
     x = _check4(x, "conv2d")
     out_c, in_c, k, k2 = w.shape
@@ -94,22 +84,23 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {in_c}")
     batch, _, h, wd = x.shape
     cols = _im2col(x, k)
-    wm = w.reshape(out_c, in_c * k * k)
-    out = np.matmul(wm, cols) + b.reshape(1, out_c, 1)
-    return out.reshape(batch, out_c, h, wd), (cols, x.shape, w.shape)
+    out = w.reshape(out_c, -1) @ cols + b.reshape(out_c, 1)
+    out = out.reshape(out_c, batch, h, wd)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
 
 
 def conv2d_backward(g: np.ndarray, w: np.ndarray, cache):
-    """Returns (dx, dw, db) for the upstream gradient g."""
-    cols, x_shape, w_shape = cache
-    out_c, in_c, k, _ = w_shape
-    batch, _, h, wd = x_shape
-    gm = g.reshape(batch, out_c, h * wd)
-    db = gm.sum(axis=(0, 2))
-    dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
-    wm = w.reshape(out_c, in_c * k * k)
-    dx = _col2im(np.matmul(wm.T, gm), x_shape, k)
-    return dx, dw, db
+    """Returns (dx, dw, db) for the upstream gradient g. dw is one GEMM of g
+    against the cached columns; dx is the convolution of g with the flipped,
+    channel-transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)."""
+    out_c, in_c, k, _ = w.shape
+    batch, _, h, wd = g.shape
+    gm = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
+    db = gm.sum(axis=1)
+    dw = (gm @ cache.T).reshape(w.shape)
+    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(in_c, -1)
+    dx = (wf @ _im2col(g, k)).reshape(in_c, batch, h, wd)
+    return np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dw, db
 
 
 def relu_forward(x: np.ndarray):

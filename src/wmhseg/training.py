@@ -207,7 +207,8 @@ class SGD:
         self.grad_norms: list[float] = []
 
     def step(self) -> None:
-        norm = float(np.sqrt(sum(np.vdot(p.grad, p.grad) for p in self.params)))
+        # a pairwise sum, not a BLAS dot: independent of the BLAS thread count
+        norm = float(np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in self.params)))
         scale = 1.0
         if self.grad_norms:
             bound = SPIKE_FACTOR * float(np.median(self.grad_norms))

@@ -76,6 +76,21 @@ class TestConv2d:
         assert rel_err(dw, numeric_grad(loss, w)) <= 1e-4
         assert rel_err(db, numeric_grad(loss, b)) <= 1e-4
 
+    def test_backward_never_calls_forward(self, monkeypatch):
+        # the traced conv forward time and flops must count forward work only
+        rng = np.random.default_rng(3)
+        x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 3, 3))
+        r = rng.normal(size=(2, 2, 4, 5))
+        _, cache = conv2d_forward(x, w, np.zeros(2))
+        expected = conv2d_backward(r, w, cache)
+
+        def forbidden(*args):
+            raise AssertionError("conv2d_backward called conv2d_forward")
+
+        monkeypatch.setattr(diff_core, "conv2d_forward", forbidden)
+        for got, want in zip(diff_core.conv2d_backward(r, w, cache), expected):
+            assert np.array_equal(got, want)
+
 
 class TestRelu:
     def test_values(self):
@@ -350,14 +365,16 @@ class TestGradCheck:
     channels=st.integers(1, 3),
     h=st.integers(1, 4),
     w=st.integers(1, 4),
+    k=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**31),
 )
-def test_property_operator_gradients_on_random_shapes(batch, channels, h, w, seed):
-    """Backward matches central differences on randomized shapes."""
+def test_property_operator_gradients_on_random_shapes(batch, channels, h, w, k, seed):
+    """Backward matches central differences on randomized shapes, and the
+    conv's three gradients are exact adjoints of its linear parts."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(batch, channels, h, w))
     out_c = int(rng.integers(1, 4))
-    wk = rng.normal(size=(out_c, channels, 3, 3))
+    wk = rng.normal(size=(out_c, channels, k, k))
     bk = rng.normal(size=out_c)
     r = rng.normal(size=(batch, out_c, h, w))
 
@@ -365,8 +382,17 @@ def test_property_operator_gradients_on_random_shapes(batch, channels, h, w, see
         y, _ = conv2d_forward(x, wk, bk)
         return float(np.sum(y * r))
 
-    _, cache = conv2d_forward(x, wk, bk)
+    y, cache = conv2d_forward(x, wk, bk)
     dx, dw, db = conv2d_backward(r, wk, cache)
     assert rel_err(dx, numeric_grad(loss, x)) <= 1e-4
     assert rel_err(dw, numeric_grad(loss, wk)) <= 1e-4
     assert rel_err(db, numeric_grad(loss, bk)) <= 1e-4
+
+    # <conv(x, w), g> = <x, dx> = <w, dw> and <db, b> = <g, b>, each to
+    # 1e-12 of the sum of the absolute products
+    b4 = bk.reshape(1, -1, 1, 1)
+    scale = np.sum(conv2d_forward(np.abs(x), np.abs(wk), np.zeros(out_c))[0] * np.abs(r))
+    lin = np.sum((y - b4) * r)
+    assert abs(np.sum(x * dx) - lin) <= 1e-12 * scale
+    assert abs(np.sum(wk * dw) - lin) <= 1e-12 * scale
+    assert abs(np.sum(db * bk) - np.sum(r * b4)) <= 1e-12 * np.sum(np.abs(r * b4))

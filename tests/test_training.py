@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wmhseg
 from wmhseg.architectures import build_trimmed_unet
 from wmhseg.diff_core import Parameter
 from wmhseg.training import (
@@ -271,6 +276,29 @@ class TestSgd:
             opt.step()
             w *= 0.75
             assert p.value.item() == pytest.approx(w, rel=1e-15)
+
+    def test_grad_norm_independent_of_blas_threads(self):
+        # a BLAS dot product splits its sum across threads, so its last
+        # bits depend on the thread count; the norm must not
+        script = (
+            "import numpy as np\n"
+            "from wmhseg.diff_core import Parameter\n"
+            "from wmhseg.training import SGD\n"
+            "p = Parameter('w', np.zeros(1_000_000))\n"
+            "p.grad[...] = np.random.default_rng(3).normal(size=p.grad.shape)\n"
+            "opt = SGD([p], 0.1, 0.9)\n"
+            "opt.step()\n"
+            "print(repr(opt.grad_norms[0]))\n"
+        )
+        src = str(Path(wmhseg.__file__).resolve().parents[1])
+        norms = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            norms.append(run.stdout.strip())
+        assert norms[0] == norms[1]
 
 
 class TestSpikeClipping:
