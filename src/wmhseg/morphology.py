@@ -2,9 +2,11 @@
 iterated dilation, and border extraction.
 
 Connectivity is the 3-D neighbour count: 6 (faces), 18 (faces+edges) or
-26 (full). Component labels are assigned in first-visit order with a
-row-major (C-order on the (nx, ny, nz) array) seed scan, so labeling is
-deterministic.
+26 (full). Components are found by vectorized union-find over the
+foreground voxels (Wu, Otoo & Suzuki, Pattern Anal. Appl. 2009), and
+every root is its component's minimum C-order flat index on the
+(nx, ny, nz) array. Labels are therefore assigned in first-visit order of
+a row-major seed scan, so labeling is deterministic.
 """
 
 from __future__ import annotations
@@ -47,33 +49,49 @@ class LabelVolume:
 
 
 def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume:
-    """Label connected components with vectorized BFS flood fill."""
-    data = m.data.astype(bool)
+    """Label connected components by union-find, in first-visit scan
+    order. The cost grows with the foreground voxels, not with the grid."""
     offs = _neighbor_offsets(connectivity)
-    labels = np.zeros(data.shape, dtype=np.int32)
-    shape = np.array(data.shape, dtype=np.int64)
+    shape = m.data.shape
+    flat = np.flatnonzero(m.data.astype(bool))  # sorted: position order is scan order
+    coords = np.unravel_index(flat, shape)
+    strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=np.int64)
 
-    seeds = np.argwhere(data)  # C-order: deterministic seed scan
-    count = 0
-    for seed in seeds:
-        x, y, z = seed
-        if labels[x, y, z]:
-            continue
-        count += 1
-        labels[x, y, z] = count
-        frontier = seed[None, :]
-        while frontier.size:
-            cand = (frontier[:, None, :] + offs[None, :, :]).reshape(-1, 3)
-            ok = ((cand >= 0) & (cand < shape)).all(axis=1)
-            cand = cand[ok]
-            cx, cy, cz = cand[:, 0], cand[:, 1], cand[:, 2]
-            fresh = data[cx, cy, cz] & (labels[cx, cy, cz] == 0)
-            cand = cand[fresh]
-            if cand.size:
-                cand = np.unique(cand, axis=0)
-                labels[cand[:, 0], cand[:, 1], cand[:, 2]] = count
-            frontier = cand
-    return LabelVolume(labels=labels, count=count)
+    # Edges (voxel, earlier neighbour) as positions in `flat`, one offset
+    # of each +/- pair. The coordinate bounds keep flat offsets from
+    # wrapping across rows and planes.
+    src, dst = [], []
+    for off in offs[: len(offs) // 2]:  # the offsets that point back in scan order
+        inside = np.ones(flat.size, dtype=bool)
+        for c, d, n in zip(coords, off, shape):
+            if d:
+                inside &= (c >= 1) if d < 0 else (c < n - 1)
+        pos = np.flatnonzero(inside)
+        target = flat[pos] + off @ strides
+        hit = np.searchsorted(flat, target)  # < flat.size: target < flat[pos]
+        found = flat[hit] == target
+        src.append(pos[found])
+        dst.append(hit[found])
+    a, b = np.concatenate(src), np.concatenate(dst)
+
+    # Hook each edge's larger root onto its smaller one, then pointer-jump
+    # to full compression; repeat until both ends of every edge share a
+    # root. parent[i] <= i throughout, so each root is its tree's minimum.
+    parent = np.arange(flat.size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+
+    is_root = parent == np.arange(flat.size)
+    labels = np.zeros(shape, dtype=np.int32)
+    labels.reshape(-1)[flat] = np.cumsum(is_root, dtype=np.int32)[parent]  # roots in scan order
+    return LabelVolume(labels=labels, count=int(is_root.sum()))
 
 
 def largest_component(m: BinaryMask3D, connectivity: int = 6) -> BinaryMask3D:

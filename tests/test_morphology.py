@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from wmhseg.morphology import (
     border_voxels,
@@ -34,7 +35,7 @@ def offsets_for(connectivity: int):
 
 def oracle_partition(data: np.ndarray, connectivity: int) -> set[frozenset]:
     """Brute-force flood fill: per-voxel label propagation to fixpoint,
-    independent of the BFS implementation under test."""
+    independent of the union-find implementation under test."""
     data = data.astype(bool)
     ids = np.where(data, np.arange(data.size).reshape(data.shape) + 1, 0)
     offs = offsets_for(connectivity)
@@ -114,6 +115,104 @@ class TestConnectedComponents:
             m = (rng.random((6, 6, 6)) < 0.35).astype(np.uint8)
             lab = connected_components(mask(m), connectivity)
             assert partition_of(lab) == oracle_partition(m, connectivity)
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_no_edges_wrap_across_rows_or_planes(self, connectivity):
+        # Two voxels whose flat indices differ by a neighbour's flat offset
+        # but which are not neighbours in space, such as the last voxel of
+        # a row and the first of the next, stay separate components.
+        shape = (3, 4, 5)
+        strides = np.array([20, 5, 1])
+        offs = set(offsets_for(connectivity))
+        flat_offs = {int(np.dot(o, strides)) for o in offs}
+        coords = [tuple(int(c) for c in p) for p in np.argwhere(np.ones(shape))]
+        pairs = [
+            (p, q)
+            for p in coords
+            for q in coords
+            if int(np.dot(np.subtract(q, p), strides)) in flat_offs
+            and tuple(np.subtract(q, p).tolist()) not in offs
+        ]
+        assert ((0, 0, 4), (0, 1, 0)) in pairs  # row end -> next row start
+        assert ((0, 3, 4), (1, 0, 0)) in pairs  # plane end -> next plane start
+        for p, q in pairs:
+            m = np.zeros(shape)
+            m[p] = m[q] = 1
+            assert connected_components(mask(m), connectivity).count == 2, (p, q)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 12, 1), (12, 1, 1), (1, 1, 12), (1, 5, 7), (4, 1, 6), (3, 7, 2)]
+    )
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_first_visit_order_on_irregular_grids(self, shape, connectivity):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            m = (rng.random(shape) < 0.5).astype(np.uint8)
+            lab = connected_components(mask(m), connectivity)
+            assert partition_of(lab) == oracle_partition(m, connectivity)
+            # label k's first voxel in C-order comes after label k-1's
+            firsts = [np.flatnonzero(lab.labels == k).min() for k in range(1, lab.count + 1)]
+            assert all(a < b for a, b in zip(firsts, firsts[1:]))
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_serpentine_path_is_one_component(self, connectivity):
+        # A face-connected path along y on every other row (z) of every
+        # other plane (x), reversing at each row and plane. Parallel runs
+        # sit two voxels apart, so they touch only through the path.
+        shape = (32, 32, 8)
+        corners = []
+        for i, x in enumerate(range(0, shape[0], 2)):
+            zs = list(range(0, shape[2], 2))
+            for z in reversed(zs) if i % 2 else zs:
+                ys = (0, shape[1] - 1) if len(corners) % 4 == 0 else (shape[1] - 1, 0)
+                corners += [(x, ys[0], z), (x, ys[1], z)]
+        m = np.zeros(shape, dtype=np.uint8)
+        for p, q in zip(corners, corners[1:]):
+            lo, hi = np.minimum(p, q), np.maximum(p, q) + 1
+            m[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = 1
+        lab = connected_components(mask(m), connectivity)
+        assert lab.count == 1
+        assert np.array_equal(lab.labels, m)
+        x, _, z = corners[len(corners) // 2]
+        m[x, shape[1] // 2, z] = 0  # cut the path in the middle of a run
+        cut = connected_components(mask(m), connectivity)
+        assert cut.count == 2
+        assert cut.labels[corners[0]] != cut.labels[corners[-1]]
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_comb_is_one_component(self, connectivity):
+        # Teeth along x start at x = 0 and meet only at a spine in the
+        # last plane, so every tooth joins its root late in the scan.
+        shape = (32, 32, 8)
+        m = np.zeros(shape, dtype=np.uint8)
+        m[:, ::2, ::2] = 1
+        m[-1, :, ::2] = 1
+        m[-1, 0, :] = 1
+        lab = connected_components(mask(m), connectivity)
+        assert lab.count == 1
+        assert np.array_equal(lab.labels, m)
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_matches_scipy_label_at_scale(self, connectivity):
+        rng = np.random.default_rng(2019)
+        shape = (96, 96, 24)
+        grid = np.indices(shape)
+        m = rng.random(shape) < 0.01  # scattered voxels make diagonal contacts
+        for _ in range(40):
+            center = rng.uniform(0, shape)
+            semiaxes = rng.uniform(1.0, 4.0, 3)
+            d = (grid - center[:, None, None, None]) / semiaxes[:, None, None, None]
+            m |= (d**2).sum(axis=0) <= 1
+        structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+        ref, ref_count = ndimage.label(m, structure)
+        lab = connected_components(mask(m), connectivity)
+        assert lab.count == ref_count
+        pairs = np.unique(np.stack([lab.labels[m], ref[m]]), axis=1)
+        assert pairs.shape[1] == lab.count  # one-to-one: same partition
+
+    def test_empty_mask_still_checks_connectivity(self):
+        with pytest.raises(ValueError):
+            connected_components(mask(np.zeros((3, 3, 3))), 5)
 
     def test_component_sizes(self):
         m = np.zeros((6, 6, 1))
