@@ -135,89 +135,36 @@ def checkpoint_bytes(net: Network) -> bytes:
 
 
 def crit_gradients() -> tuple[bool, dict, str]:
-    """Every operator and the full lesion network match central FD."""
+    """Every op kind and the full lesion network match central FD, for the
+    input gradient and every parameter gradient."""
     rng = np.random.default_rng(11)
+
+    def param(name, *shape):
+        return dc.Parameter(name, rng.normal(size=shape))
+
+    # concat and add take the input and a 1x1 convolution of it, so a
+    # backward that swapped or mixed up their two gradients is seen
+    op_graphs = {
+        "conv3x3": lambda g: g.add("conv3x3", (0,), param("w", 3, 2, 3, 3), param("b", 3)),
+        "conv1x1": lambda g: g.add("conv1x1", (0,), param("w", 3, 2, 1, 1), param("b", 3)),
+        "relu": lambda g: g.add("relu", (0,)),
+        "maxpool2": lambda g: g.add("maxpool2", (0,)),
+        "upconv2": lambda g: g.add("upconv2", (0,), param("w", 2, 3, 2, 2), param("b", 3)),
+        "concat": lambda g: g.add("concat", (0, g.add(
+            "conv1x1", (0,), param("proj.w", 3, 2, 1, 1), param("proj.b", 3)))),
+        "add": lambda g: g.add("add", (0, g.add(
+            "conv1x1", (0,), param("proj.w", 2, 2, 1, 1), param("proj.b", 2)))),
+        "sigmoid": lambda g: g.add("sigmoid", (0,)),
+    }
     errors: dict[str, float] = {}
-
-    def project_loss(forward, backward, arrays, out_shape):
-        r = rng.normal(size=out_shape)
-        out, cache = forward()
-        din = backward(r, cache)
-        for name, arr, analytic in zip(arrays.keys(), arrays.values(), din):
-            numeric = numeric_grad(lambda: float(np.sum(forward()[0] * r)), arr)
-            errors_key = f"{op_name}.{name}"
-            errors[errors_key] = max(errors.get(errors_key, 0.0), rel_err(analytic, numeric))
-
-    # conv3x3 / conv1x1
-    for op_name, k in (("conv3x3", 3), ("conv1x1", 1)):
-        x = rng.normal(size=(2, 3, 4, 5))
-        w = rng.normal(size=(2, 3, k, k))
-        b = rng.normal(size=2)
-        project_loss(
-            lambda: dc.conv2d_forward(x, w, b),
-            lambda r, cache: dc.conv2d_backward(r, w, cache),
-            {"x": x, "w": w, "b": b},
-            (2, 2, 4, 5),
-        )
-
-    op_name = "relu"
-    x = rng.normal(size=(2, 2, 4, 4))
-    x[np.abs(x) < 0.1] = 0.5  # keep the check off the kink
-    project_loss(
-        lambda: dc.relu_forward(x),
-        lambda r, cache: (dc.relu_backward(r, cache),),
-        {"x": x},
-        x.shape,
-    )
-
-    op_name = "maxpool2"
-    x = rng.normal(size=(2, 2, 4, 6))
-    project_loss(
-        lambda: dc.maxpool2_forward(x),
-        lambda r, cache: (dc.maxpool2_backward(r, cache),),
-        {"x": x},
-        (2, 2, 2, 3),
-    )
-
-    op_name = "upconv2"
-    x = rng.normal(size=(2, 3, 3, 4))
-    w = rng.normal(size=(3, 2, 2, 2))
-    b = rng.normal(size=2)
-    project_loss(
-        lambda: dc.upconv2_forward(x, w, b),
-        lambda r, cache: dc.upconv2_backward(r, w, cache),
-        {"x": x, "w": w, "b": b},
-        (2, 2, 6, 8),
-    )
-
-    op_name = "concat"
-    a = rng.normal(size=(1, 2, 3, 3))
-    b2 = rng.normal(size=(1, 3, 3, 3))
-    project_loss(
-        lambda: dc.concat_forward(a, b2),
-        lambda r, cache: dc.concat_backward(r, cache),
-        {"a": a, "b": b2},
-        (1, 5, 3, 3),
-    )
-
-    op_name = "add"
-    a = rng.normal(size=(2, 2, 3, 3))
-    b2 = rng.normal(size=(2, 2, 3, 3))
-    project_loss(
-        lambda: dc.add_forward(a, b2),
-        lambda r, cache: dc.add_backward(r, cache),
-        {"a": a, "b": b2},
-        a.shape,
-    )
-
-    op_name = "sigmoid"
-    x = rng.normal(size=(2, 1, 4, 4))
-    project_loss(
-        lambda: dc.sigmoid_forward(x),
-        lambda r, cache: (dc.sigmoid_backward(r, cache),),
-        {"x": x},
-        x.shape,
-    )
+    for kind, build in op_graphs.items():
+        g = dc.Graph()
+        build(g)
+        x = rng.normal(size=(2, 2, 4, 6))
+        r = rng.normal(size=g.forward(x).shape)
+        report = dc.grad_check(g, x, lambda y: (float(np.sum(y * r)), r),
+                               max_elements=10**9)
+        errors.update((f"{kind}.{c.name}", c.max_rel_error) for c in report.checks)
 
     # full ResU-Net at base width 2, depth 2, on a 16x16 input: every element
     net = Network(build_resunet(base_width=2, depth=2))
@@ -294,36 +241,10 @@ def crit_loss() -> tuple[bool, dict, str]:
     return ok, measured, "1e-10 summation; 1e-12 single pixel; beta exact"
 
 
-# Brute-force oracles, also imported by the tests: a central
-# finite-difference gradient with its relative error, then the metrics.
-
-
-def numeric_grad(f, x, h=1e-6):
-    """Central-difference gradient of the scalar f() with respect to the
-    array x, which f reads and this function perturbs in place."""
-    g = np.zeros_like(x, dtype=np.float64)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        fp = f()
-        x[idx] = orig - h
-        fm = f()
-        x[idx] = orig
-        g[idx] = (fp - fm) / (2 * h)
-        it.iternext()
-    return g
-
-
-def rel_err(a, b) -> float:
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
-    return float(np.max(np.abs(a - b)) / denom)
-
-
-# The metric oracles are independent of morphology and cKDTree: voxel
-# sets for the overlap metrics, an explicit 6-neighbour border scan, full
-# pairwise distances and a set-based 26-connected flood fill.
+# Brute-force metric oracles, also imported by the tests. They are
+# independent of morphology and cKDTree: voxel sets for the overlap
+# metrics, an explicit 6-neighbour border scan, full pairwise distances
+# and a set-based 26-connected flood fill.
 
 
 def _voxels(m: BinaryMask3D) -> set:

@@ -1,6 +1,6 @@
 """Command-line entry point: phantom generation, two-stage training,
-prediction, evaluation, ranking, gradient self-check, and the
-plain-vs-residual ablation harness.
+prediction, evaluation, ranking, and the plain-vs-residual ablation
+harness.
 
 Each sub-command returns the resolved flag values and its outputs;
 `dispatch` times it and writes the machine-readable JSON run report (to
@@ -20,12 +20,9 @@ import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .architectures import Network, build_resunet, build_trimmed_unet, he_init
+from .architectures import build_resunet, build_trimmed_unet
 from .checkpoint import load_checkpoint, save_checkpoint
-from .diff_core import Graph, Parameter, grad_check
 from .metrics import (
     evaluate_case,
     rank_teams,
@@ -300,67 +297,6 @@ def cmd_rank(args) -> tuple[dict, dict]:
     return config, outputs
 
 
-def cmd_gradcheck(args) -> tuple[dict, dict, int]:
-    """The report says whether every check passed; the exit code is 1
-    when one failed."""
-    rng = np.random.default_rng(args.seed)
-    results = {}
-
-    # operator-level checks on small random shapes
-    op_graphs = {
-        "conv3x3": lambda g: g.add(
-            "conv3x3", (0,),
-            Parameter("w", rng.normal(size=(3, 2, 3, 3))),
-            Parameter("b", rng.normal(size=3)),
-        ),
-        "conv1x1": lambda g: g.add(
-            "conv1x1", (0,),
-            Parameter("w", rng.normal(size=(3, 2, 1, 1))),
-            Parameter("b", rng.normal(size=3)),
-        ),
-        "upconv2": lambda g: g.add(
-            "upconv2", (0,),
-            Parameter("w", rng.normal(size=(2, 3, 2, 2))),
-            Parameter("b", rng.normal(size=3)),
-        ),
-    }
-    worst = 0.0
-    for name, builder in op_graphs.items():
-        g = Graph()
-        builder(g)
-        rep = grad_check(g, rng.normal(size=(2, 2, 6, 6)), tolerance=args.tolerance)
-        results[name] = {"passed": rep.passed, "max_rel_error": rep.max_rel_error}
-        worst = max(worst, rep.max_rel_error)
-
-    if args.arch == "resunet":
-        spec = build_resunet(base_width=args.base_width, depth=args.depth)
-    else:
-        spec = build_trimmed_unet(base_width=args.base_width, depth=args.depth)
-    net = Network(spec)
-    he_init(net.graph, args.seed)
-    x = rng.normal(size=(1, spec.in_channels, args.size, args.size))
-    rep = grad_check(net.graph, x, tolerance=args.tolerance,
-                     max_elements=args.max_elements)
-    results["network"] = {
-        "passed": rep.passed,
-        "max_rel_error": rep.max_rel_error,
-        "parameters_checked": len(rep.checks),
-    }
-    worst = max(worst, rep.max_rel_error)
-    ok = all(r["passed"] for r in results.values())
-    log.info("gradcheck %s: max rel error %.3g", "PASS" if ok else "FAIL", worst)
-    config = {
-        "arch": args.arch,
-        "base_width": args.base_width,
-        "depth": args.depth,
-        "size": args.size,
-        "tolerance": args.tolerance,
-        "seed": args.seed,
-        "max_elements": args.max_elements,
-    }
-    return config, {"results": results, "passed": ok}, 0 if ok else 1
-
-
 def cmd_ablate(args) -> tuple[dict, dict]:
     train_cfg, loss_cfg = _resolve_train_configs(args)
     base_width, depth = args.base_width or 4, args.depth or 4
@@ -460,17 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
-    p.add_argument("--arch", choices=("resunet", "trimmed"), default="resunet")
-    p.add_argument("--base-width", type=int, default=2)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--size", type=int, default=16)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-elements", type=int, default=256)
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_gradcheck)
-
     p = sub.add_parser("ablate", help="paired plain-vs-residual training run")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -485,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str] | None = None) -> int:
     """Run one sub-command, time it and write its run report. A command
-    returns (config, outputs) and may add its exit code; an exception
-    exits 1 with an error report, written only to --report."""
+    returns (config, outputs); an exception exits 1 with an error report,
+    written only to --report."""
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO,
@@ -495,7 +420,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        config, outputs, *code = args.func(args)
+        config, outputs = args.func(args)
     except Exception as exc:  # noqa: BLE001 - report the failing stage, exit 1
         log.error("stage %s failed: %s", args.command, exc)
         if args.report:
@@ -512,7 +437,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         "runtime_seconds": time.time() - t0,
         "status": "ok",
     }, args.report)
-    return code[0] if code else 0
+    return 0
 
 
 def main() -> None:

@@ -399,10 +399,13 @@ def grad_check(
     max_elements: int = 256,
     seed: int = 0,
 ) -> GradCheckReport:
-    """Compare analytic parameter gradients against central differences.
+    """Compare the analytic gradients of every parameter and of the input
+    against central differences.
 
     loss_fn maps the graph output to (scalar loss, dloss/doutput); the
-    default is 0.5*sum(y^2). Parameters larger than max_elements are
+    default is 0.5*sum(y^2). There is one check per parameter, then one
+    named "input" for dL/d(input); it perturbs a float64 copy of x, so the
+    caller's array is left as it was. Tensors larger than max_elements are
     subsampled with a seeded RNG. Relative error uses a per-tensor scale
     floor (1% of the largest gradient magnitude) so near-zero entries are
     judged against the tensor's own scale rather than blowing up.
@@ -416,25 +419,27 @@ def grad_check(
     if loss_fn is None:
         loss_fn = lambda y: (0.5 * float(np.sum(y * y)), y)
     rng = np.random.default_rng(seed)
+    x = np.array(x, dtype=np.float64, order="C")
 
     graph.zero_grad()
     out = graph.forward(x, keep_cache=True)
     _, g_out = loss_fn(out)
-    graph.backward(g_out)
+    dx = graph.backward(g_out)
 
     report = GradCheckReport(tolerance=tolerance)
-    for p in graph.parameters():
-        analytic = p.grad.ravel()
+    params = [(p.name, p.grad, p.value) for p in graph.parameters()]
+    for name, grad, value in [*params, ("input", dx, x)]:
+        analytic = grad.ravel()
         n = analytic.size
         if n == 0:
-            report.checks.append(ParamCheck(p.name, 0.0, 0, True))
+            report.checks.append(ParamCheck(name, 0.0, 0, True))
             continue
         if n <= max_elements:
             indices = np.arange(n)
         else:
             indices = rng.choice(n, size=max_elements, replace=False)
             indices.sort()
-        flat = p.value.ravel()
+        flat = value.ravel()
 
         def central_diff(i: int, h: float) -> float:
             orig = flat[i]
@@ -462,6 +467,6 @@ def grad_check(
             rels[j] = r
         rel = float(np.max(rels)) if indices.size else 0.0
         report.checks.append(
-            ParamCheck(p.name, rel, int(indices.size), rel <= tolerance)
+            ParamCheck(name, rel, int(indices.size), rel <= tolerance)
         )
     return report

@@ -90,9 +90,6 @@ class RankTable:
     def rank_of(self, team: str, metric: str) -> float:
         return self.ranks[metric][self.teams.index(team)]
 
-    def overall_of(self, team: str) -> float:
-        return self.overall[self.teams.index(team)]
-
 
 def _check_grids(pred: BinaryMask3D, gt: BinaryMask3D) -> None:
     if pred.data.shape != gt.data.shape:

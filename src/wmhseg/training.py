@@ -77,6 +77,10 @@ class TrainConfig:
             raise ValueError("validation fraction must be in (0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max iterations must be >= 1 when set")
         if self.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {self.precision!r}")
 

@@ -282,20 +282,6 @@ class TestRank:
         assert run(["rank", "--summaries", str(tmp_path / "nope.csv")]) == 1
 
 
-class TestGradcheckCommand:
-    def test_passes_at_default_tolerance(self, capsys):
-        assert run(["gradcheck", "--base-width", "2", "--depth", "2",
-                    "--size", "16", "--max-elements", "16"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["outputs"]["passed"] is True
-        assert report["outputs"]["results"]["network"]["max_rel_error"] <= 1e-4
-
-    def test_impossible_tolerance_exits_1(self):
-        assert run(["gradcheck", "--base-width", "2", "--depth", "2",
-                    "--size", "16", "--max-elements", "4",
-                    "--tolerance", "1e-18"]) == 1
-
-
 class TestRunReports:
     KEYS = {"schema_version", "version", "command", "config", "outputs",
             "runtime_seconds", "status"}
@@ -308,19 +294,13 @@ class TestRunReports:
             "phantom": ["--out", str(tmp_path / "d"), "--cases", "1"],
             "evaluate": ["--pred", str(gt), "--gt", str(gt)],
             "rank": ["--summaries", str(teams)],
-            # a failed check is still a completed run: status ok, exit 1
-            "gradcheck": ["--base-width", "2", "--depth", "2", "--size", "16",
-                          "--max-elements", "4", "--tolerance", "1e-18"],
         }
         for command, extra in flags.items():
             rpt = tmp_path / f"{command}.json"
-            code = run([command, *extra, "--report", str(rpt)])
+            assert run([command, *extra, "--report", str(rpt)]) == 0
             report = json.loads(rpt.read_text())
             assert set(report) == self.KEYS
             assert (report["command"], report["status"]) == (command, "ok")
-            assert code == (1 if command == "gradcheck" else 0)
-        assert json.loads((tmp_path / "gradcheck.json").read_text())[
-            "outputs"]["passed"] is False
 
 
 class TestErrors:
@@ -337,6 +317,16 @@ class TestErrors:
         report = json.loads(rpt.read_text())
         assert report["status"] == "error"
         assert report["command"] == "train-wm"
+
+    def test_nonpositive_batch_size_exits_1_before_training(self, tmp_path, dataset):
+        rpt, out = tmp_path / "fail.json", tmp_path / "x.ckpt"
+        code = run(["train-wm", "--data", str(dataset), "--out", str(out),
+                    "--batch-size", "-2", "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("train-wm", "error")
+        assert "batch size" in report["error"]
+        assert not out.exists()
 
     def test_evaluate_probability_map_exits_1_with_report(self, tmp_path, dataset):
         gt = dataset / "case_000" / "wmh.nii"

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmhseg import diff_core
-from wmhseg.acceptance import numeric_grad, rel_err
 from wmhseg.diff_core import (
     Graph,
     Parameter,
@@ -20,9 +19,16 @@ from wmhseg.diff_core import (
     relu_forward,
     sigmoid_backward,
     sigmoid_forward,
-    upconv2_backward,
     upconv2_forward,
 )
+
+
+def fd_report(kind, x, r, *params):
+    """grad_check of a one-node graph under the loss sum(y * r), on every
+    element of the input and of the (weight, bias) params."""
+    g = Graph()
+    g.add(kind, (0,), *(Parameter(n, v) for n, v in zip(("w", "b"), params)))
+    return grad_check(g, x, lambda y: (float(np.sum(y * r)), r), max_elements=10**9)
 
 
 class TestConv2d:
@@ -65,16 +71,9 @@ class TestConv2d:
         w = rng.normal(size=(2, 3, k, k))
         b = rng.normal(size=2)
         r = rng.normal(size=(2, 2, 4, 5))  # fixed projection for scalar loss
-
-        def loss():
-            y, _ = conv2d_forward(x, w, b)
-            return float(np.sum(y * r))
-
-        y, cache = conv2d_forward(x, w, b)
-        dx, dw, db = conv2d_backward(r, w, cache)
-        assert rel_err(dx, numeric_grad(loss, x)) <= 1e-4
-        assert rel_err(dw, numeric_grad(loss, w)) <= 1e-4
-        assert rel_err(db, numeric_grad(loss, b)) <= 1e-4
+        report = fd_report(f"conv{k}x{k}", x, r, w, b)
+        assert [c.name for c in report.checks] == ["w", "b", "input"]
+        assert report.passed
 
     def test_backward_never_calls_forward(self, monkeypatch):
         # the traced conv forward time and flops must count forward work only
@@ -107,15 +106,7 @@ class TestRelu:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 2, 3, 3))
         x[np.abs(x) < 0.1] = 0.5  # keep clear of the kink
-        r = rng.normal(size=x.shape)
-
-        def loss():
-            y, _ = relu_forward(x)
-            return float(np.sum(y * r))
-
-        _, cache = relu_forward(x)
-        dx = relu_backward(r, cache)
-        assert rel_err(dx, numeric_grad(loss, x)) <= 1e-4
+        assert fd_report("relu", x, rng.normal(size=x.shape)).passed
 
 
 class TestMaxpool2:
@@ -146,15 +137,7 @@ class TestMaxpool2:
     def test_finite_differences(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 2, 4, 6))
-        r = rng.normal(size=(2, 2, 2, 3))
-
-        def loss():
-            y, _ = maxpool2_forward(x)
-            return float(np.sum(y * r))
-
-        _, cache = maxpool2_forward(x)
-        dx = maxpool2_backward(r, cache)
-        assert rel_err(dx, numeric_grad(loss, x)) <= 1e-4
+        assert fd_report("maxpool2", x, rng.normal(size=(2, 2, 2, 3))).passed
 
 
 class TestUpconv2:
@@ -184,16 +167,7 @@ class TestUpconv2:
         w = rng.normal(size=(3, 2, 2, 2))
         b = rng.normal(size=2)
         r = rng.normal(size=(2, 2, 6, 8))
-
-        def loss():
-            y, _ = upconv2_forward(x, w, b)
-            return float(np.sum(y * r))
-
-        _, cache = upconv2_forward(x, w, b)
-        dx, dw, db = upconv2_backward(r, w, cache)
-        assert rel_err(dx, numeric_grad(loss, x)) <= 1e-4
-        assert rel_err(dw, numeric_grad(loss, w)) <= 1e-4
-        assert rel_err(db, numeric_grad(loss, b)) <= 1e-4
+        assert fd_report("upconv2", x, r, w, b).passed
 
 
 class TestConcatAdd:
@@ -257,15 +231,7 @@ class TestSigmoid:
     def test_finite_differences(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 1, 3, 3))
-        r = rng.normal(size=x.shape)
-
-        def loss():
-            y, _ = sigmoid_forward(x)
-            return float(np.sum(y * r))
-
-        _, cache = sigmoid_forward(x)
-        dx = sigmoid_backward(r, cache)
-        assert rel_err(dx, numeric_grad(loss, x)) <= 1e-4
+        assert fd_report("sigmoid", x, rng.normal(size=x.shape)).passed
 
 
 class TestGraph:
@@ -338,12 +304,26 @@ class TestGradCheck:
         assert report.passed
         assert report.max_rel_error <= 1e-4
 
-    def test_zero_parameter_graph_passes_empty(self):
+    def test_zero_parameter_graph_checks_only_the_input(self):
         g = Graph()
         g.add("relu", (0,))
-        report = grad_check(g, np.random.default_rng(13).normal(size=(1, 1, 2, 2)))
+        x = np.random.default_rng(13).normal(size=(1, 1, 2, 2))
+        before = x.copy()
+        report = grad_check(g, x)
         assert report.passed
-        assert report.checks == []
+        assert [(c.name, c.checked_elements) for c in report.checks] == [("input", 4)]
+        assert np.array_equal(x, before)
+
+    def test_input_check_catches_misrouted_maxpool_gradient(self, monkeypatch):
+        # route each window's gradient to the mirrored position 3 - argmax
+        routed = diff_core.maxpool2_backward
+        monkeypatch.setattr(diff_core, "maxpool2_backward",
+                            lambda g, cache: routed(g, (3 - cache[0], cache[1])))
+        g = Graph()
+        g.add("maxpool2", (0,))
+        report = grad_check(g, np.random.default_rng(15).normal(size=(1, 2, 4, 4)))
+        assert [c.name for c in report.checks] == ["input"]
+        assert not report.passed
 
     def test_subsampling_respects_max_elements(self):
         rng = np.random.default_rng(14)
@@ -377,16 +357,10 @@ def test_property_operator_gradients_on_random_shapes(batch, channels, h, w, k, 
     wk = rng.normal(size=(out_c, channels, k, k))
     bk = rng.normal(size=out_c)
     r = rng.normal(size=(batch, out_c, h, w))
-
-    def loss():
-        y, _ = conv2d_forward(x, wk, bk)
-        return float(np.sum(y * r))
+    assert fd_report(f"conv{k}x{k}", x, r, wk, bk).passed
 
     y, cache = conv2d_forward(x, wk, bk)
     dx, dw, db = conv2d_backward(r, wk, cache)
-    assert rel_err(dx, numeric_grad(loss, x)) <= 1e-4
-    assert rel_err(dw, numeric_grad(loss, wk)) <= 1e-4
-    assert rel_err(db, numeric_grad(loss, bk)) <= 1e-4
 
     # <conv(x, w), g> = <x, dx> = <w, dw> and <db, b> = <g, b>, each to
     # 1e-12 of the sum of the absolute products

@@ -451,6 +451,12 @@ class TestTrain:
             train(build_trimmed_unet(base_width=2, depth=2), [],
                   TrainConfig(), LossConfig())
 
+    @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(batch_size=-2),
+                                     dict(max_iterations=0), dict(max_iterations=-1)])
+    def test_configs_that_train_no_iteration_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
     def test_max_iterations_cap(self):
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=50, seed=9, batch_size=2, max_iterations=5)
