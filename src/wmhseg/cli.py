@@ -210,9 +210,13 @@ def cmd_predict(args) -> tuple[dict, dict]:
             raise ValueError("single-case mode needs both --t1 and --flair")
         inputs = [(args.case_id, Path(args.t1), Path(args.flair))]
     else:
+        if not args.data:
+            raise ValueError("predict needs --data, or both --t1 and --flair")
         case_dirs = sorted(
             d for d in Path(args.data).iterdir() if d.is_dir() and (d / "t1.nii").exists()
         )
+        if not case_dirs:
+            raise ValueError(f"no case directory with a t1.nii under {args.data}")
         inputs = [(d.name, d / "t1.nii", d / "flair.nii") for d in case_dirs]
     cfg = PipelineConfig(
         threshold=args.threshold,
@@ -243,6 +247,8 @@ def cmd_evaluate(args) -> tuple[dict, dict]:
             raise ValueError("single-case mode needs both --pred and --gt")
         pairs = [(Path(args.pred).stem, Path(args.pred), Path(args.gt))]
     else:
+        if not (args.pred_dir and args.gt_dir):
+            raise ValueError("batch mode needs both --pred-dir and --gt-dir")
         pred_root, gt_root = Path(args.pred_dir), Path(args.gt_dir)
         pairs = []
         for d in sorted(p for p in pred_root.iterdir() if p.is_dir()):

@@ -115,17 +115,13 @@ def _nearest_rank_95(sorted_distances: np.ndarray) -> float:
     return float(sorted_distances[idx])
 
 
-def h95(
-    pred: BinaryMask3D,
-    gt: BinaryMask3D,
-    spacing: tuple[float, float, float] | None = None,
-) -> float:
-    """Modified Hausdorff distance in mm: max over both directions of the
-    95th-percentile nearest distance between border-voxel centers."""
+def h95(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
+    """Modified Hausdorff distance in mm at the masks' shared spacing: max over
+    both directions of the 95th-percentile nearest border-voxel distance."""
     _check_grids(pred, gt)
     if pred.voxel_count() == 0 or gt.voxel_count() == 0:
         raise ValueError("h95 undefined for an empty mask")
-    sp = np.asarray(spacing if spacing is not None else pred.spacing, dtype=np.float64)
+    sp = np.asarray(pred.spacing, dtype=np.float64)
     a = border_voxels(pred).astype(np.float64) * sp
     b = border_voxels(gt).astype(np.float64) * sp
     d_ab = np.sort(cKDTree(b).query(a)[0])
@@ -176,16 +172,13 @@ def lesion_f1(precision: float, recall: float) -> float:
 
 
 def evaluate_case(
-    pred: BinaryMask3D,
-    gt: BinaryMask3D,
-    spacing: tuple[float, float, float] | None = None,
-    connectivity: int = 26,
+    pred: BinaryMask3D, gt: BinaryMask3D, connectivity: int = 26
 ) -> CaseMetrics:
     """Bundle the five metrics, propagating undefined flags as None."""
     _check_grids(pred, gt)
     d = dice(pred, gt)
     try:
-        h = h95(pred, gt, spacing)
+        h = h95(pred, gt)
     except ValueError:
         h = None
     try:

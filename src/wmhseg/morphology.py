@@ -2,11 +2,11 @@
 iterated dilation, and border extraction.
 
 Connectivity is the 3-D neighbour count: 6 (faces), 18 (faces+edges) or
-26 (full). Components are found by vectorized union-find over the
-foreground voxels (Wu, Otoo & Suzuki, Pattern Anal. Appl. 2009), and
-every root is its component's minimum C-order flat index on the
-(nx, ny, nz) array. Labels are therefore assigned in first-visit order of
-a row-major seed scan, so labeling is deterministic.
+26 (full). Labeling and borders share one foreground edge list: past one
+scan of the grid, their cost grows with the foreground. Union-find over
+the edges (Wu, Otoo & Suzuki, Pattern Anal. Appl. 2009) roots each
+component at its minimum C-order flat index, so labels follow first-visit
+scan order; a border voxel has fewer than six 6-connected foreground edges.
 """
 
 from __future__ import annotations
@@ -48,18 +48,14 @@ class LabelVolume:
         return np.bincount(self.labels.ravel(), minlength=self.count + 1)
 
 
-def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume:
-    """Label connected components by union-find, in first-visit scan
-    order. The cost grows with the foreground voxels, not with the grid."""
+def _edges(flat: np.ndarray, shape: tuple, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of neighbouring foreground voxels once, as (voxel, earlier
+    neighbour) positions in `flat`, the foreground's sorted flat indices."""
     offs = _neighbor_offsets(connectivity)
-    shape = m.data.shape
-    flat = np.flatnonzero(m.data.astype(bool))  # sorted: position order is scan order
     coords = np.unravel_index(flat, shape)
     strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=np.int64)
-
-    # Edges (voxel, earlier neighbour) as positions in `flat`, one offset
-    # of each +/- pair. The coordinate bounds keep flat offsets from
-    # wrapping across rows and planes.
+    # One offset of each +/- pair. The coordinate bounds keep flat offsets
+    # from wrapping across rows and planes.
     src, dst = [], []
     for off in offs[: len(offs) // 2]:  # the offsets that point back in scan order
         inside = np.ones(flat.size, dtype=bool)
@@ -72,7 +68,15 @@ def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume
         found = flat[hit] == target
         src.append(pos[found])
         dst.append(hit[found])
-    a, b = np.concatenate(src), np.concatenate(dst)
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume:
+    """Label connected components by union-find, in first-visit scan
+    order. The cost grows with the foreground voxels, not with the grid."""
+    shape = m.data.shape
+    flat = np.flatnonzero(m.data.astype(bool))  # sorted: position order is scan order
+    a, b = _edges(flat, shape, connectivity)
 
     # Hook each edge's larger root onto its smaller one, then pointer-jump
     # to full compression; repeat until both ends of every edge share a
@@ -139,15 +143,10 @@ def _shifted(data: np.ndarray, dx: int, dy: int, dz: int) -> np.ndarray:
 
 
 def border_voxels(m: BinaryMask3D) -> np.ndarray:
-    """Coordinates (n, 3) of foreground voxels with at least one 6-neighbor
-    (or a volume boundary face) outside the mask, in scan order."""
-    data = m.data.astype(bool)
-    padded = np.pad(data, 1)  # volume boundary counts as outside
-    interior = np.ones_like(data)
-    for dx, dy, dz in _neighbor_offsets(6):
-        interior &= padded[
-            1 + dx : 1 + dx + data.shape[0],
-            1 + dy : 1 + dy + data.shape[1],
-            1 + dz : 1 + dz + data.shape[2],
-        ]
-    return np.argwhere(data & ~interior)
+    """Coordinates (n, 3), in scan order, of the foreground voxels with fewer
+    than six 6-connected foreground edges (a volume face counts as outside).
+    Past one scan for the foreground, the cost grows with the foreground."""
+    flat = np.flatnonzero(m.data.astype(bool))
+    a, b = _edges(flat, m.data.shape, 6)
+    degree = np.bincount(a, minlength=flat.size) + np.bincount(b, minlength=flat.size)
+    return np.stack(np.unravel_index(flat[degree < 6], m.data.shape), axis=1)

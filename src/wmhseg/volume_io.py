@@ -179,6 +179,8 @@ def _parse_header(raw: bytes) -> NiftiHeaderSubset:
     (scl_inter,) = struct.unpack_from(endian + "f", raw, 116)
     if not np.isfinite(vox_offset) or vox_offset < NIFTI_HEADER_SIZE:
         raise MalformedHeaderError(f"bad vox_offset {vox_offset}")
+    if not (np.isfinite(scl_slope) and np.isfinite(scl_inter)):
+        raise MalformedHeaderError(f"non-finite scaling {scl_slope}*x + {scl_inter}")
 
     return NiftiHeaderSubset(
         dims=tuple(sizes),  # type: ignore[arg-type]
@@ -199,7 +201,7 @@ def read_nifti(path: str | Path, stored_dtype: bool = False) -> Volume3D:
     otherwise raw values are used as-is, converted to float64 unless
     stored_dtype is set. Raises a distinct VolumeIOError subclass for
     each malformation (wrong magic, unsupported datatype, gzip stream,
-    extra axes, truncated payload).
+    extra axes, non-finite scaling, truncated payload).
     """
     raw = Path(path).read_bytes()
     hdr = _parse_header(raw)

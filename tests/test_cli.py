@@ -227,6 +227,36 @@ class TestPredictEvaluate:
         assert (report["command"], report["status"]) == ("predict", "error")
         assert "--t1" in report["error"] and "--flair" in report["error"]
 
+    def test_predict_needs_data_or_pair(self, tmp_path):
+        rpt = tmp_path / "fail.json"
+        missing = str(tmp_path / "missing.ckpt")
+        code = run(["predict", "--out", str(tmp_path / "out"), "--wm-checkpoint", missing,
+                    "--wmh-checkpoint", missing, "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("predict", "error")
+        assert all(flag in report["error"] for flag in ("--data", "--t1", "--flair"))
+
+    def test_predict_data_without_cases_exits_1(self, tmp_path):
+        (tmp_path / "data" / "not_a_case").mkdir(parents=True)
+        rpt = tmp_path / "fail.json"
+        missing = str(tmp_path / "missing.ckpt")
+        code = run(["predict", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out"),
+                    "--wm-checkpoint", missing, "--wmh-checkpoint", missing,
+                    "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("predict", "error")
+        assert "t1.nii" in report["error"]
+
+    def test_evaluate_needs_both_dirs(self, tmp_path, dataset):
+        rpt = tmp_path / "fail.json"
+        code = run(["evaluate", "--gt-dir", str(dataset), "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("evaluate", "error")
+        assert "--pred-dir" in report["error"] and "--gt-dir" in report["error"]
+
     def test_evaluate_identical_masks(self, tmp_path, dataset, capsys):
         gt = dataset / "case_000" / "wmh.nii"
         assert run(["evaluate", "--pred", str(gt), "--gt", str(gt)]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from wmhseg.acceptance import oracle_border
 from wmhseg.morphology import (
     border_voxels,
     connected_components,
@@ -325,18 +326,22 @@ class TestBorderVoxels:
         assert len(border_voxels(mask(m))) == 8
 
     def test_brute_force_agreement(self):
+        # criterion 4's oracle: the same coordinates in the same order, on
+        # random shapes with singleton axes and on the full and empty grid
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            arr = (rng.random((6, 6, 6)) < 0.4).astype(np.uint8)
-            got = {tuple(c) for c in border_voxels(mask(arr)).tolist()}
-            want = set()
-            for x, y, z in np.argwhere(arr):
-                on_border = False
-                for dx, dy, dz in offsets_for(6):
-                    nx, ny, nz = x + dx, y + dy, z + dz
-                    if not (0 <= nx < 6 and 0 <= ny < 6 and 0 <= nz < 6):
-                        on_border = True
-                    elif not arr[nx, ny, nz]:
-                        on_border = True
-                want.add((int(x), int(y), int(z))) if on_border else None
-            assert got == want
+        shapes = [(6, 6, 6), (1, 7, 9), (8, 1, 1), (1, 1, 1), (5, 1, 6), (4, 9, 1)]
+        shapes += [tuple(int(n) for n in rng.integers(1, 10, size=3)) for _ in range(10)]
+        for shape in shapes:
+            for arr in (rng.random(shape) < 0.4, np.ones(shape, bool), np.zeros(shape, bool)):
+                got = border_voxels(mask(arr))
+                assert got.dtype == np.int64 and got.shape[1:] == (3,)
+                assert np.array_equal(got, oracle_border(arr).reshape(-1, 3))
+
+    def test_row_wrap_is_not_an_edge(self):
+        # (x, y, 4) and (x, y + 1, 0) are flat-adjacent but not neighbours.
+        # In the full grid each has five in-grid neighbours, so both are
+        # border voxels; a wrapped edge would give each a sixth.
+        got = {tuple(c) for c in border_voxels(mask(np.ones((3, 4, 5)))).tolist()}
+        for x in range(3):
+            for y in range(3):
+                assert {(x, y, 4), (x, y + 1, 0)} <= got

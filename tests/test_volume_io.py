@@ -218,6 +218,13 @@ def fuzz_cases() -> list[tuple[str, bytes, type]]:
     cases.append(
         ("vox_offset", _mutate(raw, ("<f", 108, (10.0,))), MalformedHeaderError)
     )
+    # non-finite scl_slope (offset 112) or scl_inter (offset 116)
+    for offset in (112, 116):
+        for value in (float("nan"), float("inf")):
+            cases.append(
+                (f"scl_{offset}_{value}", _mutate(raw, ("<f", offset, (value,))),
+                 MalformedHeaderError)
+            )
     return cases
 
 
