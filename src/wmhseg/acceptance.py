@@ -51,13 +51,7 @@ from .pipeline import (
     segment_wmh,
     wm_training_cases,
 )
-from .training import (
-    LossConfig,
-    TrainConfig,
-    compute_beta,
-    train,
-    weighted_bce,
-)
+from .training import TrainConfig, compute_beta, train, weighted_bce
 from .volume_io import BinaryMask3D, Volume3D, VolumeIOError, read_nifti, write_nifti
 
 # the pinned end-to-end configuration: 10 cases, 64x64x8, base_width 4,
@@ -107,11 +101,10 @@ def pinned_run():
         build_trimmed_unet(base_width=4, depth=3),
         wm_training_cases(cases),
         TrainConfig(**WM_TRAIN),
-        LossConfig(),
     )
     wm_masks = [segment_white_matter(c.t1, wm_net) for c in cases]
     report, trained = run_ablation(
-        cases, wm_masks, TrainConfig(**WMH_TRAIN), LossConfig(), base_width=4, depth=4
+        cases, wm_masks, TrainConfig(**WMH_TRAIN), base_width=4, depth=4
     )
     return wm_net, wm_hist, wm_masks, report, trained
 
@@ -212,20 +205,19 @@ def crit_residual_identity() -> tuple[bool, dict, str]:
 def crit_loss() -> tuple[bool, dict, str]:
     """Weighted cross entropy matches direct summation; frozen values."""
     rng = np.random.default_rng(31)
-    cfg = LossConfig(beta=0.7)
     max_sum_err = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 1025))
         yhat = rng.uniform(1e-3, 1 - 1e-3, size=n)
         y = (rng.random(n) < 0.3).astype(np.uint8)
-        loss, _ = weighted_bce(yhat, y, cfg)
+        loss, _ = weighted_bce(yhat, y, 0.7)
         direct = -sum(
             0.7 * math.log(yhat[i]) if y[i] else 0.3 * math.log(1 - yhat[i])
             for i in range(n)
         )
         max_sum_err = max(max_sum_err, abs(loss - direct))
 
-    single, _ = weighted_bce(np.array([[0.5]]), np.array([[1]]), LossConfig(beta=0.9))
+    single, _ = weighted_bce(np.array([[0.5]]), np.array([[1]]), 0.9)
     single_err = abs(single - (-0.9 * math.log(0.5)))
 
     plane = np.zeros((25, 40))

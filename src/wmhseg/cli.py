@@ -12,7 +12,6 @@ and the error report goes to --report only).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -30,7 +29,6 @@ from .metrics import (
     summarize_cases,
     write_case_csv,
     write_rank_csv,
-    write_rank_json,
 )
 from .phantom import PhantomConfig, generate_dataset, load_dataset, save_dataset
 from .pipeline import (
@@ -42,7 +40,7 @@ from .pipeline import (
     wm_training_cases,
     wmh_training_cases,
 )
-from .training import LossConfig, TrainConfig, train
+from .training import TrainConfig, train
 from .volume_io import read_nifti, read_nifti_mask, write_nifti
 
 log = logging.getLogger("wmhseg")
@@ -50,7 +48,6 @@ log = logging.getLogger("wmhseg")
 REPORT_SCHEMA_VERSION = 1
 
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
-LOSS_KEYS = tuple(f.name for f in fields(LossConfig))
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -66,28 +63,22 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     cfg = json.loads(Path(path).read_text())
-    unknown = set(cfg) - set(TRAIN_KEYS) - set(LOSS_KEYS)
+    unknown = set(cfg) - set(TRAIN_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
-def _resolve_train_configs(args) -> tuple[TrainConfig, LossConfig]:
+def _resolve_train_config(args) -> TrainConfig:
     """File values first, then any flag the user set explicitly on top."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    train_kwargs = {k: file_cfg[k] for k in TRAIN_KEYS if k in file_cfg}
-    loss_kwargs = {k: file_cfg[k] for k in LOSS_KEYS if k in file_cfg}
+    kwargs = _load_config_file(args.config)
     for k in TRAIN_KEYS:
         v = getattr(args, k, None)
         if v is not None:
-            train_kwargs[k] = v
-    if getattr(args, "no_augment", False):
-        train_kwargs["augment"] = False
-    for k in LOSS_KEYS:
-        v = getattr(args, k, None)
-        if v is not None:
-            loss_kwargs[k] = v
-    return TrainConfig(**train_kwargs), LossConfig(**loss_kwargs)
+            kwargs[k] = v
+    if args.no_augment:
+        kwargs["augment"] = False
+    return TrainConfig(**kwargs)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -99,26 +90,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--no-augment", action="store_true")
-    p.add_argument("--precision", choices=("float64", "float32"))
     p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--beta", type=float, help="loss weight; computed when omitted")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--weight-placement", dest="weight_placement",
-                   choices=("paper", "swapped"))
     p.add_argument("--base-width", dest="base_width", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
-
-
-def _write_history(history, out_stem: Path) -> dict:
-    csv_path = out_stem.with_suffix(".history.csv")
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", "loss"])
-        for i, loss in enumerate(history.losses):
-            w.writerow([i, repr(loss)])
-    json_path = out_stem.with_suffix(".history.json")
-    json_path.write_text(json.dumps(asdict(history), indent=2, sort_keys=True) + "\n")
-    return {"history_csv": str(csv_path), "history_json": str(json_path)}
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +104,7 @@ def cmd_phantom(args) -> tuple[dict, dict]:
         dims=tuple(args.dims),
         spacing=tuple(args.spacing),
         lesion_count_range=(args.lesion_count_min, args.lesion_count_max),
-        confounder_count=0 if args.no_confounder else args.confounders,
+        confounder_count=args.confounders,
         noise_std=args.noise_std,
         seed=args.seed,
     )
@@ -147,10 +121,10 @@ def cmd_phantom(args) -> tuple[dict, dict]:
 def _train_stage(args) -> tuple[dict, dict]:
     """train-wm and train-wmh: the stage is named by the sub-command."""
     stage = args.command.removeprefix("train-")
-    train_cfg, loss_cfg = _resolve_train_configs(args)
+    train_cfg = _resolve_train_config(args)
     cases, _ = load_dataset(args.data)
     config: dict = {"data": str(args.data), "out": str(args.out),
-                    "train": asdict(train_cfg), "loss": asdict(loss_cfg)}
+                    "train": asdict(train_cfg)}
     if stage == "wm":
         spec = build_trimmed_unet(
             base_width=args.base_width or 64, depth=args.depth or 3
@@ -176,14 +150,16 @@ def _train_stage(args) -> tuple[dict, dict]:
         "training %s: %d cases, width %d, depth %d", stage, len(tcs),
         spec.base_width, spec.depth,
     )
-    net, history = train(spec, tcs, train_cfg, loss_cfg)
+    net, history = train(spec, tcs, train_cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, net)
     history.checkpoint_path = str(out)
+    history_path = out.with_suffix(".history.json")
+    history_path.write_text(json.dumps(asdict(history), indent=2, sort_keys=True) + "\n")
     outputs = {"checkpoint": str(out), "beta": history.beta,
-               "val_dice": history.val_dice, "iterations": history.iterations}
-    outputs.update(_write_history(history, out))
+               "val_dice": history.val_dice, "iterations": history.iterations,
+               "history_json": str(history_path)}
     log.info("%s training done: final val dice %.4f", stage, history.val_dice[-1])
     return config, outputs
 
@@ -259,8 +235,7 @@ def cmd_evaluate(args) -> tuple[dict, dict]:
             raise ValueError(f"no prediction/truth pairs under {pred_root}")
 
     rows = [
-        (case_id, evaluate_case(read_nifti_mask(pred_path), read_nifti_mask(gt_path),
-                                connectivity=args.connectivity))
+        (case_id, evaluate_case(read_nifti_mask(pred_path), read_nifti_mask(gt_path)))
         for case_id, pred_path, gt_path in pairs
     ]
 
@@ -276,7 +251,6 @@ def cmd_evaluate(args) -> tuple[dict, dict]:
         "gt": args.gt,
         "pred_dir": args.pred_dir,
         "gt_dir": args.gt_dir,
-        "connectivity": args.connectivity,
         "out_csv": args.out_csv,
         "team": args.team,
     }
@@ -293,24 +267,20 @@ def cmd_rank(args) -> tuple[dict, dict]:
     if args.out_csv:
         write_rank_csv(args.out_csv, table)
         outputs["rank_csv"] = str(args.out_csv)
-    if args.out_json:
-        write_rank_json(args.out_json, table)
-        outputs["rank_json"] = str(args.out_json)
     for i, team in enumerate(table.teams):
         log.info("team %-16s overall rank %.4f", team, table.overall[i])
-    config = {"summaries": str(args.summaries), "out_csv": args.out_csv,
-              "out_json": args.out_json}
+    config = {"summaries": str(args.summaries), "out_csv": args.out_csv}
     return config, outputs
 
 
 def cmd_ablate(args) -> tuple[dict, dict]:
-    train_cfg, loss_cfg = _resolve_train_configs(args)
+    train_cfg = _resolve_train_config(args)
     base_width, depth = args.base_width or 4, args.depth or 4
     cases, _ = load_dataset(args.data)
     wm_net = load_checkpoint(args.wm_checkpoint)
     log.info("computing stage-1 white matter masks for normalization")
     masks = [segment_white_matter(c.t1, wm_net) for c in cases]
-    report, _ = run_ablation(cases, masks, train_cfg, loss_cfg,
+    report, _ = run_ablation(cases, masks, train_cfg,
                              base_width=base_width, depth=depth)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -321,7 +291,7 @@ def cmd_ablate(args) -> tuple[dict, dict]:
     return (
         {"data": str(args.data), "out": str(args.out),
          "wm_checkpoint": args.wm_checkpoint, "base_width": base_width,
-         "depth": depth, "train": asdict(train_cfg), "loss": asdict(loss_cfg)},
+         "depth": depth, "train": asdict(train_cfg)},
         {"report_path": str(out), "variants": report["variants"]},
     )
 
@@ -346,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lesion-count-min", type=int, default=2)
     p.add_argument("--lesion-count-max", type=int, default=5)
     p.add_argument("--confounders", type=int, default=1)
-    p.add_argument("--no-confounder", action="store_true")
     p.add_argument("--noise-std", type=float, default=0.02)
     p.add_argument("--report")
     p.set_defaults(func=cmd_phantom)
@@ -389,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt")
     p.add_argument("--pred-dir")
     p.add_argument("--gt-dir")
-    p.add_argument("--connectivity", type=int, default=26)
     p.add_argument("--out-csv")
     p.add_argument("--team", help="also emit a team summary under this name")
     p.add_argument("--report")
@@ -398,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank team summaries")
     p.add_argument("--summaries", required=True)
     p.add_argument("--out-csv")
-    p.add_argument("--out-json")
     p.add_argument("--report")
     p.set_defaults(func=cmd_rank)
 

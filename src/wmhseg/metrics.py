@@ -2,8 +2,9 @@
 
 Voxel-overlap metrics (Dice, AVD%) work on voxel counts; the modified
 Hausdorff distance (H95) works on border-voxel centers in mm; the lesion
-metrics (recall, F-1) work on connected components, where a component
-counts as detected when it shares at least one voxel with the other mask.
+metrics (recall, F-1) work on 26-connected components, the challenge
+rule (Kuijf et al., IEEE TMI 2019), where a component counts as detected
+when it shares at least one voxel with the other mask.
 That rule lives in `detected_components` alone; recall, precision and the
 acceptance false-positive count all go through it.
 
@@ -20,8 +21,8 @@ arithmetic (ceil(19n/20)) to avoid float rounding at exact multiples.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from scipy.spatial import cKDTree
 from .morphology import LabelVolume, border_voxels, connected_components
 from .volume_io import BinaryMask3D
 
+LESION_CONNECTIVITY = 26
 HIGHER_BETTER = ("dice", "recall", "f1")
 LOWER_BETTER = ("h95", "avd_percent")
 METRIC_ORDER = ("dice", "h95", "avd_percent", "recall", "f1")
@@ -145,14 +147,14 @@ def detected_components(lab: LabelVolume, other: BinaryMask3D) -> int:
     return int(np.count_nonzero(hit))
 
 
-def lesion_recall(pred: BinaryMask3D, gt: BinaryMask3D, connectivity: int = 26) -> float:
+def lesion_recall(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
     """Fraction of ground-truth components touched by the prediction.
 
     Empty ground truth counts as fully recalled (1.0). With the masks
     swapped this is lesion precision.
     """
     _check_grids(pred, gt)
-    lab = connected_components(gt, connectivity)
+    lab = connected_components(gt, LESION_CONNECTIVITY)
     if lab.count == 0:
         return 1.0
     return detected_components(lab, pred) / lab.count
@@ -171,9 +173,7 @@ def lesion_f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def evaluate_case(
-    pred: BinaryMask3D, gt: BinaryMask3D, connectivity: int = 26
-) -> CaseMetrics:
+def evaluate_case(pred: BinaryMask3D, gt: BinaryMask3D) -> CaseMetrics:
     """Bundle the five metrics, propagating undefined flags as None."""
     _check_grids(pred, gt)
     d = dice(pred, gt)
@@ -185,8 +185,8 @@ def evaluate_case(
         a = avd_percent(pred, gt)
     except ValueError:
         a = None
-    r = lesion_recall(pred, gt, connectivity)
-    precision = lesion_recall(gt, pred, connectivity)
+    r = lesion_recall(pred, gt)
+    precision = lesion_recall(gt, pred)
     f1 = lesion_f1(precision, r)
     return CaseMetrics(dice=d, h95_mm=h, avd_percent=a, lesion_recall=r, lesion_f1=f1)
 
@@ -212,20 +212,18 @@ def summarize_cases(team: str, cases: list[CaseMetrics]) -> TeamSummary:
 
 def rank_teams(summaries: list[TeamSummary]) -> RankTable:
     """Min-max rank per metric in [0, 1], 0 best; overall is the mean of
-    the five. A degenerate metric range ranks every team 0 on it."""
+    the five. A degenerate metric range ranks every team 0 on it. A
+    non-finite value (a metric undefined on every case) has no rank, so it
+    raises ValueError naming the team and the metric."""
     if len(summaries) < 2:
         raise ValueError("ranking needs at least 2 teams")
     teams = [s.team for s in summaries]
-    values = {
-        "dice": [s.dice for s in summaries],
-        "h95": [s.h95 for s in summaries],
-        "avd_percent": [s.avd_percent for s in summaries],
-        "recall": [s.recall for s in summaries],
-        "f1": [s.f1 for s in summaries],
-    }
     ranks: dict[str, list[float]] = {}
     for metric in METRIC_ORDER:
-        vals = values[metric]
+        vals = [getattr(s, metric) for s in summaries]
+        for team, v in zip(teams, vals):
+            if not math.isfinite(v):
+                raise ValueError(f"team {team!r} has a non-finite {metric}: {v}")
         lo, hi = min(vals), max(vals)
         if hi == lo:
             ranks[metric] = [0.0] * len(vals)
@@ -240,7 +238,7 @@ def rank_teams(summaries: list[TeamSummary]) -> RankTable:
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON interchange
+# CSV interchange
 
 
 def write_case_csv(path: str | Path, rows: list[tuple[str, CaseMetrics]]) -> None:
@@ -296,6 +294,3 @@ def write_rank_csv(path: str | Path, table: RankTable) -> None:
                 + [repr(table.overall[i])]
             )
 
-
-def write_rank_json(path: str | Path, table: RankTable) -> None:
-    Path(path).write_text(json.dumps(asdict(table), indent=2, sort_keys=True))

@@ -14,7 +14,6 @@ from .architectures import Network, build_resunet
 from .metrics import evaluate_case
 from .morphology import dilate, largest_component
 from .training import (
-    LossConfig,
     TrainConfig,
     TrainHistory,
     TrainingCase,
@@ -191,7 +190,7 @@ def wmh_training_cases(
 
 
 def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
-                 loss_cfg: LossConfig, base_width: int = 4, depth: int = 4
+                 base_width: int = 4, depth: int = 4
                  ) -> tuple[dict, dict[str, tuple[Network, TrainHistory]]]:
     """Train plain U-Net and ResU-Net under identical seeds/configs on the
     lesion task and report paired validation metrics.
@@ -203,14 +202,14 @@ def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
     differ in architecture only. Returns (report, trained), where trained
     maps "plain" and "residual" to (network, history). The residual
     variant is the network `train-wmh` trains from the same cases, masks
-    and configs, bit for bit."""
+    and config, bit for bit."""
     tcs = wmh_training_cases(cases, masks)
     pcfg = PipelineConfig()
     report: dict = {"variants": {}}
     trained = {}
     for kind in ("plain", "residual"):
         spec = replace(build_resunet(base_width=base_width, depth=depth), block_kind=kind)
-        net, history = train(spec, tcs, train_cfg, loss_cfg)
+        net, history = train(spec, tcs, train_cfg)
         trained[kind] = (net, history)
         val_ids = set(history.val_case_ids)
         dices, f1s = [], []
@@ -230,7 +229,6 @@ def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
         }
     report["seed"] = train_cfg.seed
     report["train"] = asdict(train_cfg)
-    report["loss"] = asdict(loss_cfg)
     report["base_width"] = base_width
     report["depth"] = depth
     return report, trained

@@ -6,14 +6,13 @@ The loss is a sum over pixels (not a mean): the balanced form
 
     loss = -w_fg * sum_{j in Y+} log(yhat_j) - w_bg * sum_{j in Y-} log(1 - yhat_j)
 
-with the default "paper" placement w_fg = beta, w_bg = 1 - beta, where
-beta is the mean background fraction over the training slices. The
-"swapped" placement exchanges the two weights (the literal
-0.025-on-foreground reading). The training loop scales the batch
-gradient and recorded loss by the reciprocal of the batch's total
-class-weight mass (sum over pixels of the pixel's class weight), so one
-optimizer setting behaves comparably across slice sizes and across very
-different foreground sparsities.
+with w_fg = beta, w_bg = 1 - beta, where beta is the mean background
+fraction over the training slices (HED, Xie & Tu, ICCV 2015). Training
+runs in float64. The training loop scales the batch gradient and
+recorded loss by the reciprocal of the batch's total class-weight mass
+(sum over pixels of the pixel's class weight), so one optimizer setting
+behaves comparably across slice sizes and across very different
+foreground sparsities.
 
 The optimizer is momentum SGD with spike clipping (Pascanu et al.,
 arXiv 1211.5063, with a bound that follows the run's own gradient scale):
@@ -27,7 +26,7 @@ SGD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,27 +36,8 @@ from .metrics import dice
 from .volume_io import BinaryMask3D, Volume3D
 
 
-@dataclass
-class LossConfig:
-    beta: float | None = None  # None: computed from the training split
-    epsilon: float = 1e-7
-    weight_placement: str = "paper"  # "paper" | "swapped"
-
-    def __post_init__(self) -> None:
-        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
-        if self.weight_placement not in ("paper", "swapped"):
-            raise ValueError(f"unknown weight placement {self.weight_placement!r}")
-
-    def class_weights(self) -> tuple[float, float]:
-        """(w_fg, w_bg) of the weight placement; beta must be set."""
-        if self.beta is None:
-            raise ValueError("LossConfig.beta is unset; compute it or supply it")
-        if self.weight_placement == "paper":
-            return self.beta, 1.0 - self.beta
-        return 1.0 - self.beta, self.beta
+# probabilities are clipped to [EPSILON, 1 - EPSILON] inside the log
+EPSILON = 1e-7
 
 
 @dataclass
@@ -69,7 +49,6 @@ class TrainConfig:
     validation_fraction: float = 0.15
     augment: bool = True
     batch_size: int = 4
-    precision: str = "float64"  # "float64" | "float32"
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
@@ -81,8 +60,6 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max iterations must be >= 1 when set")
-        if self.precision not in ("float64", "float32"):
-            raise ValueError(f"unknown precision {self.precision!r}")
 
 
 @dataclass
@@ -129,8 +106,14 @@ def compute_beta(label_planes: Iterable[np.ndarray]) -> float:
     return float(np.mean(fractions))
 
 
+def class_weights(beta: float) -> tuple[float, float]:
+    """(w_fg, w_bg) = (beta, 1 - beta): the rarer foreground gets the
+    larger weight when beta is the background fraction."""
+    return beta, 1.0 - beta
+
+
 def weighted_bce(
-    yhat: np.ndarray, y: np.ndarray, cfg: LossConfig
+    yhat: np.ndarray, y: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray]:
     """Class-balanced cross entropy over all pixels of a plane (or any
     matching-shape pair). Returns the scalar loss and the gradient with
@@ -140,9 +123,9 @@ def weighted_bce(
     y = np.asarray(y)
     if yhat.shape != y.shape:
         raise ValueError(f"shape mismatch: {yhat.shape} vs {y.shape}")
-    w_fg, w_bg = cfg.class_weights()
+    w_fg, w_bg = class_weights(beta)
     fg = y > 0
-    yc = np.clip(yhat, cfg.epsilon, 1.0 - cfg.epsilon)
+    yc = np.clip(yhat, EPSILON, 1.0 - EPSILON)
     loss = -(
         w_fg * float(np.sum(np.log(yc[fg])))
         + w_bg * float(np.sum(np.log1p(-yc[~fg])))
@@ -262,43 +245,40 @@ def predict_probabilities(
 def train(
     spec: NetworkSpec,
     cases: list[TrainingCase],
-    train_cfg: TrainConfig,
-    loss_cfg: LossConfig,
+    cfg: TrainConfig,
 ) -> tuple[Network, TrainHistory]:
     """Slice-wise SGD over shuffled augmented axial slices.
 
     Cases (not slices) are split into train/validation with the seeded
-    RNG; beta is computed over the training slices when unset; history
+    RNG; beta is computed over the training slices; history
     records the per-iteration scaled loss and global gradient norm (before
     spike clipping) and the per-epoch validation Dice.
-    Bit-reproducible for a fixed seed in float64.
+    Bit-reproducible for a fixed seed.
     """
     if not cases:
         raise ValueError("empty dataset")
-    ss = np.random.SeedSequence(train_cfg.seed)
+    ss = np.random.SeedSequence(cfg.seed)
     seed_init, seed_split, seed_loop = (
         int(c.generate_state(1)[0]) for c in ss.spawn(3)
     )
 
     split_rng = np.random.default_rng(seed_split)
     train_idx, val_idx = split_cases(
-        len(cases), train_cfg.validation_fraction, split_rng
+        len(cases), cfg.validation_fraction, split_rng
     )
     train_cases = [cases[i] for i in train_idx]
     val_cases = [cases[i] for i in val_idx]
 
-    if loss_cfg.beta is None:
-        planes = (
-            case.labels[:, :, z]
-            for case in train_cases
-            for z in range(case.labels.shape[2])
-        )
-        loss_cfg = replace(loss_cfg, beta=compute_beta(planes))
+    beta = compute_beta(
+        case.labels[:, :, z]
+        for case in train_cases
+        for z in range(case.labels.shape[2])
+    )
+    w_fg, w_bg = class_weights(beta)
 
-    dtype = np.float32 if train_cfg.precision == "float32" else np.float64
-    net = Network(spec, dtype)
+    net = Network(spec)
     he_init(net.graph, seed_init)
-    optimizer = SGD(net.parameters(), train_cfg.learning_rate, train_cfg.momentum)
+    optimizer = SGD(net.parameters(), cfg.learning_rate, cfg.momentum)
     loop_rng = np.random.default_rng(seed_loop)
 
     slices = [
@@ -310,25 +290,25 @@ def train(
         raise ValueError("training split has no slices")
 
     history = TrainHistory(
-        beta=loss_cfg.beta,
+        beta=beta,
         train_case_ids=[c.case_id for c in train_cases],
         val_case_ids=[c.case_id for c in val_cases],
     )
 
     iteration = 0
-    budget = train_cfg.max_iterations
-    for _epoch in range(train_cfg.epochs):
+    budget = cfg.max_iterations
+    for _epoch in range(cfg.epochs):
         order = loop_rng.permutation(len(slices))
-        for start in range(0, len(order), train_cfg.batch_size):
+        for start in range(0, len(order), cfg.batch_size):
             if budget is not None and iteration >= budget:
                 break
-            batch_ids = order[start : start + train_cfg.batch_size]
+            batch_ids = order[start : start + cfg.batch_size]
             planes = []
             for si in batch_ids:
                 ci, z = slices[si]
                 img = train_cases[ci].images[:, :, :, z]
                 lab = train_cases[ci].labels[:, :, z]
-                if train_cfg.augment:
+                if cfg.augment:
                     img, lab = augment(img, lab, loop_rng)
                 planes.append((img, lab))
 
@@ -341,7 +321,6 @@ def train(
             # normalize by the batch's total class-weight mass so step sizes
             # stay comparable across beta regimes and slice sizes
             mass = 0.0
-            w_fg, w_bg = loss_cfg.class_weights()
             for _img, lab in planes:
                 n_fg = int(np.count_nonzero(lab))
                 mass += w_fg * n_fg + w_bg * (lab.size - n_fg)
@@ -351,9 +330,9 @@ def train(
                 x = np.stack([img for img, _ in members])
                 y = np.stack([lab for _, lab in members])
                 out = net.forward(x, train=True)
-                loss, dz = weighted_bce(out[:, 0], y, loss_cfg)
+                loss, dz = weighted_bce(out[:, 0], y, beta)
                 loss_acc += loss * scale
-                net.backward_from_logits((dz[:, None] * scale).astype(dtype))
+                net.backward_from_logits(dz[:, None] * scale)
             if not np.isfinite(loss_acc):
                 raise RuntimeError(
                     f"non-finite loss {loss_acc} at iteration {iteration}"

@@ -215,11 +215,15 @@ def read_nifti(path: str | Path, stored_dtype: bool = False) -> Volume3D:
             f"payload has {len(payload)} bytes, expected {count * dtype.itemsize}"
         )
     flat = np.frombuffer(payload, dtype=dtype)
+    # the file is x-fastest; one reorder here gives the C order that every
+    # later flat index (np.flatnonzero, ravel) walks without a transpose
     data = flat.reshape((nx, ny, nz), order="F")
     if hdr.scl_slope != 0.0:
-        data = hdr.scl_slope * data.astype(np.float64) + hdr.scl_inter
-    elif not stored_dtype:
-        data = data.astype(np.float64)
+        data = hdr.scl_slope * data.astype(np.float64, order="C") + hdr.scl_inter
+    elif stored_dtype:
+        data = np.ascontiguousarray(data)
+    else:
+        data = data.astype(np.float64, order="C")
     return Volume3D(data=data, spacing=hdr.pixdim)
 
 

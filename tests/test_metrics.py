@@ -226,7 +226,7 @@ class TestEvaluateCase:
         monkeypatch.setattr(metrics, "connected_components", counted)
         rng = np.random.default_rng(12)
         evaluate_case(random_mask(rng), random_mask(rng))
-        assert len(calls) == 2
+        assert calls == [26, 26]
 
     def test_perfect_case(self):
         m = random_mask(np.random.default_rng(10))
@@ -291,6 +291,15 @@ class TestRanking:
             for s in TABLE1
         ]
         assert rank_teams(better).rank_of("nih_cidi_2", "dice") <= base
+
+    # an H95 undefined on every case of a team summarizes to NaN
+    @pytest.mark.parametrize("nan_position", [0, 1])
+    def test_non_finite_value_rejected_in_any_row_order(self, nan_position):
+        rows = [TeamSummary("b", 0.7, 5.0, 10.0, 0.8, 0.7),
+                TeamSummary("c", 0.6, 9.0, 20.0, 0.7, 0.6)]
+        rows.insert(nan_position, TeamSummary("a", 0.5, float("nan"), 30.0, 0.6, 0.5))
+        with pytest.raises(ValueError, match="team 'a' has a non-finite h95"):
+            rank_teams(rows)
 
 
 class TestCsv:

@@ -13,7 +13,6 @@ import wmhseg
 from wmhseg.architectures import build_trimmed_unet
 from wmhseg.diff_core import Parameter
 from wmhseg.training import (
-    LossConfig,
     SGD,
     SPIKE_FACTOR,
     TrainConfig,
@@ -53,18 +52,18 @@ class TestWeightedBce:
     def test_single_foreground_pixel_frozen_value(self):
         yhat = np.array([[0.5]])
         y = np.array([[1]])
-        loss, _ = weighted_bce(yhat, y, LossConfig(beta=0.9))
+        loss, _ = weighted_bce(yhat, y, 0.9)
         assert abs(loss - (-0.9 * math.log(0.5))) <= 1e-12
         assert abs(loss - 0.6238324625039508) <= 1e-12
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(1)
-        cfg = LossConfig(beta=0.7)
+        beta = 0.7
         for _ in range(20):
             n = int(rng.integers(1, 1025))
             yhat = rng.uniform(0.001, 0.999, size=n)
             y = (rng.random(n) < 0.3).astype(np.uint8)
-            loss, _ = weighted_bce(yhat, y, cfg)
+            loss, _ = weighted_bce(yhat, y, beta)
             direct = 0.0
             for i in range(n):
                 if y[i]:
@@ -74,25 +73,17 @@ class TestWeightedBce:
             assert abs(loss - direct) <= 1e-10
 
     def test_perfect_prediction_near_zero(self):
-        cfg = LossConfig(beta=0.9, epsilon=1e-7)
+        beta = 0.9
         y = np.array([1, 0, 1, 0], dtype=np.uint8)
         yhat = np.where(y == 1, 1.0 - 1e-7, 1e-7)
-        loss, _ = weighted_bce(yhat, y, cfg)
+        loss, _ = weighted_bce(yhat, y, beta)
         assert loss <= -4 * math.log(1 - 1e-7) + 1e-12
 
-    def test_swapped_placement(self):
-        yhat = np.array([0.5])
-        y = np.array([1])
-        paper, _ = weighted_bce(yhat, y, LossConfig(beta=0.9))
-        swapped, _ = weighted_bce(yhat, y, LossConfig(beta=0.9, weight_placement="swapped"))
-        assert abs(paper - (-0.9 * math.log(0.5))) <= 1e-12
-        assert abs(swapped - (-0.1 * math.log(0.5))) <= 1e-12
-
     def test_gradient_closed_form(self):
-        cfg = LossConfig(beta=0.8)
+        beta = 0.8
         yhat = np.array([0.3, 0.6])
         y = np.array([1, 0])
-        _, dz = weighted_bce(yhat, y, cfg)
+        _, dz = weighted_bce(yhat, y, beta)
         assert abs(dz[0] - 0.8 * (0.3 - 1.0)) <= 1e-15
         assert abs(dz[1] - 0.2 * 0.6) <= 1e-15
 
@@ -102,18 +93,18 @@ class TestWeightedBce:
         rng = np.random.default_rng(2)
         z = rng.normal(size=(5, 5))
         y = (rng.random((5, 5)) < 0.4).astype(np.uint8)
-        cfg = LossConfig(beta=0.9)
+        beta = 0.9
 
         yhat, _ = sigmoid_forward(z)
-        _, dz = weighted_bce(yhat, y, cfg)
+        _, dz = weighted_bce(yhat, y, beta)
         h = 1e-6
         numeric = np.zeros_like(z)
         for idx in np.ndindex(z.shape):
             orig = z[idx]
             z[idx] = orig + h
-            lp, _ = weighted_bce(sigmoid_forward(z)[0], y, cfg)
+            lp, _ = weighted_bce(sigmoid_forward(z)[0], y, beta)
             z[idx] = orig - h
-            lm, _ = weighted_bce(sigmoid_forward(z)[0], y, cfg)
+            lm, _ = weighted_bce(sigmoid_forward(z)[0], y, beta)
             z[idx] = orig
             numeric[idx] = (lp - lm) / (2 * h)
         denom = max(np.abs(numeric).max(), np.abs(dz).max())
@@ -121,17 +112,17 @@ class TestWeightedBce:
 
     def test_linearity_over_disjoint_pixel_sets(self):
         rng = np.random.default_rng(3)
-        cfg = LossConfig(beta=0.6)
+        beta = 0.6
         yhat = rng.uniform(0.01, 0.99, size=40)
         y = (rng.random(40) < 0.5).astype(np.uint8)
-        whole, _ = weighted_bce(yhat, y, cfg)
-        left, _ = weighted_bce(yhat[:17], y[:17], cfg)
-        right, _ = weighted_bce(yhat[17:], y[17:], cfg)
+        whole, _ = weighted_bce(yhat, y, beta)
+        left, _ = weighted_bce(yhat[:17], y[:17], beta)
+        right, _ = weighted_bce(yhat[17:], y[17:], beta)
         assert abs(whole - (left + right)) <= 1e-10
 
     def test_minimized_at_truth_brute_force(self):
         # grid search over per-pixel yhat on tiny instances
-        cfg = LossConfig(beta=0.7, epsilon=1e-7)
+        beta = 0.7
         rng = np.random.default_rng(4)
         grid = np.linspace(0.01, 0.99, 25)
         for _ in range(5):
@@ -140,7 +131,7 @@ class TestWeightedBce:
             best = np.empty(n)
             for i in range(n):
                 losses = [
-                    weighted_bce(np.array([v]), y[i : i + 1], cfg)[0] for v in grid
+                    weighted_bce(np.array([v]), y[i : i + 1], beta)[0] for v in grid
                 ]
                 best[i] = grid[int(np.argmin(losses))]
             target = np.where(y == 1, grid[-1], grid[0])
@@ -148,7 +139,7 @@ class TestWeightedBce:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            weighted_bce(np.zeros((2, 2)), np.zeros((3, 3)), LossConfig(beta=0.5))
+            weighted_bce(np.zeros((2, 2)), np.zeros((3, 3)), 0.5)
 
 
 class TestNormalizeToMask:
@@ -371,7 +362,7 @@ class TestSpikeClipping:
     def test_train_records_one_raw_norm_per_iteration(self):
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=3, seed=14, batch_size=2)
-        _, hist = train(spec, tiny_cases(), cfg, LossConfig())
+        _, hist = train(spec, tiny_cases(), cfg)
         assert len(hist.grad_norms) == hist.iterations
         assert all(np.isfinite(n) and n > 0 for n in hist.grad_norms)
         assert asdict(hist)["grad_norms"] == hist.grad_norms
@@ -415,8 +406,8 @@ class TestTrain:
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=2, seed=5, batch_size=2)
         cases = tiny_cases()
-        _, h1 = train(spec, cases, cfg, LossConfig())
-        _, h2 = train(spec, cases, cfg, LossConfig())
+        _, h1 = train(spec, cases, cfg)
+        _, h2 = train(spec, cases, cfg)
         assert h1.losses == h2.losses
         assert h1.val_dice == h2.val_dice
 
@@ -424,24 +415,18 @@ class TestTrain:
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=1, seed=6, batch_size=2)
         cases = tiny_cases()
-        net1, _ = train(spec, cases, cfg, LossConfig())
-        net2, _ = train(spec, cases, cfg, LossConfig())
+        net1, _ = train(spec, cases, cfg)
+        net2, _ = train(spec, cases, cfg)
         for p1, p2 in zip(net1.parameters(), net2.parameters()):
             assert np.array_equal(p1.value, p2.value)
 
     def test_beta_computed_from_training_split(self):
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=1, seed=7, batch_size=2)
-        _, hist = train(spec, tiny_cases(), cfg, LossConfig())
+        _, hist = train(spec, tiny_cases(), cfg)
         assert 0.0 < hist.beta < 1.0
         labels_fraction = 1.0 - 9 / 64  # 3x3 square per 8x8 slice
         assert hist.beta == pytest.approx(labels_fraction, abs=1e-12)
-
-    def test_supplied_beta_respected(self):
-        spec = build_trimmed_unet(base_width=2, depth=2)
-        cfg = TrainConfig(epochs=1, seed=8, batch_size=2)
-        _, hist = train(spec, tiny_cases(), cfg, LossConfig(beta=0.42))
-        assert hist.beta == 0.42
 
     def test_default_epochs_is_four(self):
         assert TrainConfig().epochs == 4
@@ -449,7 +434,7 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(build_trimmed_unet(base_width=2, depth=2), [],
-                  TrainConfig(), LossConfig())
+                  TrainConfig())
 
     @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(batch_size=-2),
                                      dict(max_iterations=0), dict(max_iterations=-1)])
@@ -460,24 +445,17 @@ class TestTrain:
     def test_max_iterations_cap(self):
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=50, seed=9, batch_size=2, max_iterations=5)
-        _, hist = train(spec, tiny_cases(), cfg, LossConfig())
+        _, hist = train(spec, tiny_cases(), cfg)
         assert hist.iterations == 5
         assert len(hist.losses) == 5
 
     def test_losses_finite_and_histories_populated(self):
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=2, seed=10, batch_size=4)
-        _, hist = train(spec, tiny_cases(), cfg, LossConfig())
+        _, hist = train(spec, tiny_cases(), cfg)
         assert all(np.isfinite(v) for v in hist.losses)
         assert len(hist.val_dice) == 2
         assert hist.train_case_ids and hist.val_case_ids
-
-    def test_float32_precision_mode(self):
-        spec = build_trimmed_unet(base_width=2, depth=2)
-        cfg = TrainConfig(epochs=1, seed=11, batch_size=2, precision="float32")
-        net, hist = train(spec, tiny_cases(), cfg, LossConfig())
-        assert net.parameters()[0].value.dtype == np.float32
-        assert all(np.isfinite(v) for v in hist.losses)
 
     def test_overfit_single_case_dice(self):
         # 2 cases: split leaves 1 train case = 8 axial slices; the network
@@ -493,7 +471,7 @@ class TestTrain:
         spec = build_trimmed_unet(base_width=4, depth=2)
         cfg = TrainConfig(epochs=100, seed=13, batch_size=4, max_iterations=500,
                           augment=True)
-        net, hist = train(spec, cases, cfg, LossConfig())
+        net, hist = train(spec, cases, cfg)
         train_case = cases[[c.case_id for c in cases].index(hist.train_case_ids[0])]
         probs = predict_probabilities(net, train_case.images)
         pred = probs >= 0.5

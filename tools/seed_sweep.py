@@ -29,7 +29,7 @@ from wmhseg.pipeline import (
     segment_wmh,
     wm_training_cases,
 )
-from wmhseg.training import LossConfig, TrainConfig, train
+from wmhseg.training import TrainConfig, train
 
 SEED_PAIRS = ((42, 1), (7, 2), (11, 5), (123, 3), (2024, 4))  # (dataset, train)
 BATCH_SIZES = (4, 8)
@@ -58,14 +58,13 @@ def main() -> None:
         cases = generate_dataset(PhantomConfig(), N_CASES, seed=data_seed)
         wm_net, _ = train(build_trimmed_unet(base_width=4, depth=3),
                           wm_training_cases(cases),
-                          TrainConfig(epochs=8, seed=train_seed, batch_size=4),
-                          LossConfig())
+                          TrainConfig(epochs=8, seed=train_seed, batch_size=4))
         masks = [segment_white_matter(c.t1, wm_net) for c in cases]
         for batch in BATCH_SIZES:
             # the iteration cap ends training, at any batch size
             cfg = TrainConfig(epochs=ITERATIONS, max_iterations=ITERATIONS,
                               seed=train_seed, batch_size=batch)
-            _, trained = run_ablation(cases, masks, cfg, LossConfig())
+            _, trained = run_ablation(cases, masks, cfg)
             cells = []
             for kind in VARIANTS:
                 scores = confined_val_dice(cases, masks, *trained[kind])
