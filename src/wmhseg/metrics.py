@@ -143,7 +143,7 @@ def avd_percent(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
 
 def detected_components(lab: LabelVolume, other: BinaryMask3D) -> int:
     """Number of components of `lab` that share a voxel with `other`."""
-    hit = np.unique(lab.labels[other.data > 0])
+    hit = np.unique(lab.labels.reshape(-1)[np.flatnonzero(other.data.view(bool))])
     return int(np.count_nonzero(hit))
 
 

@@ -75,7 +75,7 @@ def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume
     """Label connected components by union-find, in first-visit scan
     order. The cost grows with the foreground voxels, not with the grid."""
     shape = m.data.shape
-    flat = np.flatnonzero(m.data.astype(bool))  # sorted: position order is scan order
+    flat = np.flatnonzero(m.data.view(bool))  # sorted: position order is scan order
     a, b = _edges(flat, shape, connectivity)
 
     # Hook each edge's larger root onto its smaller one, then pointer-jump
@@ -146,7 +146,7 @@ def border_voxels(m: BinaryMask3D) -> np.ndarray:
     """Coordinates (n, 3), in scan order, of the foreground voxels with fewer
     than six 6-connected foreground edges (a volume face counts as outside).
     Past one scan for the foreground, the cost grows with the foreground."""
-    flat = np.flatnonzero(m.data.astype(bool))
+    flat = np.flatnonzero(m.data.view(bool))
     a, b = _edges(flat, m.data.shape, 6)
     degree = np.bincount(a, minlength=flat.size) + np.bincount(b, minlength=flat.size)
     return np.stack(np.unravel_index(flat[degree < 6], m.data.shape), axis=1)

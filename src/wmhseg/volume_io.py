@@ -2,6 +2,11 @@
 
 Volumes are numpy arrays indexed ``[x, y, z]``; the on-disk payload is
 x-fastest (Fortran order), matching NIfTI. Spacing is mm per voxel.
+
+In memory, grids are C-ordered. Masks move between the two orders by
+their foreground voxels alone: a read or write scans the grid once and
+scatters ones into a zeroed array, so past that scan its cost grows with
+the foreground, not with the grid. Volumes are reordered whole.
 """
 
 from __future__ import annotations
@@ -56,6 +61,38 @@ class TruncatedPayloadError(VolumeIOError):
     """File ends before the declared voxel payload."""
 
 
+def _checked_grid(data, spacing) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The grid contract of both volume types: 3-D data, every axis at
+    least 1 long, and 3 finite positive spacings."""
+    data = np.asarray(data)
+    if data.ndim != 3:
+        raise ValueError(f"expected 3-D data, got ndim={data.ndim}")
+    if min(data.shape) < 1:
+        raise ValueError(f"all dims must be >= 1, got {data.shape}")
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3:
+        raise ValueError("spacing must have 3 components")
+    if not all(np.isfinite(s) and s > 0 for s in spacing):
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    return data, spacing  # type: ignore[return-value]
+
+
+def _transposed_flat_index(idx: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """C-order flat indices into a grid of `shape`, mapped to the same
+    voxels' C-order flat indices in the transposed grid (shape reversed).
+
+    The file order of an (nx, ny, nz) grid is the C order of its
+    transpose, so `shape` maps C to file order and `shape[::-1]` maps
+    file to C order.
+    """
+    a, b, c = shape
+    ij = idx // c  # floor division by a scalar is fast; np.divmod is not
+    k = idx - ij * c
+    i = ij // b
+    j = ij - i * b
+    return (k * b + j) * a + i
+
+
 @dataclass
 class Volume3D:
     """A 3-D scalar grid with per-axis voxel spacing in mm.
@@ -67,16 +104,7 @@ class Volume3D:
     spacing: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 3:
-            raise ValueError(f"expected 3-D data, got ndim={self.data.ndim}")
-        if min(self.data.shape) < 1:
-            raise ValueError(f"all dims must be >= 1, got {self.data.shape}")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3:
-            raise ValueError("spacing must have 3 components")
-        if not all(np.isfinite(s) and s > 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        self.data, self.spacing = _checked_grid(self.data, self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -96,9 +124,7 @@ class BinaryMask3D:
     spacing: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 3:
-            raise ValueError(f"expected 3-D data, got ndim={self.data.ndim}")
+        self.data, self.spacing = _checked_grid(self.data, self.spacing)
         if self.data.dtype.kind in "bu":  # nothing below 0: the maximum decides
             binary = self.data.max(initial=0) <= 1
         else:  # NaN equals neither
@@ -106,9 +132,6 @@ class BinaryMask3D:
         if not binary:
             raise ValueError("mask values must be exactly 0 or 1")
         self.data = self.data.astype(np.uint8, copy=False)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if not all(np.isfinite(s) and s > 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -197,11 +220,13 @@ def read_nifti(path: str | Path, stored_dtype: bool = False) -> Volume3D:
     """Read an uncompressed single-file NIfTI-1 volume.
 
     Spacing is taken from pixdim[1..3]. If scl_slope is nonzero the stored
-    values are mapped through value = slope*raw + inter (in float64);
-    otherwise raw values are used as-is, converted to float64 unless
-    stored_dtype is set. Raises a distinct VolumeIOError subclass for
-    each malformation (wrong magic, unsupported datatype, gzip stream,
-    extra axes, non-finite scaling, truncated payload).
+    values are mapped through value = slope*raw + inter (in float64) into
+    a C-ordered array. Otherwise the values are converted to float64 in C
+    order, unless stored_dtype is set: then ``data`` is a read-only view
+    of the payload in file order (Fortran-ordered, no copy). Raises a
+    distinct VolumeIOError subclass for each malformation (wrong magic,
+    unsupported datatype, gzip stream, extra axes, non-finite scaling,
+    truncated payload).
     """
     raw = Path(path).read_bytes()
     hdr = _parse_header(raw)
@@ -209,20 +234,16 @@ def read_nifti(path: str | Path, stored_dtype: bool = False) -> Volume3D:
     dtype = _DTYPE_BY_CODE[hdr.datatype].newbyteorder(">" if hdr.big_endian else "<")
     nx, ny, nz = hdr.dims
     count = nx * ny * nz
-    payload = raw[hdr.vox_offset : hdr.vox_offset + count * dtype.itemsize]
-    if len(payload) < count * dtype.itemsize:
+    available = max(len(raw) - hdr.vox_offset, 0)
+    if available < count * dtype.itemsize:
         raise TruncatedPayloadError(
-            f"payload has {len(payload)} bytes, expected {count * dtype.itemsize}"
+            f"payload has {available} bytes, expected {count * dtype.itemsize}"
         )
-    flat = np.frombuffer(payload, dtype=dtype)
-    # the file is x-fastest; one reorder here gives the C order that every
-    # later flat index (np.flatnonzero, ravel) walks without a transpose
-    data = flat.reshape((nx, ny, nz), order="F")
+    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=hdr.vox_offset)
+    data = flat.reshape((nx, ny, nz), order="F")  # the file is x-fastest
     if hdr.scl_slope != 0.0:
         data = hdr.scl_slope * data.astype(np.float64, order="C") + hdr.scl_inter
-    elif stored_dtype:
-        data = np.ascontiguousarray(data)
-    else:
+    elif not stored_dtype:
         data = data.astype(np.float64, order="C")
     return Volume3D(data=data, spacing=hdr.pixdim)
 
@@ -230,9 +251,19 @@ def read_nifti(path: str | Path, stored_dtype: bool = False) -> Volume3D:
 def read_nifti_mask(path: str | Path) -> BinaryMask3D:
     """Read a NIfTI file expected to contain a {0,1} mask. The values are
     checked as stored (after scl_slope scaling), so a probability map or
-    an integer label outside {0, 1} raises ValueError."""
+    an integer label outside {0, 1} raises ValueError.
+
+    The C-ordered uint8 grid is built by scattering ones at the
+    foreground voxels into a zeroed array: past one scan of the file's
+    bytes, the cost grows with the foreground, not with the grid.
+    """
     v = read_nifti(path, stored_dtype=True)
-    return BinaryMask3D(data=v.data, spacing=v.spacing)
+    m = BinaryMask3D(data=v.data, spacing=v.spacing)
+    fg = np.flatnonzero(m.data.reshape(-1, order="F").view(bool))  # file order
+    data = np.zeros(m.dims, dtype=np.uint8)
+    data.reshape(-1)[_transposed_flat_index(fg, m.dims[::-1])] = 1
+    m.data = data
+    return m
 
 
 def write_nifti(
@@ -240,33 +271,34 @@ def write_nifti(
 ) -> None:
     """Write a volume or mask as single-file NIfTI-1.
 
-    Masks are written as uint8 regardless of the requested datatype.
-    Integer datatypes raise on value overflow.
+    Masks are written as uint8 regardless of the requested datatype, by
+    scattering ones at the foreground voxels into a zeroed file-order
+    buffer, so past one scan of the mask the cost grows with the
+    foreground. Volumes are converted and reordered whole; integer
+    datatypes raise on value overflow.
     """
-    if isinstance(v, BinaryMask3D):
-        datatype = "uint8"
-    if datatype not in _CODE_BY_NAME:
-        raise UnsupportedDatatypeError(f"unsupported datatype {datatype!r}")
-    code = _CODE_BY_NAME[datatype]
-    np_dtype = _DTYPE_BY_CODE[code]
-
-    data = np.asarray(v.data)
-    if np_dtype.kind in "ui":
-        info = np.iinfo(np_dtype)
-        if data.size and (data.min() < info.min or data.max() > info.max):
-            raise OverflowError(
-                f"values outside {datatype} range [{info.min}, {info.max}]"
-            )
-        payload = data.astype(np_dtype)
+    if isinstance(v, BinaryMask3D):  # 0/1 by construction: no range check
+        payload = np.zeros(v.data.size, dtype=np.uint8)
+        payload[_transposed_flat_index(np.flatnonzero(v.data.view(bool)), v.dims)] = 1
     else:
-        payload = data.astype(np_dtype)
+        if datatype not in _CODE_BY_NAME:
+            raise UnsupportedDatatypeError(f"unsupported datatype {datatype!r}")
+        np_dtype = _DTYPE_BY_CODE[_CODE_BY_NAME[datatype]]
+        data = np.asarray(v.data)
+        if np_dtype.kind in "ui":
+            info = np.iinfo(np_dtype)
+            if data.min() < info.min or data.max() > info.max:
+                raise OverflowError(
+                    f"values outside {datatype} range [{info.min}, {info.max}]"
+                )
+        payload = data.astype(np_dtype, order="F")
 
-    nx, ny, nz = data.shape
+    nx, ny, nz = v.dims
     header = bytearray(NIFTI_HEADER_SIZE)
     struct.pack_into("<i", header, 0, NIFTI_HEADER_SIZE)
     struct.pack_into("<8h", header, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into("<h", header, 70, code)
-    struct.pack_into("<h", header, 72, np_dtype.itemsize * 8)  # bitpix
+    struct.pack_into("<h", header, 70, _CODE_BY_NAME[payload.dtype.name])
+    struct.pack_into("<h", header, 72, payload.dtype.itemsize * 8)  # bitpix
     sx, sy, sz = v.spacing
     struct.pack_into("<8f", header, 76, 1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", header, 108, 352.0)  # vox_offset
@@ -278,4 +310,4 @@ def write_nifti(
     with open(out, "wb") as f:
         f.write(bytes(header))
         f.write(b"\x00\x00\x00\x00")  # extension flag, none
-        f.write(np.asfortranarray(payload).tobytes(order="F"))
+        f.write(payload.ravel(order="F"))  # a view: payload is in file order

@@ -47,6 +47,19 @@ class TestVolumeTypes:
         m = BinaryMask3D(data=np.eye(2)[..., None], spacing=(1, 1, 1))
         assert m.voxel_count() == 2
 
+    @pytest.mark.parametrize("cls", [Volume3D, BinaryMask3D])
+    def test_grid_needs_every_axis(self, cls):
+        with pytest.raises(ValueError):
+            cls(data=np.zeros((0, 4, 4)), spacing=(1, 1, 1))
+        with pytest.raises(ValueError):
+            cls(data=np.zeros((4, 4)), spacing=(1, 1, 1))
+
+    @pytest.mark.parametrize("cls", [Volume3D, BinaryMask3D])
+    def test_grid_needs_three_spacings(self, cls):
+        for spacing in ((1, 1), (1, 1, 1, 1)):
+            with pytest.raises(ValueError):
+                cls(data=np.zeros((2, 2, 2)), spacing=spacing)
+
 
 class TestNifti:
     def test_round_trip_float32_bit_exact(self, tmp_path):
@@ -142,6 +155,80 @@ class TestNifti:
         assert np.array_equal(back.data, v.data)
 
 
+def oracle_masks() -> list[np.ndarray]:
+    """Odd shapes, empty and full masks, and random densities."""
+    rng = np.random.default_rng(7)
+    out = []
+    for shape in ((1, 7, 9), (8, 1, 1), (1, 1, 1), (5, 6, 7)):
+        out += [np.zeros(shape, np.uint8), np.ones(shape, np.uint8)]
+        for density in (0.001, 0.05, 0.5, 0.9):
+            out.append((rng.random(shape) < density).astype(np.uint8))
+    for density in (0.001, 0.2):
+        out.append((rng.random((37, 29, 11)) < density).astype(np.uint8))
+    return out
+
+
+class TestMaskIO:
+    """Masks move between C order and file order by their foreground."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_write_bytes_match_fortran_oracle(self, tmp_path, layout):
+        for d in oracle_masks():
+            path = tmp_path / "m.nii"
+            write_nifti(BinaryMask3D(data=np.asarray(d, order=layout), spacing=(1, 2, 3)), path)
+            raw = path.read_bytes()
+            assert raw[352:] == np.asfortranarray(d).tobytes(order="F")
+            assert len(raw) == 352 + d.size
+
+    def test_read_back_is_c_ordered_writeable_uint8(self, tmp_path):
+        for d in oracle_masks():
+            path = tmp_path / "m.nii"
+            write_nifti(BinaryMask3D(data=d, spacing=(1, 2, 3)), path)
+            back = read_nifti_mask(path)
+            assert back.spacing == (1.0, 2.0, 3.0)
+            self._check_read_back(back, d)
+
+    @staticmethod
+    def _check_read_back(back, d):
+        assert back.data.dtype == np.uint8
+        assert back.data.flags.c_contiguous and back.data.flags.writeable
+        assert np.array_equal(back.data, d)
+
+    @staticmethod
+    def _mask(shape=(5, 6, 7)):
+        return (np.random.default_rng(3).random(shape) < 0.3).astype(np.uint8)
+
+    def test_big_endian_int16_mask(self, tmp_path):
+        d = self._mask()
+        path = tmp_path / "m.nii"
+        write_nifti(Volume3D(data=d, spacing=(1, 1, 1)), path, "int16")
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(">i", raw, 0, NIFTI_HEADER_SIZE)
+        struct.pack_into(">8h", raw, 40, 3, *d.shape, 1, 1, 1, 1)
+        struct.pack_into(">h", raw, 70, 4)
+        struct.pack_into(">h", raw, 72, 16)
+        struct.pack_into(">8f", raw, 76, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0)
+        struct.pack_into(">f", raw, 108, 352.0)
+        raw[352:] = np.asfortranarray(d).astype(">i2").tobytes(order="F")
+        path.write_bytes(bytes(raw))
+        self._check_read_back(read_nifti_mask(path), d)
+
+    def test_float32_mask(self, tmp_path):
+        d = self._mask()
+        path = tmp_path / "m.nii"
+        write_nifti(Volume3D(data=d, spacing=(1, 1, 1)), path, "float32")
+        self._check_read_back(read_nifti_mask(path), d)
+
+    def test_scl_slope_scaled_mask(self, tmp_path):
+        d = self._mask()
+        path = tmp_path / "m.nii"
+        write_nifti(Volume3D(data=4 * d, spacing=(1, 1, 1)), path, "uint8")
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 112, 0.25)  # scl_slope
+        path.write_bytes(bytes(raw))
+        self._check_read_back(read_nifti_mask(path), d)
+
+
 def _valid_file_bytes() -> bytearray:
     v = Volume3D(
         data=np.arange(64, dtype=np.float32).reshape(4, 4, 4), spacing=(1, 1, 3)
@@ -206,6 +293,11 @@ def fuzz_cases() -> list[tuple[str, bytes, type]]:
     # truncated payloads
     for cut in (349, 352, len(raw) - 1):
         cases.append((f"payload_{cut}", bytes(raw[:cut]), TruncatedPayloadError))
+    # payload offset past the end of the file
+    cases.append(
+        ("vox_offset_past_end", _mutate(raw, ("<f", 108, (len(raw) + 64.0,))),
+         TruncatedPayloadError)
+    )
     # nonpositive / nonfinite pixdim
     cases.append(
         ("pixdim_zero", _mutate(raw, ("<f", 80, (0.0,))), MalformedHeaderError)
