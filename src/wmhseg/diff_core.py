@@ -58,16 +58,22 @@ def _check4(x: np.ndarray, who: str) -> np.ndarray:
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """(B, C, H, W) -> (C*k*k, B*H*W) with zero 'same' padding: one column
-    per output pixel of the whole batch."""
+    per output pixel of the whole batch. Each tap copies its in-bounds
+    window straight from the input and zeroes only the strips that fall
+    outside it, so no padded copy is made (k = 1 is one plain copy)."""
     b, c, h, w = x.shape
     pad = (k - 1) // 2
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     xt = x.transpose(1, 0, 2, 3)
     cols = np.empty((c, k, k, b, h, w), dtype=x.dtype)
     for di in range(k):
+        i0, i1 = max(pad - di, 0), min(h + pad - di, h)  # output rows inside
         for dj in range(k):
-            cols[:, di, dj] = xt[:, :, di : di + h, dj : dj + w]
+            j0, j1 = max(pad - dj, 0), min(w + pad - dj, w)
+            tap = cols[:, di, dj]
+            tap[:, :, i0:i1, j0:j1] = xt[:, :, i0 + di - pad : i1 + di - pad,
+                                         j0 + dj - pad : j1 + dj - pad]
+            tap[:, :, :i0] = tap[:, :, i1:] = 0
+            tap[..., :j0] = tap[..., j1:] = 0
     return cols.reshape(c * k * k, b * h * w)
 
 

@@ -8,6 +8,12 @@ when it shares at least one voxel with the other mask.
 That rule lives in `detected_components` alone; recall, precision and the
 acceptance false-positive count all go through it.
 
+Every metric works from the masks' `foreground` flat indices: sizes,
+intersections (a `searchsorted` of one sorted index list in the other),
+labels per foreground voxel and borders. A mask is scanned at most once,
+and a mask read from disk not at all, so past that scan an evaluation
+costs in proportion to the foreground, not to the grid.
+
 Empty-mask conventions: both-empty Dice is 1.0; H95 is undefined unless
 both masks are nonempty; AVD% is undefined for an empty ground truth.
 Undefined values surface as None and are excluded from team averages,
@@ -100,51 +106,65 @@ def _check_grids(pred: BinaryMask3D, gt: BinaryMask3D) -> None:
         raise ValueError(f"spacing mismatch: {pred.spacing} vs {gt.spacing}")
 
 
+def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each of the sorted flat indices `a` occurs in the sorted `b`."""
+    if b.size == 0:
+        return np.zeros(a.size, dtype=bool)
+    return b[np.minimum(np.searchsorted(b, a), b.size - 1)] == a
+
+
 def dice(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
     """2|P n G| / (|P| + |G|); 1.0 when both masks are empty."""
     _check_grids(pred, gt)
-    p = int(np.count_nonzero(pred.data))
-    g = int(np.count_nonzero(gt.data))
-    if p + g == 0:
+    p, g = pred.foreground, gt.foreground
+    if p.size + g.size == 0:
         return 1.0
-    inter = int(np.count_nonzero(pred.data & gt.data))
-    return 2.0 * inter / (p + g)
+    inter = int(np.count_nonzero(_in_sorted(p, g)))
+    return 2.0 * inter / (p.size + g.size)
 
 
-def _nearest_rank_95(sorted_distances: np.ndarray) -> float:
-    n = sorted_distances.size
+def _nearest_rank_95(tree: cKDTree, points: np.ndarray, shared: int) -> float:
+    """The 95th-percentile nearest distance in `tree` over `shared` points
+    that lie in it (0.0 mm each) and the other `points`."""
+    n = shared + len(points)
     idx = (19 * n + 19) // 20 - 1  # ceil(0.95 n) in exact integer arithmetic
-    return float(sorted_distances[idx])
+    if idx < shared:
+        return 0.0
+    return float(np.sort(tree.query(points)[0])[idx - shared])
 
 
 def h95(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
     """Modified Hausdorff distance in mm at the masks' shared spacing: max over
-    both directions of the 95th-percentile nearest border-voxel distance."""
+    both directions of the 95th-percentile nearest border-voxel distance.
+    A border voxel of both masks lies 0.0 mm from the other's border, so
+    only the border voxels the masks do not share are queried."""
     _check_grids(pred, gt)
     if pred.voxel_count() == 0 or gt.voxel_count() == 0:
         raise ValueError("h95 undefined for an empty mask")
     sp = np.asarray(pred.spacing, dtype=np.float64)
-    a = border_voxels(pred).astype(np.float64) * sp
-    b = border_voxels(gt).astype(np.float64) * sp
-    d_ab = np.sort(cKDTree(b).query(a)[0])
-    d_ba = np.sort(cKDTree(a).query(b)[0])
-    return max(_nearest_rank_95(d_ab), _nearest_rank_95(d_ba))
+    a, b = border_voxels(pred), border_voxels(gt)
+    a_flat, b_flat = (np.ravel_multi_index(v.T, pred.dims) for v in (a, b))
+    a_in_b, b_in_a = _in_sorted(a_flat, b_flat), _in_sorted(b_flat, a_flat)
+    a, b = a.astype(np.float64) * sp, b.astype(np.float64) * sp
+    return max(
+        _nearest_rank_95(cKDTree(b), a[~a_in_b], int(a_in_b.sum())),
+        _nearest_rank_95(cKDTree(a), b[~b_in_a], int(b_in_a.sum())),
+    )
 
 
 def avd_percent(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
     """100 * | |P| - |G| | / |G| in voxel counts (spacing cancels)."""
     _check_grids(pred, gt)
-    g = int(np.count_nonzero(gt.data))
+    g = gt.voxel_count()
     if g == 0:
         raise ValueError("avd undefined for empty ground truth")
-    p = int(np.count_nonzero(pred.data))
-    return 100.0 * abs(p - g) / g
+    return 100.0 * abs(pred.voxel_count() - g) / g
 
 
 def detected_components(lab: LabelVolume, other: BinaryMask3D) -> int:
     """Number of components of `lab` that share a voxel with `other`."""
-    hit = np.unique(lab.labels.reshape(-1)[np.flatnonzero(other.data.view(bool))])
-    return int(np.count_nonzero(hit))
+    hit = np.unique(lab.voxel_labels[_in_sorted(lab.foreground, other.foreground)])
+    return int(hit.size)
 
 
 def lesion_recall(pred: BinaryMask3D, gt: BinaryMask3D) -> float:

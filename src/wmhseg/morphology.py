@@ -2,8 +2,9 @@
 iterated dilation, and border extraction.
 
 Connectivity is the 3-D neighbour count: 6 (faces), 18 (faces+edges) or
-26 (full). Labeling and borders share one foreground edge list: past one
-scan of the grid, their cost grows with the foreground. Union-find over
+26 (full). Labeling and borders share one foreground edge list, built
+from the mask's `foreground`, so their cost grows with the foreground,
+not with the grid. Labels are kept per foreground voxel. Union-find over
 the edges (Wu, Otoo & Suzuki, Pattern Anal. Appl. 2009) roots each
 component at its minimum C-order flat index, so labels follow first-visit
 scan order; a border voxel has fewer than six 6-connected foreground edges.
@@ -11,6 +12,7 @@ scan order; a border voxel has fewer than six 6-connected foreground edges.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +40,27 @@ def _neighbor_offsets(connectivity: int) -> np.ndarray:
 
 @dataclass
 class LabelVolume:
-    """Per-voxel component labels, 0 = background, components 1..count."""
+    """Component labels of a mask's foreground, components 1..count.
 
-    labels: np.ndarray
+    `voxel_labels[i]` is the label of the voxel at C-order flat index
+    `foreground[i]`. The dense grid `labels` (0 = background) is built
+    from them on first use.
+    """
+
+    foreground: np.ndarray
+    voxel_labels: np.ndarray
+    shape: tuple[int, int, int]
     count: int
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        labels = np.zeros(self.shape, dtype=np.int32)
+        labels.reshape(-1)[self.foreground] = self.voxel_labels
+        return labels
 
     def component_sizes(self) -> np.ndarray:
         """Voxel count per label, index 0 unused."""
-        return np.bincount(self.labels.ravel(), minlength=self.count + 1)
+        return np.bincount(self.voxel_labels, minlength=self.count + 1)
 
 
 def _edges(flat: np.ndarray, shape: tuple, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,9 +89,8 @@ def _edges(flat: np.ndarray, shape: tuple, connectivity: int) -> tuple[np.ndarra
 def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume:
     """Label connected components by union-find, in first-visit scan
     order. The cost grows with the foreground voxels, not with the grid."""
-    shape = m.data.shape
-    flat = np.flatnonzero(m.data.view(bool))  # sorted: position order is scan order
-    a, b = _edges(flat, shape, connectivity)
+    flat = m.foreground  # sorted: position order is scan order
+    a, b = _edges(flat, m.dims, connectivity)
 
     # Hook each edge's larger root onto its smaller one, then pointer-jump
     # to full compression; repeat until both ends of every edge share a
@@ -93,9 +107,8 @@ def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume
             parent = parent[parent]
 
     is_root = parent == np.arange(flat.size)
-    labels = np.zeros(shape, dtype=np.int32)
-    labels.reshape(-1)[flat] = np.cumsum(is_root, dtype=np.int32)[parent]  # roots in scan order
-    return LabelVolume(labels=labels, count=int(is_root.sum()))
+    voxel_labels = np.cumsum(is_root, dtype=np.int32)[parent]  # roots in scan order
+    return LabelVolume(flat, voxel_labels, m.dims, int(is_root.sum()))
 
 
 def largest_component(m: BinaryMask3D, connectivity: int = 6) -> BinaryMask3D:
@@ -106,9 +119,8 @@ def largest_component(m: BinaryMask3D, connectivity: int = 6) -> BinaryMask3D:
     lab = connected_components(m, connectivity)
     sizes = lab.component_sizes()
     best = int(np.argmax(sizes[1:])) + 1  # argmax returns first max: smallest label
-    return BinaryMask3D(
-        data=(lab.labels == best).astype(np.uint8), spacing=m.spacing
-    )
+    fg = lab.foreground[lab.voxel_labels == best]
+    return BinaryMask3D._from_foreground(fg, m.dims, m.spacing)
 
 
 def dilate(m: BinaryMask3D, radius_voxels: int, connectivity: int = 6) -> BinaryMask3D:
@@ -145,8 +157,8 @@ def _shifted(data: np.ndarray, dx: int, dy: int, dz: int) -> np.ndarray:
 def border_voxels(m: BinaryMask3D) -> np.ndarray:
     """Coordinates (n, 3), in scan order, of the foreground voxels with fewer
     than six 6-connected foreground edges (a volume face counts as outside).
-    Past one scan for the foreground, the cost grows with the foreground."""
-    flat = np.flatnonzero(m.data.view(bool))
-    a, b = _edges(flat, m.data.shape, 6)
+    The cost grows with the foreground."""
+    flat = m.foreground
+    a, b = _edges(flat, m.dims, 6)
     degree = np.bincount(a, minlength=flat.size) + np.bincount(b, minlength=flat.size)
-    return np.stack(np.unravel_index(flat[degree < 6], m.data.shape), axis=1)
+    return np.stack(np.unravel_index(flat[degree < 6], m.dims), axis=1)

@@ -269,11 +269,14 @@ def train(
     train_cases = [cases[i] for i in train_idx]
     val_cases = [cases[i] for i in val_idx]
 
-    beta = compute_beta(
-        case.labels[:, :, z]
-        for case in train_cases
-        for z in range(case.labels.shape[2])
-    )
+    # each case's axial planes, made contiguous once: (nz, C, nx, ny) images
+    # and (nz, nx, ny) labels, so a slice is a plain view, not a strided gather
+    train_planes = [
+        (np.ascontiguousarray(c.images.transpose(3, 0, 1, 2)),
+         np.ascontiguousarray(c.labels.transpose(2, 0, 1)))
+        for c in train_cases
+    ]
+    beta = compute_beta(lab for _, labels in train_planes for lab in labels)
     w_fg, w_bg = class_weights(beta)
 
     net = Network(spec)
@@ -283,8 +286,8 @@ def train(
 
     slices = [
         (ci, z)
-        for ci, case in enumerate(train_cases)
-        for z in range(case.labels.shape[2])
+        for ci, (_, labels) in enumerate(train_planes)
+        for z in range(len(labels))
     ]
     if not slices:
         raise ValueError("training split has no slices")
@@ -306,8 +309,8 @@ def train(
             planes = []
             for si in batch_ids:
                 ci, z = slices[si]
-                img = train_cases[ci].images[:, :, :, z]
-                lab = train_cases[ci].labels[:, :, z]
+                images, labels = train_planes[ci]
+                img, lab = images[z], labels[z]
                 if cfg.augment:
                     img, lab = augment(img, lab, loop_rng)
                 planes.append((img, lab))

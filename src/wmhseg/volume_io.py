@@ -3,16 +3,18 @@
 Volumes are numpy arrays indexed ``[x, y, z]``; the on-disk payload is
 x-fastest (Fortran order), matching NIfTI. Spacing is mm per voxel.
 
-In memory, grids are C-ordered. Masks move between the two orders by
-their foreground voxels alone: a read or write scans the grid once and
-scatters ones into a zeroed array, so past that scan its cost grows with
-the foreground, not with the grid. Volumes are reordered whole.
+In memory, grids are C-ordered. A mask keeps its foreground, the sorted
+C-order flat indices of its ones, once found. Masks move between the two
+orders by that foreground alone: a read scans the file's values once and
+hands the indices it finds to the mask, and a write scatters ones into a
+zeroed buffer, so past one scan the cost grows with the foreground, not
+with the grid. Volumes are reordered whole.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -115,30 +117,69 @@ class Volume3D:
         return sx * sy * sz
 
 
+def _binary_uint8(data: np.ndarray) -> np.ndarray:
+    """`data` as uint8 (uint8 is kept without a copy), after checking that
+    every value is exactly 0 or 1."""
+    if data.dtype.kind in "bu":  # nothing below 0: the maximum decides
+        binary = data.max(initial=0) <= 1
+    else:  # NaN equals neither
+        binary = ((data == 0) | (data == 1)).all()
+    if not binary:
+        raise ValueError("mask values must be exactly 0 or 1")
+    return data.astype(np.uint8, copy=False)
+
+
+def _scan_foreground(data: np.ndarray) -> np.ndarray:
+    """Sorted C-order flat indices of the ones of a 0/1 uint8 array, in any
+    memory layout: the one scan that finds a mask's foreground."""
+    return np.flatnonzero(data.view(bool))
+
+
 @dataclass
 class BinaryMask3D:
     """Same grid contract as Volume3D, values restricted to {0, 1} and
-    stored as uint8. uint8 data is kept as given, without a copy."""
+    stored as uint8. uint8 data is kept as given, without a copy.
+
+    `foreground` holds the sorted C-order flat indices of the ones. It is
+    found by one scan on first use, or handed over when the mask is built
+    from it (`read_nifti_mask`, `largest_component`), and kept. So a
+    mask's `data` is not changed in place after construction: build a new
+    mask instead.
+    """
 
     data: np.ndarray
     spacing: tuple[float, float, float]
+    _foreground: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.data, self.spacing = _checked_grid(self.data, self.spacing)
-        if self.data.dtype.kind in "bu":  # nothing below 0: the maximum decides
-            binary = self.data.max(initial=0) <= 1
-        else:  # NaN equals neither
-            binary = ((self.data == 0) | (self.data == 1)).all()
-        if not binary:
-            raise ValueError("mask values must be exactly 0 or 1")
-        self.data = self.data.astype(np.uint8, copy=False)
+        self.data = _binary_uint8(self.data)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(self.data.shape)  # type: ignore[return-value]
 
+    @property
+    def foreground(self) -> np.ndarray:
+        if self._foreground is None:
+            self._foreground = _scan_foreground(self.data)
+        return self._foreground
+
     def voxel_count(self) -> int:
-        return int(np.count_nonzero(self.data))
+        return int(self.foreground.size)
+
+    @classmethod
+    def _from_foreground(
+        cls, fg: np.ndarray, dims: tuple[int, int, int], spacing: tuple[float, float, float]
+    ) -> BinaryMask3D:
+        """The mask of a checked grid with ones at the sorted C-order flat
+        indices `fg`. It is 0/1 by construction, so its values are neither
+        checked nor scanned again."""
+        data = np.zeros(dims, dtype=np.uint8)
+        data.reshape(-1)[fg] = 1
+        m = cls.__new__(cls)
+        m.data, m.spacing, m._foreground = data, spacing, fg
+        return m
 
 
 @dataclass
@@ -253,17 +294,16 @@ def read_nifti_mask(path: str | Path) -> BinaryMask3D:
     checked as stored (after scl_slope scaling), so a probability map or
     an integer label outside {0, 1} raises ValueError.
 
-    The C-ordered uint8 grid is built by scattering ones at the
-    foreground voxels into a zeroed array: past one scan of the file's
-    bytes, the cost grows with the foreground, not with the grid.
+    One scan of the file's values finds the foreground in file order; its
+    indices, mapped to C order and sorted, become the mask's `foreground`,
+    and the C-ordered uint8 grid is built by scattering ones at them into
+    a zeroed array. Past that scan the cost grows with the foreground, not
+    with the grid, and the mask is never scanned again.
     """
     v = read_nifti(path, stored_dtype=True)
-    m = BinaryMask3D(data=v.data, spacing=v.spacing)
-    fg = np.flatnonzero(m.data.reshape(-1, order="F").view(bool))  # file order
-    data = np.zeros(m.dims, dtype=np.uint8)
-    data.reshape(-1)[_transposed_flat_index(fg, m.dims[::-1])] = 1
-    m.data = data
-    return m
+    stored = _binary_uint8(v.data).reshape(-1, order="F")  # file order
+    fg = np.sort(_transposed_flat_index(_scan_foreground(stored), v.dims[::-1]))
+    return BinaryMask3D._from_foreground(fg, v.dims, v.spacing)
 
 
 def write_nifti(
@@ -272,14 +312,14 @@ def write_nifti(
     """Write a volume or mask as single-file NIfTI-1.
 
     Masks are written as uint8 regardless of the requested datatype, by
-    scattering ones at the foreground voxels into a zeroed file-order
-    buffer, so past one scan of the mask the cost grows with the
-    foreground. Volumes are converted and reordered whole; integer
-    datatypes raise on value overflow.
+    scattering ones at the mask's `foreground` into a zeroed file-order
+    buffer, so the cost grows with the foreground (plus one scan, if the
+    mask's foreground was not found before). Volumes are converted and
+    reordered whole; integer datatypes raise on value overflow.
     """
     if isinstance(v, BinaryMask3D):  # 0/1 by construction: no range check
         payload = np.zeros(v.data.size, dtype=np.uint8)
-        payload[_transposed_flat_index(np.flatnonzero(v.data.view(bool)), v.dims)] = 1
+        payload[_transposed_flat_index(v.foreground, v.dims)] = 1
     else:
         if datatype not in _CODE_BY_NAME:
             raise UnsupportedDatatypeError(f"unsupported datatype {datatype!r}")

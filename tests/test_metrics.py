@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from wmhseg.acceptance import (
     TABLE1,
@@ -12,7 +13,7 @@ from wmhseg.acceptance import (
     oracle_h95,
     oracle_recall,
 )
-from wmhseg import metrics
+from wmhseg import metrics, volume_io
 from wmhseg.metrics import (
     CaseMetrics,
     TeamSummary,
@@ -28,8 +29,8 @@ from wmhseg.metrics import (
     write_case_csv,
     write_rank_csv,
 )
-from wmhseg.morphology import connected_components
-from wmhseg.volume_io import BinaryMask3D
+from wmhseg.morphology import border_voxels, connected_components
+from wmhseg.volume_io import BinaryMask3D, read_nifti_mask, write_nifti
 
 SP = (1.0, 1.0, 1.0)
 
@@ -115,6 +116,52 @@ class TestH95:
             bb = border_voxels(b).astype(float)
             exact = max(cKDTree(bb).query(ba)[0].max(), cKDTree(ba).query(bb)[0].max())
             assert h95(a, b) <= exact + 1e-12
+
+
+def shortcut_cases() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Mask pairs whose borders share all, some or none of their voxels."""
+    rng = np.random.default_rng(15)
+    offset = np.indices((14, 12, 9)).transpose(1, 2, 3, 0) - (7, 6, 4)
+    ball = ((offset / (5.0, 4.0, 3.0)) ** 2).sum(-1) <= 1
+    small = ((offset / (2.5, 2.0, 1.5)) ** 2).sum(-1) <= 1
+    noisy = ball ^ (rng.random(ball.shape) < 0.05)
+    far = np.zeros_like(ball)
+    far[0:3, 0:2, 0:2] = True
+    return {
+        "identical": (noisy, noisy),
+        "nested": (ball & (offset[..., 0] >= 0), ball),  # shares half the outer border
+        "partly_overlapping": (noisy, np.roll(ball, 2, axis=0)),
+        "disjoint": (small, far),
+    }
+
+
+class TestH95Shortcut:
+    """A border voxel of both masks is 0.0 mm from the other's border, so
+    only the border voxels the masks do not share are queried."""
+
+    SPACING = (0.7, 1.3, 2.9)
+
+    @pytest.mark.parametrize("case", ["identical", "nested", "partly_overlapping", "disjoint"])
+    def test_matches_oracle_and_queries_only_unshared(self, case, monkeypatch):
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                tree_points = {tuple(p) for p in self.data}
+                assert not any(tuple(p) in tree_points for p in x)  # none shared
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+        p, g = (mask(a, self.SPACING) for a in shortcut_cases()[case])
+        bp = {tuple(v) for v in border_voxels(p)}
+        bg = {tuple(v) for v in border_voxels(g)}
+        assert h95(p, g) == pytest.approx(oracle_h95(p, g, self.SPACING), abs=1e-9)
+        assert sum(queried) <= len(bp ^ bg)
+        if case == "identical":
+            assert h95(p, g) == 0.0 and sum(queried) == 0
+        else:
+            assert queried  # the unshared voxels set the 95th percentile
 
 
 class TestAvd:
@@ -227,6 +274,26 @@ class TestEvaluateCase:
         rng = np.random.default_rng(12)
         evaluate_case(random_mask(rng), random_mask(rng))
         assert calls == [26, 26]
+
+    def test_scans_each_mask_once_and_a_read_mask_never(self, monkeypatch, tmp_path):
+        scans = []
+        scan = volume_io._scan_foreground
+
+        def counted(data):
+            scans.append(data.shape)
+            return scan(data)
+
+        monkeypatch.setattr(volume_io, "_scan_foreground", counted)
+        rng = np.random.default_rng(14)
+        pred, gt = random_mask(rng), random_mask(rng)
+        built = evaluate_case(pred, gt)
+        assert len(scans) == 2
+        write_nifti(pred, tmp_path / "p.nii")
+        write_nifti(gt, tmp_path / "g.nii")
+        read = read_nifti_mask(tmp_path / "p.nii"), read_nifti_mask(tmp_path / "g.nii")
+        scans.clear()
+        assert evaluate_case(*read) == built
+        assert scans == []
 
     def test_perfect_case(self):
         m = random_mask(np.random.default_rng(10))

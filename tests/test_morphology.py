@@ -215,6 +215,19 @@ class TestConnectedComponents:
         with pytest.raises(ValueError):
             connected_components(mask(np.zeros((3, 3, 3))), 5)
 
+    def test_labels_per_foreground_voxel_and_dense_grid_on_demand(self):
+        m = (np.random.default_rng(5).random((9, 7, 5)) < 0.3).astype(np.uint8)
+        lab = connected_components(mask(m), 26)
+        assert np.array_equal(lab.foreground, np.flatnonzero(m))
+        assert "labels" not in vars(lab)  # no dense grid until one is asked for
+        dense = lab.labels
+        assert dense is lab.labels and dense.dtype == np.int32
+        assert np.array_equal(dense.reshape(-1)[lab.foreground], lab.voxel_labels)
+        assert np.array_equal(dense > 0, m > 0)
+        # the largest component is built from its foreground and keeps it
+        big = largest_component(mask(m), 26)
+        assert np.array_equal(big._foreground, np.flatnonzero(big.data))
+
     def test_component_sizes(self):
         m = np.zeros((6, 6, 1))
         m[0:2, 0, 0] = 1

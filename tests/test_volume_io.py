@@ -168,6 +168,35 @@ def oracle_masks() -> list[np.ndarray]:
     return out
 
 
+def strided_view(d: np.ndarray) -> np.ndarray:
+    """A non-contiguous view holding the values of `d`."""
+    big = np.zeros((2 * d.shape[0], d.shape[1], 3 * d.shape[2]), dtype=d.dtype)
+    big[::2, :, ::3] = d
+    return big[::2, :, ::3]
+
+
+class TestForeground:
+    """A mask's foreground is the sorted C-order flat indices of its ones."""
+
+    @pytest.mark.parametrize("layout", [
+        "C", "F", "strided", "bool", "float64", "float32-F"])
+    def test_matches_flatnonzero(self, layout):
+        make = {
+            "C": np.ascontiguousarray,
+            "F": np.asfortranarray,
+            "strided": strided_view,
+            "bool": lambda d: d.astype(bool),
+            "float64": lambda d: d.astype(np.float64),
+            "float32-F": lambda d: np.asfortranarray(d, dtype=np.float32),
+        }[layout]
+        for d in oracle_masks():
+            m = BinaryMask3D(data=make(d), spacing=(1, 2, 3))
+            fg = m.foreground
+            assert np.array_equal(fg, np.flatnonzero(d.view(bool)))
+            assert fg is m.foreground  # found once, then kept
+            assert m.voxel_count() == fg.size == np.count_nonzero(d)
+
+
 class TestMaskIO:
     """Masks move between C order and file order by their foreground."""
 
@@ -193,6 +222,9 @@ class TestMaskIO:
         assert back.data.dtype == np.uint8
         assert back.data.flags.c_contiguous and back.data.flags.writeable
         assert np.array_equal(back.data, d)
+        # the read hands its foreground over, equal to a fresh scan
+        assert back._foreground is not None
+        assert np.array_equal(back._foreground, np.flatnonzero(back.data.view(bool)))
 
     @staticmethod
     def _mask(shape=(5, 6, 7)):
