@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import resource
 import sys
 import time
 from dataclasses import asdict, fields
@@ -408,6 +409,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         "config": config,
         "outputs": outputs,
         "runtime_seconds": time.time() - t0,
+        # the process peak so far, which for one CLI call is the command's
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "status": "ok",
     }, args.report)
     return 0

@@ -11,7 +11,17 @@ dims; each is one GEMM against its (inC*k*k, B*H*W) im2col columns, and
 its input gradient is the convolution of the upstream gradient with the
 flipped, channel-transposed kernel. Max-pool tie-breaking is first
 occurrence in row-major window scan. Forward passes are deterministic:
-identical inputs and parameters produce bit-identical outputs.
+identical inputs and parameters produce bit-identical outputs. A forward
+keeps each activation only until its last consumer has run.
+
+Column buffers: a training forward (keep_cache=True) writes each conv
+node's im2col columns into the array that the same node's columns used in
+the previous training forward, whenever its shape and dtype match, and
+allocates a new one otherwise. The node keeps that array as `OpNode.cols`
+between steps, so training does not allocate and free tens of MB of
+columns every step. An inference forward allocates its own columns and
+never writes into those buffers. Backward has finished with the columns
+by the time the next training forward overwrites them.
 """
 
 from __future__ import annotations
@@ -56,15 +66,19 @@ def _check4(x: np.ndarray, who: str) -> np.ndarray:
 # conv2d (k in {1, 3}, zero padding (k-1)/2, stride 1)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) -> (C*k*k, B*H*W) with zero 'same' padding: one column
     per output pixel of the whole batch. Each tap copies its in-bounds
     window straight from the input and zeroes only the strips that fall
-    outside it, so no padded copy is made (k = 1 is one plain copy)."""
+    outside it, so no padded copy is made (k = 1 is one plain copy). The
+    columns are written into `out` when its shape and dtype match."""
     b, c, h, w = x.shape
     pad = (k - 1) // 2
     xt = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, k, k, b, h, w), dtype=x.dtype)
+    if out is not None and out.shape == (c * k * k, b * h * w) and out.dtype == x.dtype:
+        cols = out.reshape(c, k, k, b, h, w)
+    else:
+        cols = np.empty((c, k, k, b, h, w), dtype=x.dtype)
     for di in range(k):
         i0, i1 = max(pad - di, 0), min(h + pad - di, h)  # output rows inside
         for dj in range(k):
@@ -77,10 +91,13 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return cols.reshape(c * k * k, b * h * w)
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def conv2d_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray | None = None
+):
     """Same-padded stride-1 convolution, kernel (outC, inC, k, k), k in {1, 3}.
 
     Returns (out, cache); the cache is the (inC*k*k, B*H*W) column matrix.
+    It is written into `cols` when that buffer's shape and dtype match.
     """
     x = _check4(x, "conv2d")
     out_c, in_c, k, k2 = w.shape
@@ -89,7 +106,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     if x.shape[1] != in_c:
         raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {in_c}")
     batch, _, h, wd = x.shape
-    cols = _im2col(x, k)
+    cols = _im2col(x, k, cols)
     out = w.reshape(out_c, -1) @ cols + b.reshape(out_c, 1)
     out = out.reshape(out_c, batch, h, wd)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
@@ -229,41 +246,51 @@ def sigmoid_backward(g: np.ndarray, cache) -> np.ndarray:
 # Graph
 
 
-# One entry per op kind: (forward, backward). forward(inputs, node) returns
-# (out, cache); backward(g, node, cache) returns one gradient per input,
-# followed by (dw, db) for ops with parameters. The entries look the op
-# functions up by module name at call time, so rebinding
-# `diff_core.conv2d_forward` and the others (e.g. to time them) takes
-# effect in the executor.
+def _conv_forward(ins: list, n: OpNode, train: bool):
+    """A training forward writes the columns into the node's buffer from
+    its previous training forward and keeps them there for the next."""
+    out, cols = conv2d_forward(ins[0], n.weight.value, n.bias.value,
+                               cols=n.cols if train else None)
+    if train:
+        n.cols = cols
+    return out, cols
+
+
+# One entry per op kind: (forward, backward). forward(inputs, node, train)
+# returns (out, cache); train is True in a training forward.
+# backward(g, node, cache) returns one gradient per input, followed by
+# (dw, db) for ops with parameters. The entries look the op functions up by
+# module name at call time, so rebinding `diff_core.conv2d_forward` and the
+# others (e.g. to time them) takes effect in the executor.
 _CONV = (
-    lambda ins, n: conv2d_forward(ins[0], n.weight.value, n.bias.value),
+    _conv_forward,
     lambda g, n, c: conv2d_backward(g, n.weight.value, c),
 )
 OPS: dict[str, tuple[Callable, Callable]] = {
     "conv3x3": _CONV,
     "conv1x1": _CONV,
     "relu": (
-        lambda ins, n: relu_forward(ins[0]),
+        lambda ins, n, train: relu_forward(ins[0]),
         lambda g, n, c: (relu_backward(g, c),),
     ),
     "maxpool2": (
-        lambda ins, n: maxpool2_forward(ins[0]),
+        lambda ins, n, train: maxpool2_forward(ins[0]),
         lambda g, n, c: (maxpool2_backward(g, c),),
     ),
     "upconv2": (
-        lambda ins, n: upconv2_forward(ins[0], n.weight.value, n.bias.value),
+        lambda ins, n, train: upconv2_forward(ins[0], n.weight.value, n.bias.value),
         lambda g, n, c: upconv2_backward(g, n.weight.value, c),
     ),
     "concat": (
-        lambda ins, n: concat_forward(ins[0], ins[1]),
+        lambda ins, n, train: concat_forward(ins[0], ins[1]),
         lambda g, n, c: concat_backward(g, c),
     ),
     "add": (
-        lambda ins, n: add_forward(ins[0], ins[1]),
+        lambda ins, n, train: add_forward(ins[0], ins[1]),
         lambda g, n, c: add_backward(g, c),
     ),
     "sigmoid": (
-        lambda ins, n: sigmoid_forward(ins[0]),
+        lambda ins, n, train: sigmoid_forward(ins[0]),
         lambda g, n, c: (sigmoid_backward(g, c),),
     ),
 }
@@ -277,6 +304,9 @@ class OpNode:
     inputs: tuple[int, ...] = ()
     weight: Parameter | None = None
     bias: Parameter | None = None
+    # conv nodes: the im2col columns of the last training forward, which
+    # the next training forward writes into (see the module docstring)
+    cols: np.ndarray | None = field(default=None, repr=False)
 
 
 class Graph:
@@ -286,6 +316,7 @@ class Graph:
         self.nodes: list[OpNode] = [OpNode(kind="input")]
         self._x: np.ndarray | None = None
         self._caches: list | None = None
+        self._last_use: dict[int, int] = {}  # node -> its last consumer
 
     def add(
         self,
@@ -301,6 +332,7 @@ class Graph:
             if not 0 <= i < idx:
                 raise ValueError(f"node {idx} input {i} is not an earlier node")
         self.nodes.append(OpNode(kind=kind, inputs=inputs, weight=weight, bias=bias))
+        self._last_use.update((i, idx) for i in inputs)
         return idx
 
     def parameters(self) -> list[Parameter]:
@@ -317,20 +349,28 @@ class Graph:
             p.zero_grad()
 
     def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
-        """Run every node in order. keep_cache=True keeps the per-op caches
+        """Run every node in order. Each activation is dropped once its
+        last consumer has run. keep_cache=True keeps the per-op caches
         for backward; otherwise each cache is dropped as soon as its op
-        returns, and those of an earlier forward are released too."""
+        returns, and those of an earlier forward are released too. A
+        training forward writes each conv's columns into that node's
+        buffer from the previous training forward; an inference forward
+        leaves those buffers as they are."""
         self._x = self._caches = None
-        acts: list[np.ndarray] = [np.asarray(x)]
+        x = np.asarray(x)
+        acts: list[np.ndarray | None] = [x]
         caches: list = [None]
-        for n in self.nodes[1:]:
-            out, cache = OPS[n.kind][0]([acts[i] for i in n.inputs], n)
+        for idx, n in enumerate(self.nodes[1:], 1):
+            out, cache = OPS[n.kind][0]([acts[i] for i in n.inputs], n, keep_cache)
             acts.append(out)
+            for i in n.inputs:
+                if self._last_use[i] == idx:
+                    acts[i] = None
             if keep_cache:
                 caches.append(cache)
             del cache
         if keep_cache:
-            self._x, self._caches = acts[0], caches
+            self._x, self._caches = x, caches
         return acts[-1]
 
     def backward(self, g_out: np.ndarray, at: int | None = None) -> np.ndarray:

@@ -227,18 +227,26 @@ def split_cases(
     return train, val
 
 
-def predict_probabilities(
-    net: Network, images: np.ndarray, batch_size: int = 8
-) -> np.ndarray:
-    """Run the network over every axial slice; returns (nx, ny, nz) floats."""
-    images = np.asarray(images, dtype=np.float64)
+def predict_probabilities(net: Network, images: np.ndarray) -> np.ndarray:
+    """Run the network on one axial plane per forward, as the FCN segments
+    each slice on its own; returns (nx, ny, nz) floats. The planes come
+    from one plane-major (nz, C, nx, ny) float64 copy of the (C, nx, ny, nz)
+    volume, so each forward reads one contiguous plane, and its
+    activations and im2col columns are those of a single plane whatever
+    the volume's depth.
+
+    The result bit-equals one forward over all planes stacked as a batch
+    when each pooling level's plane holds a multiple of 8 pixels, as on
+    the 64x64 and 128x128 grids. Otherwise OpenBLAS computes the last 1-4
+    columns of a GEMM with an edge kernel whose rounding differs, so a
+    plane's last pixels at such a level can differ in the last bits."""
+    images = np.asarray(images)
     c, nx, ny, nz = images.shape
+    planes = np.empty((nz, c, nx, ny), dtype=np.float64)
+    planes[...] = images.transpose(3, 0, 1, 2)
     probs = np.empty((nx, ny, nz), dtype=np.float64)
-    for start in range(0, nz, batch_size):
-        stop = min(start + batch_size, nz)
-        batch = images[:, :, :, start:stop].transpose(3, 0, 1, 2)
-        out = net.forward(batch, train=False)
-        probs[:, :, start:stop] = out[:, 0].transpose(1, 2, 0)
+    for z in range(nz):
+        probs[:, :, z] = net.forward(planes[z : z + 1], train=False)[0, 0]
     return probs
 
 

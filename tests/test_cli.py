@@ -312,7 +312,7 @@ class TestRank:
 
 class TestRunReports:
     KEYS = {"schema_version", "version", "command", "config", "outputs",
-            "runtime_seconds", "status"}
+            "runtime_seconds", "peak_rss_mb", "status"}
 
     def test_every_command_writes_the_same_report_shape(self, tmp_path, dataset):
         gt = dataset / "case_000" / "wmh.nii"
@@ -329,6 +329,7 @@ class TestRunReports:
             report = json.loads(rpt.read_text())
             assert set(report) == self.KEYS
             assert (report["command"], report["status"]) == (command, "ok")
+            assert report["peak_rss_mb"] > 0
 
 
 class TestErrors:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmhseg import diff_core
+from wmhseg.architectures import Network, build_resunet, he_init
 from wmhseg.diff_core import (
     Graph,
     Parameter,
@@ -74,6 +77,21 @@ class TestConv2d:
         report = fd_report(f"conv{k}x{k}", x, r, w, b)
         assert [c.name for c in report.checks] == ["w", "b", "input"]
         assert report.passed
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_columns_written_into_a_matching_buffer(self, k):
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, k, k)), rng.normal(size=2)
+        want, want_cols = conv2d_forward(x, w, b)
+        buf = np.full_like(want_cols, np.nan)  # every element must be overwritten
+        got, cols = conv2d_forward(x, w, b, cols=buf)
+        assert np.shares_memory(cols, buf)
+        assert np.array_equal(got, want) and np.array_equal(cols, want_cols)
+        wider = np.empty((want_cols.shape[0], want_cols.shape[1] + 1))
+        for other in (wider, buf.astype(np.float32)):
+            got, cols = conv2d_forward(x, w, b, cols=other)
+            assert not np.shares_memory(cols, other)
+            assert np.array_equal(got, want)
 
     def test_backward_never_calls_forward(self, monkeypatch):
         # the traced conv forward time and flops must count forward work only
@@ -276,6 +294,21 @@ class TestGraph:
         with pytest.raises(RuntimeError):
             g.backward(np.ones((1, 1, 2, 2)))
 
+    @pytest.mark.parametrize("keep_cache", [False, True])
+    def test_forward_drops_each_activation_after_its_last_consumer(self, keep_cache):
+        g = Graph()
+        for i in range(10):
+            g.add("relu", (i,))
+        x = np.ones((1, 1, 64, 64))
+        tracemalloc.start()
+        try:
+            g.forward(x, keep_cache=keep_cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most the current input, output and masks; not all ten outputs
+        assert peak < 4 * x.nbytes
+
     def test_ops_resolved_by_module_name_at_call_time(self, monkeypatch):
         calls = []
 
@@ -288,6 +321,64 @@ class TestGraph:
         g.add("relu", (0,))
         g.forward(np.ones((1, 1, 2, 2)))
         assert calls == [(1, 1, 2, 2)]
+
+
+class TestColumnBuffers:
+    SPEC = build_resunet(base_width=2, depth=2)
+
+    def net(self, like=None):
+        net = Network(self.SPEC)
+        he_init(net.graph, 21)
+        if like is not None:
+            for p, q in zip(net.parameters(), like.parameters()):
+                p.value[...] = q.value
+        return net
+
+    @staticmethod
+    def training_step(net, groups):
+        """Forward and backward each (input, logit gradient) group into
+        zeroed gradients, as `train` does; returns the gradients."""
+        net.zero_grad()
+        for x, dz in groups:
+            net.forward(x, train=True)
+            net.backward_from_logits(dz)
+        return [p.grad.copy() for p in net.parameters()]
+
+    def test_reused_columns_give_the_gradients_of_fresh_graphs(self):
+        rng = np.random.default_rng(22)
+        net = self.net()
+        for _step in range(3):
+            # rotated rectangles: the second group's columns have the first's
+            # shapes, so it writes into the buffers the first group filled
+            groups = [(rng.normal(size=(2, 2, *hw)), rng.normal(size=(2, 1, *hw)))
+                      for hw in ((64, 48), (48, 64))]
+            want = [np.zeros_like(p.value) for p in net.parameters()]
+            for group in groups:
+                for acc, g in zip(want, self.training_step(self.net(like=net), [group])):
+                    acc += g
+            got = self.training_step(net, groups)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            for p in net.parameters():  # the next step runs other weights
+                p.value += 0.01 * rng.normal(size=p.value.shape)
+            net.forward(rng.normal(size=(1, 2, 32, 16)))  # inference between steps
+
+    def test_same_shape_steps_share_column_memory(self):
+        rng = np.random.default_rng(23)
+        net = self.net()
+        convs = [n for n in net.graph.nodes if n.kind in ("conv3x3", "conv1x1")]
+
+        def step():
+            self.training_step(net, [(rng.normal(size=(2, 2, 16, 16)),
+                                      rng.normal(size=(2, 1, 16, 16)))])
+
+        step()
+        first = [n.cols for n in convs]
+        saved = [c.copy() for c in first]
+        net.forward(rng.normal(size=(2, 2, 16, 16)))  # inference: same shapes
+        assert all(np.array_equal(n.cols, c) for n, c in zip(convs, saved))
+        step()
+        assert all(np.shares_memory(n.cols, c) for n, c in zip(convs, first))
 
 
 class TestGradCheck:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wmhseg
-from wmhseg.architectures import build_trimmed_unet
+from wmhseg.architectures import Network, build_resunet, build_trimmed_unet, he_init
 from wmhseg.diff_core import Parameter
 from wmhseg.training import (
     SGD,
@@ -479,6 +480,49 @@ class TestTrain:
         d = 2 * (pred & truth).sum() / (pred.sum() + truth.sum())
         assert hist.iterations <= 500
         assert d >= 0.90
+
+
+def random_net(spec, seed=3):
+    net = Network(spec)
+    he_init(net.graph, seed)
+    return net
+
+
+class TestPredictProbabilities:
+    # Every pooling level's plane holds a multiple of 8 pixels, as on the
+    # 64x64 and 128x128 grids; see the predict_probabilities docstring.
+    @pytest.mark.parametrize("spec, plane", [
+        (build_resunet(base_width=2, depth=2), (16, 16)),
+        (build_trimmed_unet(base_width=2, depth=2), (32, 16)),
+        (build_resunet(base_width=2, depth=2), (13, 14)),  # reflect-padded to 16x16
+    ])
+    def test_bit_equal_to_one_whole_volume_forward(self, spec, plane):
+        net = random_net(spec)
+        rng = np.random.default_rng(4)
+        images = rng.random((spec.in_channels, *plane, 5))
+        whole = net.forward(images.transpose(3, 0, 1, 2), train=False)
+        assert np.array_equal(predict_probabilities(net, images),
+                              whole[:, 0].transpose(1, 2, 0))
+
+    def test_memory_flat_in_volume_depth(self):
+        # One plane per forward: only the output and the one plane-major
+        # input copy grow with the depth; what each forward allocates does
+        # not. Eight planes per forward would add several MB here.
+        net = random_net(build_resunet(base_width=2, depth=2))
+        rng = np.random.default_rng(5)
+
+        def peak(nz):
+            images = rng.random((2, 32, 32, nz))
+            tracemalloc.start()
+            try:
+                out = predict_probabilities(net, images)
+                return tracemalloc.get_traced_memory()[1], out.nbytes + images.nbytes
+            finally:
+                tracemalloc.stop()
+
+        peak_2, _ = peak(2)
+        peak_16, volume_bytes_16 = peak(16)
+        assert peak_16 - peak_2 <= volume_bytes_16 + 64 * 1024
 
 
 @settings(max_examples=20, deadline=None)
