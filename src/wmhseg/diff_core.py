@@ -19,9 +19,10 @@ node's im2col columns into the array that the same node's columns used in
 the previous training forward, whenever its shape and dtype match, and
 allocates a new one otherwise. The node keeps that array as `OpNode.cols`
 between steps, so training does not allocate and free tens of MB of
-columns every step. An inference forward allocates its own columns and
-never writes into those buffers. Backward has finished with the columns
-by the time the next training forward overwrites them.
+columns every step; `training.train` drops them when training ends. An
+inference forward allocates its own columns and never writes into those
+buffers. Backward has finished with the columns by the time the next
+training forward overwrites them.
 """
 
 from __future__ import annotations

@@ -362,4 +362,6 @@ def train(
 
     history.iterations = iteration
     history.grad_norms = optimizer.grad_norms
+    for node in net.graph.nodes:  # the trained network keeps no column buffers
+        node.cols = None
     return net, history

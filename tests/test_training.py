@@ -421,6 +421,11 @@ class TestTrain:
         for p1, p2 in zip(net1.parameters(), net2.parameters()):
             assert np.array_equal(p1.value, p2.value)
 
+    def test_trained_network_keeps_no_column_buffers(self):
+        spec = build_trimmed_unet(base_width=2, depth=2)
+        net, _ = train(spec, tiny_cases(), TrainConfig(epochs=1, seed=8, batch_size=2))
+        assert all(n.cols is None for n in net.graph.nodes)
+
     def test_beta_computed_from_training_split(self):
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=1, seed=7, batch_size=2)
@@ -506,8 +511,9 @@ class TestPredictProbabilities:
 
     def test_memory_flat_in_volume_depth(self):
         # One plane per forward: only the output and the one plane-major
-        # input copy grow with the depth; what each forward allocates does
-        # not. Eight planes per forward would add several MB here.
+        # input copy (the size of `images`) grow with the depth; what each
+        # forward allocates does not. Batching planes would add each extra
+        # plane's activations and columns here.
         net = random_net(build_resunet(base_width=2, depth=2))
         rng = np.random.default_rng(5)
 
