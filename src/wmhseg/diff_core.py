@@ -19,10 +19,11 @@ node's im2col columns into the array that the same node's columns used in
 the previous training forward, whenever its shape and dtype match, and
 allocates a new one otherwise. The node keeps that array as `OpNode.cols`
 between steps, so training does not allocate and free tens of MB of
-columns every step; `training.train` drops them when training ends. An
-inference forward allocates its own columns and never writes into those
-buffers. Backward has finished with the columns by the time the next
-training forward overwrites them.
+columns every step; `Graph.release_column_buffers` drops them, and
+`training.train` calls it when training ends. An inference forward
+allocates its own columns and never writes into those buffers. Backward
+has finished with the columns by the time the next training forward
+overwrites them.
 """
 
 from __future__ import annotations
@@ -348,6 +349,11 @@ class Graph:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
+
+    def release_column_buffers(self) -> None:
+        """Drop the column buffers kept between training forwards."""
+        for n in self.nodes:
+            n.cols = None
 
     def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
         """Run every node in order. Each activation is dropped once its

@@ -239,7 +239,9 @@ def predict_probabilities(net: Network, images: np.ndarray) -> np.ndarray:
     when each pooling level's plane holds a multiple of 8 pixels, as on
     the 64x64 and 128x128 grids. Otherwise OpenBLAS computes the last 1-4
     columns of a GEMM with an edge kernel whose rounding differs, so a
-    plane's last pixels at such a level can differ in the last bits."""
+    plane's last pixels at such a level can differ in the last bits; the
+    240x240 grid is such a grid at depth 3 or more (its 30x30 level holds
+    900 pixels)."""
     images = np.asarray(images)
     c, nx, ny, nz = images.shape
     planes = np.empty((nz, c, nx, ny), dtype=np.float64)
@@ -362,6 +364,5 @@ def train(
 
     history.iterations = iteration
     history.grad_norms = optimizer.grad_norms
-    for node in net.graph.nodes:  # the trained network keeps no column buffers
-        node.cols = None
+    net.graph.release_column_buffers()  # the trained network keeps none
     return net, history

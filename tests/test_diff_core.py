@@ -379,6 +379,8 @@ class TestColumnBuffers:
         assert all(np.array_equal(n.cols, c) for n, c in zip(convs, saved))
         step()
         assert all(np.shares_memory(n.cols, c) for n, c in zip(convs, first))
+        net.graph.release_column_buffers()
+        assert all(n.cols is None for n in net.graph.nodes)
 
 
 class TestGradCheck:

@@ -2,9 +2,10 @@
 repository root.
 
 Runs `wmhbench/run.py` on both workloads at each seed, untraced and then
-traced (`--trace 1`), and times the Tier-1 test suite. The file holds
-each run's result line (the last line of its standard output) and, for
-untraced runs, the per-phase mean CPU seconds that the benchmark prints
+traced (`--trace 1`), for the `run_seconds` that BENCHMARK.json fixes, and
+times the Tier-1 test suite. The file holds each run's exit code, its
+result line (the last line of its standard output, or null when that line
+is not JSON) and the per-phase mean CPU seconds that the benchmark prints
 to standard error; the seeds; the commit and whether the tree had
 uncommitted changes; a host note; and the Tier-1 wall time with its
 summary line.
@@ -35,16 +36,22 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+def last_json_line(text: str) -> dict | None:
+    lines = text.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
+
+
 def bench(workload: str, seed: int, seconds: int, trace: int) -> dict:
     proc = subprocess.run(
         (sys.executable, "wmhbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)),
         cwd=ROOT, capture_output=True, text=True,
     )
-    lines = proc.stdout.strip().splitlines()
     run = {"workload": workload, "seed": seed, "trace": bool(trace),
-           "exit_code": proc.returncode,
-           "result": json.loads(lines[-1]) if lines else None}
+           "exit_code": proc.returncode, "result": last_json_line(proc.stdout)}
     for line in proc.stderr.splitlines():
         if line.startswith('{"phase_mean_s"'):
             run["phases"] = json.loads(line)
@@ -74,18 +81,18 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="file name under the repository root")
     p.add_argument("--seeds", type=int, nargs="+", default=[101])
-    p.add_argument("--seconds", type=int, default=8, help="passed to wmhbench/run.py")
     p.add_argument("--note", default="", help="free text about the host or the run")
     args = p.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     record = {"commit": git("rev-parse", "HEAD"),
               "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
-              "host": host(args.note), "seeds": args.seeds, "seconds": args.seconds}
-    record["runs"] = [bench(w, seed, args.seconds, trace)
+              "host": host(args.note), "seeds": args.seeds, "seconds": seconds}
+    record["runs"] = [bench(w, seed, seconds, trace)
                       for trace in (0, 1) for w in WORKLOADS for seed in args.seeds]
     record["tier1"] = tier1()
     (ROOT / args.out).write_text(json.dumps(record, indent=1) + "\n")
-    failed = [r for r in record["runs"] if r["exit_code"] != 0]
+    failed = [r for r in record["runs"] if r["exit_code"] != 0 or r["result"] is None]
     for r in failed:
         print(f"{r['workload']} seed {r['seed']} trace {r['trace']}: exit {r['exit_code']}",
               file=sys.stderr)
