@@ -17,6 +17,7 @@ from .training import (
     TrainConfig,
     TrainHistory,
     TrainingCase,
+    axial_planes,
     normalize_to_mask,
     predict_probabilities,
     train,
@@ -85,7 +86,7 @@ def segment_white_matter(
         raise PipelineError(
             f"white matter model expects 1 input channel, has {wm_model.spec.in_channels}"
         )
-    probs = predict_probabilities(wm_model, t1.data[None])
+    probs = predict_probabilities(wm_model, axial_planes(t1.data))
     raw = BinaryMask3D(
         data=(probs >= cfg.threshold).astype(np.uint8), spacing=t1.spacing
     )
@@ -98,11 +99,11 @@ def segment_white_matter(
 def stack_case_channels(
     case: CaseInput, wm_mask: BinaryMask3D
 ) -> np.ndarray:
-    """Mask-normalize T1 and FLAIR and stack as the 2-channel network
-    input, channel order (t1, flair)."""
+    """Mask-normalize T1 and FLAIR as the 2-channel network input planes,
+    channel order (t1, flair)."""
     t1n = normalize_to_mask(case.t1, wm_mask)
     flairn = normalize_to_mask(case.flair, wm_mask)
-    return np.stack([t1n.data, flairn.data])
+    return axial_planes(t1n.data, flairn.data)
 
 
 def segment_wmh(
@@ -120,8 +121,7 @@ def segment_wmh(
         )
     if wm_mask.voxel_count() == 0:
         raise PipelineError("white matter mask is empty")
-    channels = stack_case_channels(case, wm_mask)
-    probs = predict_probabilities(wmh_model, channels)
+    probs = predict_probabilities(wmh_model, stack_case_channels(case, wm_mask))
     pred = (probs >= cfg.threshold).astype(np.uint8)
     if cfg.confine:
         pred &= wm_mask.data
@@ -155,8 +155,8 @@ def wm_training_cases(phantom_cases) -> list[TrainingCase]:
     return [
         TrainingCase(
             case_id=c.case_id,
-            images=c.t1.data[None],
-            labels=c.wm_truth.data,
+            images=axial_planes(c.t1.data),
+            labels=axial_planes(c.wm_truth.data)[:, 0],
             spacing=c.t1.spacing,
         )
         for c in phantom_cases
@@ -178,7 +178,7 @@ def wmh_training_cases(
             TrainingCase(
                 case_id=c.case_id,
                 images=stack_case_channels(case_input, m),
-                labels=c.wmh_truth.data,
+                labels=axial_planes(c.wmh_truth.data)[:, 0],
                 spacing=c.t1.spacing,
             )
         )

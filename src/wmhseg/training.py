@@ -74,25 +74,32 @@ class TrainHistory:
     checkpoint_path: str | None = None
 
 
+def axial_planes(*volumes: np.ndarray) -> np.ndarray:
+    """The network input layout: C co-registered (nx, ny, nz) volumes as
+    contiguous (nz, C, nx, ny) axial planes in their common dtype, channel
+    c from volumes[c]. One volume passed alone gives its (nz, nx, ny)
+    planes as [:, 0]."""
+    return np.stack([np.asarray(v).transpose(2, 0, 1) for v in volumes], axis=1)
+
+
 @dataclass
 class TrainingCase:
-    """One case ready for slice-wise training: stacked input channels and
-    a binary label volume on the same grid."""
+    """One case ready for slice-wise training: its input channels and
+    binary labels as axial planes (`axial_planes`)."""
 
     case_id: str
-    images: np.ndarray  # (channels, nx, ny, nz)
-    labels: np.ndarray  # (nx, ny, nz), values {0, 1}
+    images: np.ndarray  # (nz, C, nx, ny)
+    labels: np.ndarray  # (nz, nx, ny), values {0, 1}
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels).astype(np.uint8)
+        self.labels = np.asarray(self.labels, dtype=np.uint8)
         if self.images.ndim != 4:
-            raise ValueError(f"images must be (C, nx, ny, nz), got {self.images.shape}")
-        if self.images.shape[1:] != self.labels.shape:
-            raise ValueError(
-                f"label grid {self.labels.shape} != image grid {self.images.shape[1:]}"
-            )
+            raise ValueError(f"images must be (nz, C, nx, ny), got {self.images.shape}")
+        planes = (self.images.shape[0], *self.images.shape[2:])
+        if self.labels.shape != planes:
+            raise ValueError(f"label planes {self.labels.shape} != image planes {planes}")
 
 
 def compute_beta(label_planes: Iterable[np.ndarray]) -> float:
@@ -227,13 +234,12 @@ def split_cases(
     return train, val
 
 
-def predict_probabilities(net: Network, images: np.ndarray) -> np.ndarray:
+def predict_probabilities(net: Network, planes: np.ndarray) -> np.ndarray:
     """Run the network on one axial plane per forward, as the FCN segments
-    each slice on its own; returns (nx, ny, nz) floats. The planes come
-    from one plane-major (nz, C, nx, ny) float64 copy of the (C, nx, ny, nz)
-    volume, so each forward reads one contiguous plane, and its
-    activations and im2col columns are those of a single plane whatever
-    the volume's depth.
+    each slice on its own; returns (nx, ny, nz) floats. `planes` are the
+    (nz, C, nx, ny) `axial_planes` of the input, read as given, so each
+    forward's activations and im2col columns are those of a single plane
+    whatever the volume's depth.
 
     The result bit-equals one forward over all planes stacked as a batch
     when each pooling level's plane holds a multiple of 8 pixels, as on
@@ -242,10 +248,7 @@ def predict_probabilities(net: Network, images: np.ndarray) -> np.ndarray:
     plane's last pixels at such a level can differ in the last bits; the
     240x240 grid is such a grid at depth 3 or more (its 30x30 level holds
     900 pixels)."""
-    images = np.asarray(images)
-    c, nx, ny, nz = images.shape
-    planes = np.empty((nz, c, nx, ny), dtype=np.float64)
-    planes[...] = images.transpose(3, 0, 1, 2)
+    nz, _, nx, ny = planes.shape
     probs = np.empty((nx, ny, nz), dtype=np.float64)
     for z in range(nz):
         probs[:, :, z] = net.forward(planes[z : z + 1], train=False)[0, 0]
@@ -279,14 +282,7 @@ def train(
     train_cases = [cases[i] for i in train_idx]
     val_cases = [cases[i] for i in val_idx]
 
-    # each case's axial planes, made contiguous once: (nz, C, nx, ny) images
-    # and (nz, nx, ny) labels, so a slice is a plain view, not a strided gather
-    train_planes = [
-        (np.ascontiguousarray(c.images.transpose(3, 0, 1, 2)),
-         np.ascontiguousarray(c.labels.transpose(2, 0, 1)))
-        for c in train_cases
-    ]
-    beta = compute_beta(lab for _, labels in train_planes for lab in labels)
+    beta = compute_beta(lab for c in train_cases for lab in c.labels)
     w_fg, w_bg = class_weights(beta)
 
     net = Network(spec)
@@ -296,8 +292,8 @@ def train(
 
     slices = [
         (ci, z)
-        for ci, (_, labels) in enumerate(train_planes)
-        for z in range(len(labels))
+        for ci, c in enumerate(train_cases)
+        for z in range(len(c.labels))
     ]
     if not slices:
         raise ValueError("training split has no slices")
@@ -319,8 +315,7 @@ def train(
             planes = []
             for si in batch_ids:
                 ci, z = slices[si]
-                images, labels = train_planes[ci]
-                img, lab = images[z], labels[z]
+                img, lab = train_cases[ci].images[z], train_cases[ci].labels[z]
                 if cfg.augment:
                     img, lab = augment(img, lab, loop_rng)
                 planes.append((img, lab))
@@ -355,7 +350,7 @@ def train(
             iteration += 1
         val_scores = [
             dice(BinaryMask3D(predict_probabilities(net, c.images) >= 0.5, c.spacing),
-                 BinaryMask3D(c.labels > 0, c.spacing))
+                 BinaryMask3D(c.labels.transpose(1, 2, 0) > 0, c.spacing))
             for c in val_cases
         ]
         history.val_dice.append(float(np.mean(val_scores)))

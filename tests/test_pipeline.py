@@ -15,7 +15,7 @@ from wmhseg.pipeline import (
     wm_training_cases,
     wmh_training_cases,
 )
-from wmhseg.training import predict_probabilities
+from wmhseg.training import axial_planes, predict_probabilities
 from wmhseg.volume_io import BinaryMask3D, Volume3D
 
 
@@ -83,7 +83,7 @@ class TestSegmentWhiteMatter:
         from wmhseg.morphology import largest_component
 
         cfg = PipelineConfig()
-        probs = predict_probabilities(wm_model, phantom_case.t1.data[None])
+        probs = predict_probabilities(wm_model, axial_planes(phantom_case.t1.data))
         raw = BinaryMask3D(
             data=(probs >= cfg.threshold).astype(np.uint8),
             spacing=phantom_case.t1.spacing,
@@ -138,11 +138,11 @@ class TestSegmentWmh:
 
     def test_channel_order_t1_then_flair(self, phantom_case):
         stacked = stack_case_channels(case_input(phantom_case), phantom_case.wm_truth)
-        assert stacked.shape[0] == 2
+        assert stacked.shape[1] == 2
         from wmhseg.training import normalize_to_mask
 
         t1n = normalize_to_mask(phantom_case.t1, phantom_case.wm_truth)
-        assert np.array_equal(stacked[0], t1n.data)
+        assert np.array_equal(stacked[:, 0], t1n.data.transpose(2, 0, 1))
 
 
 class TestRunPipeline:
@@ -184,12 +184,14 @@ class TestRunPipeline:
 class TestTrainingCaseAssembly:
     def test_wm_cases_shapes(self, phantom_case):
         tcs = wm_training_cases([phantom_case])
-        assert tcs[0].images.shape == (1, *phantom_case.t1.dims)
-        assert np.array_equal(tcs[0].labels, phantom_case.wm_truth.data)
+        nx, ny, nz = phantom_case.t1.dims
+        assert tcs[0].images.shape == (nz, 1, nx, ny)
+        assert np.array_equal(tcs[0].labels, phantom_case.wm_truth.data.transpose(2, 0, 1))
 
     def test_wmh_cases_normalized_channels(self, phantom_case):
         tcs = wmh_training_cases([phantom_case], [phantom_case.wm_truth])
-        assert tcs[0].images.shape == (2, *phantom_case.t1.dims)
+        nx, ny, nz = phantom_case.t1.dims
+        assert tcs[0].images.shape == (nz, 2, nx, ny)
         assert tcs[0].images.min() >= 0.0
         assert tcs[0].images.max() <= 1.0
 

@@ -20,6 +20,7 @@ from wmhseg.training import (
     TrainingCase,
     apply_dihedral,
     augment,
+    axial_planes,
     compute_beta,
     normalize_to_mask,
     predict_probabilities,
@@ -375,9 +376,27 @@ def tiny_cases(n=3, dims=(8, 8, 4), seed=0):
     for i in range(n):
         labels = np.zeros(dims, dtype=np.uint8)
         labels[2:5, 2:5, :] = 1
-        images = rng.normal(size=(1, *dims)) * 0.1 + labels * 1.0
-        cases.append(TrainingCase(case_id=f"c{i}", images=images, labels=labels))
+        images = rng.normal(size=dims) * 0.1 + labels * 1.0
+        cases.append(TrainingCase(case_id=f"c{i}", images=axial_planes(images),
+                                  labels=axial_planes(labels)[:, 0]))
     return cases
+
+
+class TestTrainingCase:
+    def test_planes_kept_without_copy(self):
+        images = np.zeros((4, 2, 8, 6))
+        labels = np.zeros((4, 8, 6), dtype=np.uint8)
+        case = TrainingCase(case_id="c", images=images, labels=labels)
+        assert case.images is images and case.labels is labels
+
+    @pytest.mark.parametrize("images, labels", [
+        (np.zeros((4, 1, 8, 6)), np.zeros((3, 8, 6))),  # plane count
+        (np.zeros((4, 1, 8, 6)), np.zeros((4, 6, 8))),  # in-plane grid
+        (np.zeros((4, 8, 6)), np.zeros((4, 8, 6))),  # images not 4-D
+    ])
+    def test_disagreeing_shapes_rejected(self, images, labels):
+        with pytest.raises(ValueError):
+            TrainingCase(case_id="c", images=images, labels=labels)
 
 
 class TestSplit:
@@ -472,8 +491,9 @@ class TestTrain:
         for i in range(2):
             labels = np.zeros(dims, dtype=np.uint8)
             labels[4:12, 4:12, :] = 1
-            images = labels * 1.0 + rng.normal(size=(1, *dims)) * 0.05
-            cases.append(TrainingCase(case_id=f"c{i}", images=images, labels=labels))
+            images = labels * 1.0 + rng.normal(size=dims) * 0.05
+            cases.append(TrainingCase(case_id=f"c{i}", images=axial_planes(images),
+                                      labels=axial_planes(labels)[:, 0]))
         spec = build_trimmed_unet(base_width=4, depth=2)
         cfg = TrainConfig(epochs=100, seed=13, batch_size=4, max_iterations=500,
                           augment=True)
@@ -481,7 +501,7 @@ class TestTrain:
         train_case = cases[[c.case_id for c in cases].index(hist.train_case_ids[0])]
         probs = predict_probabilities(net, train_case.images)
         pred = probs >= 0.5
-        truth = train_case.labels > 0
+        truth = train_case.labels.transpose(1, 2, 0) > 0
         d = 2 * (pred & truth).sum() / (pred.sum() + truth.sum())
         assert hist.iterations <= 500
         assert d >= 0.90
@@ -504,31 +524,30 @@ class TestPredictProbabilities:
     def test_bit_equal_to_one_whole_volume_forward(self, spec, plane):
         net = random_net(spec)
         rng = np.random.default_rng(4)
-        images = rng.random((spec.in_channels, *plane, 5))
-        whole = net.forward(images.transpose(3, 0, 1, 2), train=False)
-        assert np.array_equal(predict_probabilities(net, images),
+        planes = rng.random((5, spec.in_channels, *plane))
+        whole = net.forward(planes, train=False)
+        assert np.array_equal(predict_probabilities(net, planes),
                               whole[:, 0].transpose(1, 2, 0))
 
     def test_memory_flat_in_volume_depth(self):
-        # One plane per forward: only the output and the one plane-major
-        # input copy (the size of `images`) grow with the depth; what each
-        # forward allocates does not. Batching planes would add each extra
-        # plane's activations and columns here.
+        # One plane per forward, read from the planes as given: only the
+        # output grows with the depth; what each forward allocates does
+        # not. Batching planes, or copying them, would add to the peak here.
         net = random_net(build_resunet(base_width=2, depth=2))
         rng = np.random.default_rng(5)
 
         def peak(nz):
-            images = rng.random((2, 32, 32, nz))
+            planes = rng.random((nz, 2, 32, 32))
             tracemalloc.start()
             try:
-                out = predict_probabilities(net, images)
-                return tracemalloc.get_traced_memory()[1], out.nbytes + images.nbytes
+                out = predict_probabilities(net, planes)
+                return tracemalloc.get_traced_memory()[1], out.nbytes
             finally:
                 tracemalloc.stop()
 
         peak_2, _ = peak(2)
-        peak_16, volume_bytes_16 = peak(16)
-        assert peak_16 - peak_2 <= volume_bytes_16 + 64 * 1024
+        peak_16, out_bytes_16 = peak(16)
+        assert peak_16 - peak_2 <= out_bytes_16 + 64 * 1024
 
 
 @settings(max_examples=20, deadline=None)
