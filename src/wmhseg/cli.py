@@ -155,7 +155,6 @@ def _train_stage(args) -> tuple[dict, dict]:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, net)
-    history.checkpoint_path = str(out)
     history_path = out.with_suffix(".history.json")
     history_path.write_text(json.dumps(asdict(history), indent=2, sort_keys=True) + "\n")
     outputs = {"checkpoint": str(out), "beta": history.beta,

@@ -180,6 +180,7 @@ def wmh_training_cases(
                 images=stack_case_channels(case_input, m),
                 labels=axial_planes(c.wmh_truth.data)[:, 0],
                 spacing=c.t1.spacing,
+                window=axial_planes(m.data)[:, 0],
             )
         )
     return out
@@ -224,6 +225,7 @@ def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
             "val_dice": float(np.mean(dices)),
             "val_lesion_f1": float(np.mean(f1s)),
             "val_dice_per_epoch": history.val_dice,
+            "val_dice_confined_per_epoch": history.val_dice_confined,
             "iterations": history.iterations,
             "beta": history.beta,
         }

@@ -14,6 +14,10 @@ recorded loss by the reciprocal of the batch's total class-weight mass
 behaves comparably across slice sizes and across very different
 foreground sparsities.
 
+The network input has one layout, built once per case by `axial_planes`:
+(nz, C, nx, ny) axial planes, so a training slice is the view [z] and an
+inference forward reads one contiguous plane.
+
 The optimizer is momentum SGD with spike clipping (Pascanu et al.,
 arXiv 1211.5063, with a bound that follows the run's own gradient scale):
 a step whose global gradient norm exceeds SPIKE_FACTOR times the median
@@ -67,11 +71,11 @@ class TrainHistory:
     losses: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     val_dice: list[float] = field(default_factory=list)
+    val_dice_confined: list[float] = field(default_factory=list)
     beta: float = 0.0
     train_case_ids: list[str] = field(default_factory=list)
     val_case_ids: list[str] = field(default_factory=list)
     iterations: int = 0
-    checkpoint_path: str | None = None
 
 
 def axial_planes(*volumes: np.ndarray) -> np.ndarray:
@@ -84,13 +88,15 @@ def axial_planes(*volumes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrainingCase:
-    """One case ready for slice-wise training: its input channels and
-    binary labels as axial planes (`axial_planes`)."""
+    """One case ready for slice-wise training: its input channels, binary
+    labels and, for the lesion stage, the stage-1 white matter `window`
+    that confines its predictions, all as axial planes (`axial_planes`)."""
 
     case_id: str
     images: np.ndarray  # (nz, C, nx, ny)
     labels: np.ndarray  # (nz, nx, ny), values {0, 1}
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    window: np.ndarray | None = None  # (nz, nx, ny), values {0, 1}
 
     def __post_init__(self) -> None:
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -100,6 +106,12 @@ class TrainingCase:
         planes = (self.images.shape[0], *self.images.shape[2:])
         if self.labels.shape != planes:
             raise ValueError(f"label planes {self.labels.shape} != image planes {planes}")
+        if self.window is not None:
+            self.window = np.asarray(self.window, dtype=np.uint8)
+            if self.window.shape != self.labels.shape:
+                raise ValueError(
+                    f"window planes {self.window.shape} != label planes {self.labels.shape}"
+                )
 
 
 def compute_beta(label_planes: Iterable[np.ndarray]) -> float:
@@ -265,7 +277,9 @@ def train(
     Cases (not slices) are split into train/validation with the seeded
     RNG; beta is computed over the training slices; history
     records the per-iteration scaled loss and global gradient norm (before
-    spike clipping) and the per-epoch validation Dice.
+    spike clipping) and the per-epoch validation Dice of the thresholded
+    output: raw in `val_dice`, and ANDed with each case's `window` in
+    `val_dice_confined` (empty when no validation case has a window).
     Bit-reproducible for a fixed seed.
     """
     if not cases:
@@ -348,12 +362,17 @@ def train(
             optimizer.step()
             history.losses.append(float(loss_acc))
             iteration += 1
-        val_scores = [
-            dice(BinaryMask3D(predict_probabilities(net, c.images) >= 0.5, c.spacing),
-                 BinaryMask3D(c.labels.transpose(1, 2, 0) > 0, c.spacing))
-            for c in val_cases
-        ]
-        history.val_dice.append(float(np.mean(val_scores)))
+        raw_scores, confined_scores = [], []
+        for c in val_cases:
+            pred = (predict_probabilities(net, c.images) >= 0.5).astype(np.uint8)
+            truth = BinaryMask3D(c.labels.transpose(1, 2, 0) > 0, c.spacing)
+            raw_scores.append(dice(BinaryMask3D(pred, c.spacing), truth))
+            if c.window is not None:
+                confined = pred & c.window.transpose(1, 2, 0)
+                confined_scores.append(dice(BinaryMask3D(confined, c.spacing), truth))
+        history.val_dice.append(float(np.mean(raw_scores)))
+        if confined_scores:
+            history.val_dice_confined.append(float(np.mean(confined_scores)))
         if budget is not None and iteration >= budget:
             break
 

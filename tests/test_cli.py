@@ -92,6 +92,14 @@ class TestTraining:
         assert hist["iterations"] > 0
         assert all(np.isfinite(v) for v in hist["losses"])
 
+    def test_history_independent_of_output_directory(self, tmp_path, dataset):
+        common = ["--data", str(dataset), "--base-width", "2", "--depth", "2",
+                  "--epochs", "1", "--seed", "3"]
+        for name in ("a", "b"):
+            assert run(["train-wm", "--out", str(tmp_path / name / "wm.ckpt"), *common]) == 0
+        assert (tmp_path / "a" / "wm.history.json").read_bytes() == (
+            tmp_path / "b" / "wm.history.json").read_bytes()
+
     def test_config_file_and_flag_override(self, tmp_path, dataset):
         cfg_file = tmp_path / "train.json"
         cfg_file.write_text(json.dumps({"epochs": 1, "learning_rate": 0.02,
@@ -152,6 +160,7 @@ class TestAblation:
                 raw.append(dice(unconfined, case.wmh_truth))
             got = report["variants"][kind]
             assert got["val_dice"] == float(np.mean(dices))
+            assert got["val_dice_confined_per_epoch"][-1] == got["val_dice"]
             assert got["val_lesion_f1"] == float(np.mean(f1s))
             assert got["iterations"] == hist.iterations
             raw_differs |= got["val_dice"] != float(np.mean(raw))

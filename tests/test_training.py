@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +398,11 @@ class TestTrainingCase:
         with pytest.raises(ValueError):
             TrainingCase(case_id="c", images=images, labels=labels)
 
+    def test_window_shape_must_match_labels(self):
+        with pytest.raises(ValueError, match="window"):
+            TrainingCase(case_id="c", images=np.zeros((4, 1, 8, 6)),
+                         labels=np.zeros((4, 8, 6)), window=np.ones((4, 6, 8)))
+
 
 class TestSplit:
     def test_case_level_split(self):
@@ -480,7 +485,19 @@ class TestTrain:
         _, hist = train(spec, tiny_cases(), cfg)
         assert all(np.isfinite(v) for v in hist.losses)
         assert len(hist.val_dice) == 2
+        assert hist.val_dice_confined == []  # no case has a window
         assert hist.train_case_ids and hist.val_case_ids
+
+    def test_confined_validation_dice_scores_the_windowed_output(self):
+        spec = build_trimmed_unet(base_width=2, depth=2)
+        cfg = TrainConfig(epochs=2, seed=10, batch_size=4)
+        whole = [replace(c, window=np.ones_like(c.labels)) for c in tiny_cases()]
+        none = [replace(c, window=np.zeros_like(c.labels)) for c in tiny_cases()]
+        _, hist_whole = train(spec, whole, cfg)
+        _, hist_none = train(spec, none, cfg)
+        assert hist_whole.val_dice_confined == hist_whole.val_dice
+        assert hist_none.val_dice == hist_whole.val_dice
+        assert hist_none.val_dice_confined == [0.0, 0.0]  # an empty window leaves no lesion
 
     def test_overfit_single_case_dice(self):
         # 2 cases: split leaves 1 train case = 8 axial slices; the network
