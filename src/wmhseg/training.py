@@ -80,10 +80,14 @@ class TrainHistory:
 
 def axial_planes(*volumes: np.ndarray) -> np.ndarray:
     """The network input layout: C co-registered (nx, ny, nz) volumes as
-    contiguous (nz, C, nx, ny) axial planes in their common dtype, channel
-    c from volumes[c]. One volume passed alone gives its (nz, nx, ny)
-    planes as [:, 0]."""
-    return np.stack([np.asarray(v).transpose(2, 0, 1) for v in volumes], axis=1)
+    C-contiguous (nz, C, nx, ny) axial planes in their common dtype,
+    channel c from volumes[c]. One volume passed alone gives its
+    (nz, nx, ny) planes as [:, 0]."""
+    nx, ny, nz = np.shape(volumes[0])
+    planes = np.empty((nz, len(volumes), nx, ny), dtype=np.result_type(*volumes))
+    for c, v in enumerate(volumes):  # np.stack would keep the volumes' memory order
+        planes[:, c] = np.asarray(v).transpose(2, 0, 1)
+    return planes
 
 
 @dataclass
@@ -99,8 +103,8 @@ class TrainingCase:
     window: np.ndarray | None = None  # (nz, nx, ny), values {0, 1}
 
     def __post_init__(self) -> None:
-        self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
+        self.images = np.ascontiguousarray(self.images, dtype=np.float64)
+        self.labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
         if self.images.ndim != 4:
             raise ValueError(f"images must be (nz, C, nx, ny), got {self.images.shape}")
         planes = (self.images.shape[0], *self.images.shape[2:])

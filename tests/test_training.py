@@ -382,6 +382,19 @@ def tiny_cases(n=3, dims=(8, 8, 4), seed=0):
     return cases
 
 
+class TestAxialPlanes:
+    def test_contiguous_planes_in_channel_order(self):
+        rng = np.random.default_rng(1)
+        t1, flair = rng.random((8, 6, 4)), rng.random((8, 6, 4))
+        planes = axial_planes(t1, flair)
+        assert planes.shape == (4, 2, 8, 6) and planes.flags.c_contiguous
+        for z in range(4):
+            assert np.array_equal(planes[z, 0], t1[:, :, z])
+            assert np.array_equal(planes[z, 1], flair[:, :, z])
+        labels = axial_planes(t1 > 0.5)[:, 0]
+        assert labels.dtype == bool and labels.flags.c_contiguous
+
+
 class TestTrainingCase:
     def test_planes_kept_without_copy(self):
         images = np.zeros((4, 2, 8, 6))
