@@ -18,6 +18,7 @@ from wmhseg.architectures import (
 from wmhseg import architectures
 from wmhseg.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from wmhseg.diff_core import grad_check
+from wmhseg.training import SGD, weighted_bce
 
 
 def he_network(spec: NetworkSpec, seed: int, dtype=np.float64) -> Network:
@@ -131,6 +132,65 @@ class TestBuilders:
         net = he_network(builder(base_width=4, depth=depth), 1234, dtype)
         save_checkpoint(tmp_path / "he.ckpt", net)
         assert hashlib.sha256((tmp_path / "he.ckpt").read_bytes()).hexdigest() == digest
+
+
+class TestTrainingStepDigest:
+    """Two SGD steps of a w4/d2 network, each over one batch-2 16x16 group
+    and one batch-2 16x32 group (as `train` groups rotated rectangles),
+    then one inference forward on a 13x14 plane (the reflect-pad path).
+    The digests pin every bit of the trained parameters and of that
+    output, so a change to how the executor lays out or schedules its work
+    must leave the arithmetic as it was."""
+
+    @staticmethod
+    def steps(builder):
+        spec = builder(base_width=4, depth=2)
+        net = he_network(spec, 41)
+        opt = SGD(net.parameters(), 0.05, 0.9)
+        rng = np.random.default_rng(42)
+        for _step in range(2):
+            for hw in ((16, 16), (16, 32)):
+                x = rng.normal(size=(2, spec.in_channels, *hw))
+                y = (rng.random((2, *hw)) < 0.3).astype(np.uint8)
+                _, dz = weighted_bce(net.forward(x, train=True)[:, 0], y, 0.7)
+                net.backward_from_logits(dz[:, None])
+            opt.step()
+        return net, rng
+
+    @pytest.mark.parametrize("builder, params_digest, output_digest", [
+        (build_resunet,
+         "918b6128ecdbc21d750c14a305d15bfb9ffdc599d8154ef748547fda4289368e",
+         "5b8f1c882145db1ad0eb31553b3883d8d91d9e0274ad9bf7ab02f18b8431d598"),
+        (build_trimmed_unet,
+         "318cbf48fac861125a0b37f1175831a1ac6feca0a0633d883cf18106301c7abb",
+         "b452b5dd7b3da419616530e756e771fe5193c88bd31775cc4bcb8f6b6f1ea62c"),
+    ], ids=["resunet-w4d2", "trimmed-w4d2"])
+    def test_two_steps_and_a_padded_inference_are_pinned(
+        self, builder, params_digest, output_digest
+    ):
+        net, rng = self.steps(builder)
+        h = hashlib.sha256()
+        for p in net.parameters():
+            h.update(p.value.tobytes())
+        assert h.hexdigest() == params_digest
+        y = net.forward(rng.normal(size=(1, net.spec.in_channels, 13, 14)))
+        assert y.shape == (1, 1, 13, 14)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == output_digest
+
+    @pytest.mark.parametrize("builder", [build_resunet, build_trimmed_unet])
+    def test_training_backward_gives_the_gradients_of_a_full_backward(self, builder):
+        net, rng = self.steps(builder)
+        x = rng.normal(size=(2, net.spec.in_channels, 16, 32))
+        dz = rng.normal(size=(2, 1, 16, 32))
+        grads = []
+        for backward in (net.backward_from_logits,
+                         lambda g: net.graph.backward(g, at=net.head_logits_index)):
+            net.zero_grad()
+            net.forward(x, train=True)
+            backward(dz)
+            grads.append([p.grad.copy() for p in net.parameters()])
+        for a, b in zip(*grads):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestResidualBlock:

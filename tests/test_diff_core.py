@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -147,6 +148,38 @@ class TestMaxpool2:
         _, cache = maxpool2_forward(x)
         g = maxpool2_backward(np.array([[[[1.0]]]]), cache)
         assert g.tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
+
+    @pytest.mark.parametrize("tied", [
+        s for s in itertools.product((False, True), repeat=4) if any(s)])
+    def test_every_set_of_tied_maxima_routes_to_the_first(self, tied):
+        # one window per window position of the 2x2 grid of windows, with
+        # the tied maxima in row-major window order at the `tied` positions
+        vals = np.where(tied, 2.5, -1.0).reshape(2, 2)
+        x = np.tile(vals, (2, 3, 2, 2))  # (2, 3, 4, 4): four windows each
+        y, cache = maxpool2_forward(x)
+        assert np.array_equal(y, np.full((2, 3, 2, 2), 2.5))
+        g = np.random.default_rng(5).normal(size=y.shape)
+        dx = maxpool2_backward(g, cache)
+        first = tied.index(True)
+        want = np.zeros((2, 3, 2, 2, 4))
+        want[..., first] = g
+        want = want.reshape(2, 3, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+        assert np.array_equal(dx, want)
+
+    def test_signed_zero_ties_keep_the_first_zero(self):
+        # -0.0 == 0.0, so each window's value is the first zero, sign bit
+        # included, and the gradient goes to it; every placement of -0.0,
+        # 0.0 and a smaller value over the four positions is tried
+        for signs in itertools.product((None, -0.0, 0.0), repeat=4):
+            if all(v is None for v in signs):
+                continue
+            x = np.array([-1.0 if v is None else v for v in signs]).reshape(1, 1, 2, 2)
+            y, cache = maxpool2_forward(x)
+            first = next(i for i, v in enumerate(signs) if v is not None)
+            assert y.item() == 0.0
+            assert np.signbit(y.item()) == np.signbit(signs[first]), signs
+            dx = maxpool2_backward(np.array([[[[3.0]]]]), cache)
+            assert dx.ravel().tolist() == [3.0 * (i == first) for i in range(4)], signs
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
