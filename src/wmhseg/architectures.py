@@ -219,9 +219,12 @@ class Network:
         y = self.graph.forward(x, keep_cache=train)
         return y[:, :, :h, :w]
 
-    def backward_from_logits(self, dz: np.ndarray) -> np.ndarray:
-        """Backpropagate a gradient w.r.t. the pre-sigmoid head output."""
-        return self.graph.backward(dz, at=self.head_logits_index)
+    def backward_from_logits(self, dz: np.ndarray) -> None:
+        """Backpropagate a gradient w.r.t. the pre-sigmoid head output into
+        the parameter gradients, bit-equal to `graph.backward(dz,
+        at=head_logits_index)`. Training reads no input gradient, so the
+        convs on the network input run no dx im2col or GEMM."""
+        self.graph.backward(dz, at=self.head_logits_index, input_grad=False)
 
     def zero_grad(self) -> None:
         self.graph.zero_grad()

@@ -1,29 +1,40 @@
 """Minimal differentiable-operator engine.
 
 Every operator ships a hand-written forward and exact backward pass; there
-is no general autodiff. Tensors are plain numpy arrays of shape
-(batch, channels, height, width). Graphs are flat lists of OpNodes whose
-inputs reference earlier nodes only, so construction order is the
-topological order and the reverse order drives backpropagation.
+is no general autodiff. Tensors are numpy arrays of shape (batch,
+channels, height, width), and the executor stores them channel-major:
+every activation and gradient is the .transpose(1, 0, 2, 3) view of a
+C-contiguous (C, B, H, W) array, so each GEMM reads and writes its
+(C, B*H*W) matrices in place. The ops accept any layout; only their speed
+depends on it. Graphs are flat lists of OpNodes whose inputs reference
+earlier nodes only, so construction order is the topological order and
+the reverse order drives backpropagation.
 
 Convolutions use zero "same" padding so every stage preserves spatial
 dims; each is one GEMM against its (inC*k*k, B*H*W) im2col columns, and
 its input gradient is the convolution of the upstream gradient with the
-flipped, channel-transposed kernel. Max-pool tie-breaking is first
-occurrence in row-major window scan. Forward passes are deterministic:
-identical inputs and parameters produce bit-identical outputs. A forward
-keeps each activation only until its last consumer has run.
+flipped, channel-transposed kernel. A 1x1 conv's columns are its input
+reshaped, with no copy. Max-pool tie-breaking is first occurrence in
+row-major window scan. Forward passes are deterministic: identical inputs
+and parameters produce bit-identical outputs, and the layout changes no
+product and no order of summation. A forward keeps each activation only
+until its last consumer has run.
 
-Column buffers: a training forward (keep_cache=True) writes each conv
+Column buffers: a training forward (keep_cache=True) writes each 3x3 conv
 node's im2col columns into the array that the same node's columns used in
 the previous training forward, whenever its shape and dtype match, and
-allocates a new one otherwise. The node keeps that array as `OpNode.cols`
-between steps, so training does not allocate and free tens of MB of
-columns every step; `Graph.release_column_buffers` drops them, and
-`training.train` calls it when training ends. An inference forward
-allocates its own columns and never writes into those buffers. Backward
-has finished with the columns by the time the next training forward
-overwrites them.
+allocates a new one otherwise. When that array was last filled from an
+input of the same shape, its zero border strips are not written again.
+The node keeps that array as `OpNode.cols` between steps, so training
+does not allocate and free tens of MB of columns every step;
+`Graph.release_column_buffers` drops them, and `training.train` calls it
+when training ends. An inference forward allocates its own columns and
+never writes into those buffers. Backward has finished with the columns
+by the time the next training forward overwrites them.
+
+Input gradient: `Graph.backward(..., input_grad=False)`, the training
+path, computes no dL/d(input); the convs that read the input node run no
+dx im2col or GEMM.
 """
 
 from __future__ import annotations
@@ -68,12 +79,16 @@ def _check4(x: np.ndarray, who: str) -> np.ndarray:
 # conv2d (k in {1, 3}, zero padding (k-1)/2, stride 1)
 
 
-def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None,
+            zeroed: bool = False) -> np.ndarray:
     """(B, C, H, W) -> (C*k*k, B*H*W) with zero 'same' padding: one column
     per output pixel of the whole batch. Each tap copies its in-bounds
     window straight from the input and zeroes only the strips that fall
-    outside it, so no padded copy is made (k = 1 is one plain copy). The
-    columns are written into `out` when its shape and dtype match."""
+    outside it, so no padded copy is made. The columns are written into
+    `out` when its shape and dtype match, keeping its strips if `zeroed`.
+    Without `out`, k = 1 returns `_channel_rows(x)`."""
+    if k == 1 and out is None:
+        return _channel_rows(x)
     b, c, h, w = x.shape
     pad = (k - 1) // 2
     xt = x.transpose(1, 0, 2, 3)
@@ -81,6 +96,7 @@ def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
         cols = out.reshape(c, k, k, b, h, w)
     else:
         cols = np.empty((c, k, k, b, h, w), dtype=x.dtype)
+        zeroed = False
     for di in range(k):
         i0, i1 = max(pad - di, 0), min(h + pad - di, h)  # output rows inside
         for dj in range(k):
@@ -88,18 +104,19 @@ def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
             tap = cols[:, di, dj]
             tap[:, :, i0:i1, j0:j1] = xt[:, :, i0 + di - pad : i1 + di - pad,
                                          j0 + dj - pad : j1 + dj - pad]
-            tap[:, :, :i0] = tap[:, :, i1:] = 0
-            tap[..., :j0] = tap[..., j1:] = 0
+            if not zeroed:
+                tap[:, :, :i0] = tap[:, :, i1:] = 0
+                tap[..., :j0] = tap[..., j1:] = 0
     return cols.reshape(c * k * k, b * h * w)
 
 
-def conv2d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray | None = None
-):
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                   cols: np.ndarray | None = None, zeroed: bool = False):
     """Same-padded stride-1 convolution, kernel (outC, inC, k, k), k in {1, 3}.
 
-    Returns (out, cache); the cache is the (inC*k*k, B*H*W) column matrix.
-    It is written into `cols` when that buffer's shape and dtype match.
+    Returns (out, cache); out is stored channel-major and the cache is the
+    (inC*k*k, B*H*W) column matrix. It is written into `cols` when that
+    buffer's shape and dtype match (see `_im2col` for `zeroed`).
     """
     x = _check4(x, "conv2d")
     out_c, in_c, k, k2 = w.shape
@@ -108,24 +125,27 @@ def conv2d_forward(
     if x.shape[1] != in_c:
         raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {in_c}")
     batch, _, h, wd = x.shape
-    cols = _im2col(x, k, cols)
-    out = w.reshape(out_c, -1) @ cols + b.reshape(out_c, 1)
-    out = out.reshape(out_c, batch, h, wd)
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
+    cols = _im2col(x, k, cols, zeroed)
+    out = w.reshape(out_c, -1) @ cols
+    out += b.reshape(out_c, 1)
+    return out.reshape(out_c, batch, h, wd).transpose(1, 0, 2, 3), cols
 
 
-def conv2d_backward(g: np.ndarray, w: np.ndarray, cache):
+def conv2d_backward(g: np.ndarray, w: np.ndarray, cache, need_dx: bool = True):
     """Returns (dx, dw, db) for the upstream gradient g. dw is one GEMM of g
-    against the cached columns; dx is the convolution of g with the flipped,
-    channel-transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)."""
+    against the cached columns; dx (None unless need_dx) is the convolution
+    of g with the flipped, channel-transposed kernel w[:, :, ::-1, ::-1]."""
     out_c, in_c, k, _ = w.shape
     batch, _, h, wd = g.shape
-    gm = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
+    gm = _channel_rows(g)
     db = gm.sum(axis=1)
-    dw = (gm @ cache.T).reshape(w.shape)
+    # the products and their order of gm @ cache.T, in the faster orientation
+    dw = (cache @ gm.T).T.reshape(w.shape)
+    if not need_dx:
+        return None, dw, db
     wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(in_c, -1)
     dx = (wf @ _im2col(g, k)).reshape(in_c, batch, h, wd)
-    return np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dw, db
+    return dx.transpose(1, 0, 2, 3), dw, db
 
 
 def relu_forward(x: np.ndarray):
@@ -144,24 +164,23 @@ def maxpool2_forward(x: np.ndarray):
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 requires even spatial dims, got {h}x{w}")
-    win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(b, c, h // 2, w // 2, 4)
-    # argmax returns the first maximal index: row-major within the window.
-    arg = win.argmax(axis=-1)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    return out, (arg, x.shape)
+    # the window's taps in row-major order; a tie (-0.0 == 0.0 included)
+    # keeps the earlier tap, so value and index are the first maximal tap's
+    v0, v1, v2, v3 = (x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
+    first, third = v0 >= v1, v2 >= v3
+    upper, lower = np.where(first, v0, v1), np.where(third, v2, v3)
+    top = upper >= lower
+    arg = np.where(top, ~first, ~third + np.int8(2))  # int8 in 0..3
+    return np.where(top, upper, lower), (arg, x.shape)
 
 
 def maxpool2_backward(g: np.ndarray, cache) -> np.ndarray:
     arg, x_shape = cache
     b, c, h, w = x_shape
-    flat = np.zeros((b, c, h // 2, w // 2, 4), dtype=g.dtype)
-    np.put_along_axis(flat, arg[..., None], g[..., None], axis=-1)
-    return (
-        flat.reshape(b, c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, h, w)
-    )
+    dx = np.zeros((c, b, h, w), dtype=g.dtype).transpose(1, 0, 2, 3)
+    for tap, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.copyto(dx[:, :, i::2, j::2], g, where=arg == tap)
+    return dx
 
 
 def upconv2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -178,11 +197,16 @@ def upconv2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {in_c}")
     batch, _, h, wd = x.shape
     # one GEMM: (B*H*W, C) @ (C, O*4), then spread the 2x2 taps spatially
-    xt = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, in_c)
-    t = xt @ w.reshape(in_c, out_c * 4)
-    t = t.reshape(batch, h, wd, out_c, 2, 2).transpose(0, 3, 1, 4, 2, 5)
-    out = t.reshape(batch, out_c, 2 * h, 2 * wd) + b.reshape(1, out_c, 1, 1)
-    return out, (x, w.shape)
+    t = _channel_rows(x).T @ w.reshape(in_c, out_c * 4)
+    t = t.reshape(batch, h, wd, out_c, 2, 2).transpose(3, 0, 1, 4, 2, 5)
+    out = np.empty((out_c, batch, h, 2, wd, 2), dtype=t.dtype)
+    np.add(t, b.reshape(out_c, 1, 1, 1, 1, 1), out=out)
+    return out.reshape(out_c, batch, 2 * h, 2 * wd).transpose(1, 0, 2, 3), (x, w.shape)
+
+
+def _channel_rows(x: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) -> (C, B*H*W), no copy when x is stored channel-major."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
 
 
 def _upconv2_g_matrix(g: np.ndarray, out_c: int) -> np.ndarray:
@@ -197,19 +221,20 @@ def upconv2_backward(g: np.ndarray, w: np.ndarray, cache):
     x, w_shape = cache
     batch, in_c, h, wd = x.shape
     out_c = w_shape[1]
-    db = g.sum(axis=(0, 2, 3))
+    # a multi-axis sum's order follows the memory layout: sum batch-major
+    db = np.ascontiguousarray(g).sum(axis=(0, 2, 3))
     gm = _upconv2_g_matrix(g, out_c)  # (B*H*W, O*4)
-    xt = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, in_c)
-    dw = (xt.T @ gm).reshape(w_shape)
-    dx = (gm @ w.reshape(in_c, out_c * 4).T).reshape(batch, h, wd, in_c)
-    return np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), dw, db
+    dw = (_channel_rows(x) @ gm).reshape(w_shape)
+    dx = (w.reshape(in_c, out_c * 4) @ gm.T).reshape(in_c, batch, h, wd)
+    return dx.transpose(1, 0, 2, 3), dw, db
 
 
 def concat_forward(a: np.ndarray, b: np.ndarray):
     a, b = _check4(a, "concat"), _check4(b, "concat")
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ValueError(f"concat batch/spatial mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1), a.shape[1]
+    out = np.concatenate([a.transpose(1, 0, 2, 3), b.transpose(1, 0, 2, 3)])
+    return out.transpose(1, 0, 2, 3), a.shape[1]
 
 
 def concat_backward(g: np.ndarray, cache):
@@ -249,24 +274,29 @@ def sigmoid_backward(g: np.ndarray, cache) -> np.ndarray:
 
 
 def _conv_forward(ins: list, n: OpNode, train: bool):
-    """A training forward writes the columns into the node's buffer from
-    its previous training forward and keeps them there for the next."""
-    out, cols = conv2d_forward(ins[0], n.weight.value, n.bias.value,
-                               cols=n.cols if train else None)
-    if train:
-        n.cols = cols
-    return out, cols
+    """A training forward of a 3x3 conv writes the columns into the node's
+    buffer from its previous training forward and keeps them there for
+    the next; a 1x1 conv's columns are its input, so it keeps none."""
+    x, w = ins[0], n.weight.value
+    if not train or w.shape[2] == 1:
+        return conv2d_forward(x, w, n.bias.value)
+    out, n.cols = conv2d_forward(x, w, n.bias.value, cols=n.cols,
+                                 zeroed=n.cols_from == x.shape)
+    n.cols_from = x.shape
+    return out, n.cols
 
 
 # One entry per op kind: (forward, backward). forward(inputs, node, train)
 # returns (out, cache); train is True in a training forward.
 # backward(g, node, cache) returns one gradient per input, followed by
-# (dw, db) for ops with parameters. The entries look the op functions up by
-# module name at call time, so rebinding `diff_core.conv2d_forward` and the
-# others (e.g. to time them) takes effect in the executor.
+# (dw, db) for ops with parameters; a conv's takes False as a fourth
+# argument to skip its input gradient (None). The entries look the op
+# functions up by module name at call time, so rebinding
+# `diff_core.conv2d_forward` and the others (e.g. to time them) takes
+# effect in the executor.
 _CONV = (
     _conv_forward,
-    lambda g, n, c: conv2d_backward(g, n.weight.value, c),
+    lambda g, n, c, need_dx=True: conv2d_backward(g, n.weight.value, c, need_dx),
 )
 OPS: dict[str, tuple[Callable, Callable]] = {
     "conv3x3": _CONV,
@@ -306,9 +336,11 @@ class OpNode:
     inputs: tuple[int, ...] = ()
     weight: Parameter | None = None
     bias: Parameter | None = None
-    # conv nodes: the im2col columns of the last training forward, which
-    # the next training forward writes into (see the module docstring)
+    # 3x3 conv nodes: the im2col columns of the last training forward,
+    # which the next training forward writes into, and the shape of the
+    # input they were filled from (see the module docstring)
     cols: np.ndarray | None = field(default=None, repr=False)
+    cols_from: tuple[int, ...] | None = None
 
 
 class Graph:
@@ -353,7 +385,7 @@ class Graph:
     def release_column_buffers(self) -> None:
         """Drop the column buffers kept between training forwards."""
         for n in self.nodes:
-            n.cols = None
+            n.cols = n.cols_from = None
 
     def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
         """Run every node in order. Each activation is dropped once its
@@ -365,6 +397,8 @@ class Graph:
         leaves those buffers as they are."""
         self._x = self._caches = None
         x = np.asarray(x)
+        if x.ndim == 4:  # stored channel-major, as every activation is
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
         acts: list[np.ndarray | None] = [x]
         caches: list = [None]
         for idx, n in enumerate(self.nodes[1:], 1):
@@ -380,11 +414,13 @@ class Graph:
             self._x, self._caches = x, caches
         return acts[-1]
 
-    def backward(self, g_out: np.ndarray, at: int | None = None) -> np.ndarray:
+    def backward(self, g_out: np.ndarray, at: int | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate from node `at` (default: output node).
 
-        Accumulates into Parameter.grad and returns dL/d(input). Requires
-        the last forward to be forward(..., keep_cache=True).
+        Accumulates into Parameter.grad and returns dL/d(input), or None
+        with input_grad=False (see the module docstring). Requires the last
+        forward to be forward(..., keep_cache=True).
         """
         if self._caches is None:
             raise RuntimeError("backward requires a forward(keep_cache=True) first")
@@ -398,23 +434,23 @@ class Graph:
             if g is None:
                 continue
             n = self.nodes[idx]
-            in_grads = OPS[n.kind][1](g, n, caches[idx])
+            args = (g, n, caches[idx])
+            if not input_grad and n.inputs == (0,) and n.kind in ("conv3x3", "conv1x1"):
+                args += (False,)
+            in_grads = OPS[n.kind][1](*args)
             if n.weight is not None:
                 *in_grads, dw, db = in_grads
                 n.weight.grad += dw
                 n.bias.grad += db
             for i, gi in zip(n.inputs, in_grads):
-                _accumulate(grads, i, gi)
+                if gi is not None:
+                    # no gradient is written in place, so views need no copy
+                    grads[i] = gi if grads[i] is None else grads[i] + gi
             grads[idx] = None
+        if not input_grad:
+            return None
         out = grads[0]
         return out if out is not None else np.zeros_like(self._x)
-
-
-def _accumulate(grads: list, idx: int, g: np.ndarray) -> None:
-    if grads[idx] is None:
-        grads[idx] = g.copy() if g.base is not None else g
-    else:
-        grads[idx] = grads[idx] + g
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from wmhseg.architectures import (
     he_init,
     residual_block_graph,
 )
-from wmhseg import architectures
+from wmhseg import architectures, diff_core
 from wmhseg.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from wmhseg.diff_core import grad_check
 from wmhseg.training import SGD, weighted_bce
@@ -192,6 +192,28 @@ class TestTrainingStepDigest:
         for a, b in zip(*grads):
             assert a.tobytes() == b.tobytes()
 
+    def test_training_backward_runs_no_dx_for_the_convs_on_the_input(self, monkeypatch):
+        net = he_network(build_resunet(base_width=4, depth=2), 43)
+        x = np.random.default_rng(44).normal(size=(2, 2, 16, 16))
+        needs = []
+        real = diff_core.conv2d_backward
+
+        def spy(g, w, cache, need_dx=True):
+            needs.append(need_dx)
+            return real(g, w, cache, need_dx)
+
+        monkeypatch.setattr(diff_core, "conv2d_backward", spy)
+        net.forward(x, train=True)
+        assert net.backward_from_logits(np.ones((2, 1, 16, 16))) is None
+        # backward visits the convs last to first; enc0.conv1 and its 1x1
+        # projection read the input
+        convs = [n for n in net.graph.nodes if n.kind.startswith("conv")][::-1]
+        assert sum(n.inputs == (0,) for n in convs) == 2
+        assert needs == [n.inputs != (0,) for n in convs]
+        needs.clear()
+        net.forward(x, train=True)
+        dx = net.graph.backward(np.ones((2, 1, 16, 16)), at=net.head_logits_index)
+        assert dx.shape == x.shape and needs == [True] * len(convs)
 
 class TestResidualBlock:
     def test_identity_skip_requires_matching_channels(self):

@@ -396,10 +396,21 @@ class TestColumnBuffers:
                 p.value += 0.01 * rng.normal(size=p.value.shape)
             net.forward(rng.normal(size=(1, 2, 32, 16)))  # inference between steps
 
-    def test_same_shape_steps_share_column_memory(self):
+    def test_same_shape_steps_share_column_memory(self, monkeypatch):
         rng = np.random.default_rng(23)
         net = self.net()
-        convs = [n for n in net.graph.nodes if n.kind in ("conv3x3", "conv1x1")]
+        convs = [n for n in net.graph.nodes if n.kind == "conv3x3"]
+        pointwise = [n for n in net.graph.nodes if n.kind == "conv1x1"]
+        shared = []  # per 1x1 forward: do its columns share its input's memory?
+        real = diff_core.conv2d_forward
+
+        def spy(x, w, b, **kwargs):
+            out, cols = real(x, w, b, **kwargs)
+            if w.shape[2] == 1:
+                shared.append(np.shares_memory(cols, x))
+            return out, cols
+
+        monkeypatch.setattr(diff_core, "conv2d_forward", spy)
 
         def step():
             self.training_step(net, [(rng.normal(size=(2, 2, 16, 16)),
@@ -412,6 +423,9 @@ class TestColumnBuffers:
         assert all(np.array_equal(n.cols, c) for n, c in zip(convs, saved))
         step()
         assert all(np.shares_memory(n.cols, c) for n, c in zip(convs, first))
+        # a 1x1 conv's columns are its input, so it keeps no buffer
+        assert all(n.cols is None for n in pointwise)
+        assert len(shared) == 3 * len(pointwise) and all(shared)
         net.graph.release_column_buffers()
         assert all(n.cols is None for n in net.graph.nodes)
 
