@@ -161,7 +161,7 @@ def relu_backward(g: np.ndarray, cache) -> np.ndarray:
 def maxpool2_forward(x: np.ndarray):
     """2x2 max pooling, stride 2. Spatial dims must be even."""
     x = _check4(x, "maxpool2")
-    b, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 requires even spatial dims, got {h}x{w}")
     # the window's taps in row-major order; a tie (-0.0 == 0.0 included)
@@ -392,13 +392,13 @@ class Graph:
         last consumer has run. keep_cache=True keeps the per-op caches
         for backward; otherwise each cache is dropped as soon as its op
         returns, and those of an earlier forward are released too. A
-        training forward writes each conv's columns into that node's
+        training forward writes each 3x3 conv's columns into that node's
         buffer from the previous training forward; an inference forward
         leaves those buffers as they are."""
         self._x = self._caches = None
-        x = np.asarray(x)
-        if x.ndim == 4:  # stored channel-major, as every activation is
-            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        # the input is stored channel-major, as every activation is
+        x = np.ascontiguousarray(np.asarray(x).transpose(1, 0, 2, 3))
+        x = x.transpose(1, 0, 2, 3)
         acts: list[np.ndarray | None] = [x]
         caches: list = [None]
         for idx, n in enumerate(self.nodes[1:], 1):

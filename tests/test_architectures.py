@@ -215,6 +215,7 @@ class TestTrainingStepDigest:
         dx = net.graph.backward(np.ones((2, 1, 16, 16)), at=net.head_logits_index)
         assert dx.shape == x.shape and needs == [True] * len(convs)
 
+
 class TestResidualBlock:
     def test_identity_skip_requires_matching_channels(self):
         with pytest.raises(ValueError):

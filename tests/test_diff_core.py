@@ -152,10 +152,10 @@ class TestMaxpool2:
     @pytest.mark.parametrize("tied", [
         s for s in itertools.product((False, True), repeat=4) if any(s)])
     def test_every_set_of_tied_maxima_routes_to_the_first(self, tied):
-        # one window per window position of the 2x2 grid of windows, with
-        # the tied maxima in row-major window order at the `tied` positions
+        # every window of x holds the maximum 2.5 at the `tied` positions,
+        # in row-major window order, and -1.0 elsewhere
         vals = np.where(tied, 2.5, -1.0).reshape(2, 2)
-        x = np.tile(vals, (2, 3, 2, 2))  # (2, 3, 4, 4): four windows each
+        x = np.tile(vals, (2, 3, 2, 2))  # (2, 3, 4, 4): four windows a plane
         y, cache = maxpool2_forward(x)
         assert np.array_equal(y, np.full((2, 3, 2, 2), 2.5))
         g = np.random.default_rng(5).normal(size=y.shape)
