@@ -196,11 +196,12 @@ def upconv2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     if x.shape[1] != in_c:
         raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {in_c}")
     batch, _, h, wd = x.shape
-    # one GEMM: (B*H*W, C) @ (C, O*4), then spread the 2x2 taps spatially
-    t = _channel_rows(x).T @ w.reshape(in_c, out_c * 4)
-    t = t.reshape(batch, h, wd, out_c, 2, 2).transpose(3, 0, 1, 4, 2, 5)
+    # one GEMM: (O*4, C) @ (C, B*H*W), then spread the 2x2 taps spatially
+    t = w.reshape(in_c, out_c * 4).T @ _channel_rows(x)
+    t = t.reshape(out_c, 2, 2, batch, h, wd)
     out = np.empty((out_c, batch, h, 2, wd, 2), dtype=t.dtype)
-    np.add(t, b.reshape(out_c, 1, 1, 1, 1, 1), out=out)
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        np.add(t[:, di, dj], b.reshape(out_c, 1, 1, 1), out=out[:, :, :, di, :, dj])
     return out.reshape(out_c, batch, 2 * h, 2 * wd).transpose(1, 0, 2, 3), (x, w.shape)
 
 
@@ -209,22 +210,17 @@ def _channel_rows(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
 
 
-def _upconv2_g_matrix(g: np.ndarray, out_c: int) -> np.ndarray:
-    """Rearrange (B, O, 2H, 2W) gradients to (B*H*W, O*4) tap order."""
-    batch, _, h2, w2 = g.shape
-    g6 = g.reshape(batch, out_c, h2 // 2, 2, w2 // 2, 2)
-    gt = g6.transpose(0, 2, 4, 1, 3, 5)  # (B, H, W, O, 2, 2)
-    return np.ascontiguousarray(gt).reshape(-1, out_c * 4)
-
-
 def upconv2_backward(g: np.ndarray, w: np.ndarray, cache):
     x, w_shape = cache
     batch, in_c, h, wd = x.shape
     out_c = w_shape[1]
-    # a multi-axis sum's order follows the memory layout: sum batch-major
+    # a multi-axis sum's order follows the memory layout, and a GEMM's last
+    # bits can follow its operands' layouts: both keep batch-major operands
     db = np.ascontiguousarray(g).sum(axis=(0, 2, 3))
-    gm = _upconv2_g_matrix(g, out_c)  # (B*H*W, O*4)
-    dw = (_channel_rows(x) @ gm).reshape(w_shape)
+    g6 = g.reshape(batch, out_c, h, 2, wd, 2).transpose(0, 2, 4, 1, 3, 5)
+    gm = np.ascontiguousarray(g6).reshape(-1, out_c * 4)  # (B*H*W, O*4) taps
+    xt = np.ascontiguousarray(_channel_rows(x).T)  # (B*H*W, C)
+    dw = (xt.T @ gm).reshape(w_shape)
     dx = (w.reshape(in_c, out_c * 4) @ gm.T).reshape(in_c, batch, h, wd)
     return dx.transpose(1, 0, 2, 3), dw, db
 
