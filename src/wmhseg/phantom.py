@@ -8,6 +8,13 @@ FLAIR-bright confounder spheres outside it. Confounders use the same
 T1/FLAIR intensities as true lesions, so intensity alone cannot reject
 them; only white-matter confinement can.
 
+Cost rule: the brain and WM ellipsoids are built from three broadcast
+per-axis terms, not full-grid coordinate arrays. Each sphere placement
+attempt is evaluated, checked against the allowed and blocked masks and
+stamped only inside the sphere's bounding box grown by one voxel per side
+(clipped to the grid), which also holds its 26-dilation. So placement cost
+follows the lesion size, not the grid size.
+
 Intensity model (documented constants, not taken from any dataset):
 lesions are darker than white matter on T1 and brighter on FLAIR; the
 intensity-ordering invariants hold per case for noise_std <= 0.1.
@@ -16,6 +23,7 @@ intensity-ordering invariants hold per case for noise_std <= 0.1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -50,6 +58,20 @@ class PhantomConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if min(self.dims) < 1:
+            raise ValueError(f"dims must be >= 1, got {self.dims}")
+        if self.confounder_count < 0:
+            raise ValueError(f"confounder count must be >= 0, got {self.confounder_count}")
+        if self.confounder_radius <= 0:
+            raise ValueError(f"confounder radius must be > 0, got {self.confounder_radius}")
+        if self.max_placement_tries < 1:
+            raise ValueError(
+                f"max placement tries must be >= 1, got {self.max_placement_tries}"
+            )
+        if self.wm_clearance_voxels < 0:
+            raise ValueError(
+                f"wm clearance voxels must be >= 0, got {self.wm_clearance_voxels}"
+            )
         if self.noise_std < 0:
             raise ValueError("noise std must be >= 0")
         lo, hi = self.lesion_radius_range
@@ -91,16 +113,27 @@ class PlacementError(RuntimeError):
     """Lesion or confounder placement failed after bounded retries."""
 
 
-def _ellipsoid(dims, center, semiaxes) -> np.ndarray:
-    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
-    acc = np.zeros(dims, dtype=np.float64)
-    for g, c, a in zip(grids, center, semiaxes):
-        acc += ((g - c) / a) ** 2
-    return acc <= 1.0
+def _ellipsoid(dims, center, semiaxes, box=None) -> np.ndarray:
+    """Voxels with sum(((i - c) / a) ** 2) <= 1 over the grid, or only
+    inside `box` (a tuple of slices). The per-axis terms are broadcast and
+    added in (x + y) + z order."""
+    if box is None:
+        box = tuple(slice(0, n) for n in dims)
+    x, y, z = (
+        ((np.arange(s.start, s.stop, dtype=np.float64) - c) / a) ** 2
+        for s, c, a in zip(box, center, semiaxes)
+    )
+    return x[:, None, None] + y[:, None] + z <= 1.0
 
 
-def _sphere(dims, center, radius) -> np.ndarray:
-    return _ellipsoid(dims, center, (radius, radius, radius))
+def _sphere_box(dims, center, radius) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The sphere's bounding box grown by one voxel per side and clipped to
+    the grid, and the sphere inside it. Every voxel outside the box is more
+    than radius + 1 from the center, so the box holds the whole sphere and
+    its 26-dilation."""
+    k = math.ceil(radius) + 1
+    box = tuple(slice(max(c - k, 0), min(c + k + 1, n)) for c, n in zip(center, dims))
+    return box, _ellipsoid(dims, center, (radius, radius, radius), box)
 
 
 def _place_spheres(
@@ -115,17 +148,17 @@ def _place_spheres(
     26-connectivity so each sphere stays its own component."""
     placed = np.zeros(dims, dtype=bool)
     blocked = np.zeros(dims, dtype=bool)
-    candidates = np.argwhere(allowed)
+    candidates = np.flatnonzero(allowed)
     if candidates.size == 0 and count > 0:
         raise PlacementError("no candidate centers for sphere placement")
     for _ in range(count):
         for _attempt in range(max_tries):
-            center = candidates[int(rng.integers(len(candidates)))]
+            center = np.unravel_index(candidates[int(rng.integers(len(candidates)))], dims)
             radius = float(rng.uniform(*radius_range))
-            sphere = _sphere(dims, center.astype(np.float64), radius)
-            if not (sphere & ~allowed).any() and not (sphere & blocked).any():
-                placed |= sphere
-                blocked |= dilate(BinaryMask3D(sphere, (1, 1, 1)), 1, 26).data > 0
+            box, sphere = _sphere_box(dims, center, radius)
+            if not (sphere & ~allowed[box]).any() and not (sphere & blocked[box]).any():
+                placed[box] |= sphere
+                blocked[box] |= dilate(BinaryMask3D(sphere, (1, 1, 1)), 1, 26).data > 0
                 break
         else:
             raise PlacementError(f"could not place sphere after {max_tries} tries")
@@ -191,6 +224,8 @@ def generate_case(cfg: PhantomConfig, seed: int, case_id: str | None = None) -> 
 
 def generate_dataset(cfg: PhantomConfig, n_cases: int, seed: int) -> list[PhantomCase]:
     """n independent cases from a seeded stream; deterministic."""
+    if n_cases < 0:
+        raise ValueError(f"number of cases must be >= 0, got {n_cases}")
     children = np.random.SeedSequence(seed).spawn(n_cases)
     return [
         generate_case(cfg, int(c.generate_state(1)[0]), case_id=f"case_{i:03d}")

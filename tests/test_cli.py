@@ -366,6 +366,20 @@ class TestErrors:
         assert "batch size" in report["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--confounders", "-1"], "confounder count"),
+        (["--dims", "0", "64", "8"], "dims"),
+        (["--cases", "-1"], "number of cases"),
+    ])
+    def test_bad_phantom_geometry_exits_1(self, tmp_path, flags, message):
+        rpt, out = tmp_path / "fail.json", tmp_path / "phantom"
+        code = run(["phantom", "--out", str(out), "--report", str(rpt), *flags])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("phantom", "error")
+        assert message in report["error"]
+        assert not out.exists()
+
     def test_evaluate_probability_map_exits_1_with_report(self, tmp_path, dataset):
         gt = dataset / "case_000" / "wmh.nii"
         truth = read_nifti_mask(gt)

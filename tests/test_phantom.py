@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from wmhseg.morphology import connected_components, dilate
 from wmhseg.phantom import (
     PhantomConfig,
     PlacementError,
+    _ellipsoid,
+    _sphere_box,
     generate_case,
     generate_dataset,
     load_dataset,
     save_dataset,
 )
+from wmhseg.volume_io import BinaryMask3D
 
 CFG = PhantomConfig()
 
@@ -84,6 +89,46 @@ class TestGenerateCase:
         with pytest.raises(ValueError):
             PhantomConfig(lesion_radius_range=(3.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [
+        {"dims": (0, 64, 8)},
+        {"dims": (64, 64, -1)},
+        {"confounder_count": -1},
+        {"confounder_radius": 0.0},
+        {"max_placement_tries": 0},
+        {"wm_clearance_voxels": -1},
+    ])
+    def test_bad_geometry_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PhantomConfig(**bad)
+
+
+class TestSphereBox:
+    DIMS = (20, 17, 9)
+
+    def centers(self):
+        rng = np.random.default_rng(0)
+        # every face and corner of the grid, then random interior points
+        extremes = [(x, y, z) for x in (0, 19) for y in (0, 16) for z in (0, 8)]
+        faces = [(0, 8, 4), (19, 8, 4), (10, 0, 4), (10, 16, 4), (10, 8, 0), (10, 8, 8)]
+        rand = [tuple(int(v) for v in rng.integers(0, self.DIMS)) for _ in range(30)]
+        return extremes + faces + rand
+
+    @pytest.mark.parametrize("radius", [
+        CFG.lesion_radius_range[0], 2.2, 2.75, 3.0, np.nextafter(3.0, 0.0),
+        CFG.lesion_radius_range[1], CFG.confounder_radius,
+    ])
+    def test_stamped_box_equals_full_grid_sphere(self, radius):
+        for center in self.centers():
+            box, sphere = _sphere_box(self.DIMS, center, radius)
+            stamped = np.zeros(self.DIMS, dtype=bool)
+            stamped[box] = sphere
+            full = _ellipsoid(self.DIMS, center, (radius, radius, radius))
+            assert np.array_equal(stamped, full), (center, radius)
+            # the 26-dilation stays inside the box too
+            grown = dilate(BinaryMask3D(full, (1, 1, 1)), 1, 26).data > 0
+            grown[box] = False
+            assert not grown.any(), (center, radius)
+
 
 class TestGenerateDataset:
     def test_deterministic_given_seed(self):
@@ -99,6 +144,10 @@ class TestGenerateDataset:
 
     def test_zero_cases(self):
         assert generate_dataset(CFG, 0, seed=23) == []
+
+    def test_negative_cases_rejected(self):
+        with pytest.raises(ValueError, match="number of cases"):
+            generate_dataset(CFG, -1, seed=23)
 
     def test_case_ids_stable(self):
         cases = generate_dataset(CFG, 3, seed=24)
@@ -126,3 +175,57 @@ class TestDatasetIO:
         assert files_a == files_b
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+# sha256 of each volume's array bytes, concatenated over the cases in order.
+# The crowded config clips lesions at the z faces and needs about ten
+# placement attempts per sphere, so the retry path is pinned too.
+GOLDEN_DATASETS = {
+    "default": (PhantomConfig(), 10, 42, {
+        "t1": "9ffe3bfa51cdcb0c93ec70cf992f5943374071abb213fbf46813b9f7de03c5e6",
+        "flair": "da1ece4e6bf3546e2e73d03887007dbc407902bc0a533a7e8cb0cea1b92b08eb",
+        "wm_truth": "7bd4ab8f7a833d762fdf99e4fca54a383c5a11fc89d0145a9e3507ed010c4710",
+        "wmh_truth": "36690535ca400f92ddb23b5ab4716b3717fb186d35b1f1520c0c87abc7e406a6",
+        "confounder": "4a12c36cc721a7c5faa995665cece6222ccb139731d51301278ac7b3e88d026d",
+    }),
+    "large": (PhantomConfig(dims=(128, 128, 16)), 8, 101, {
+        "t1": "763153cea25bc12b93de155c1456fa0acd80ef26fe108023143fbbd8661c1a38",
+        "flair": "8965323be7f559e30cb9a96451192e4ccd90ffe986d437557a83300b81d067dd",
+        "wm_truth": "3e0ff0be29f1f585ff384c8928d4e8561a9787db622c5aec48ea7c1a6fffbf84",
+        "wmh_truth": "ec95b873c559644a931556c5adfc4699336277931a649faa2ef7bc3670ad07a8",
+        "confounder": "d2b2b103a226c3f52412b1c0593f3b0da57e86139253f74451e50647b6082f0e",
+    }),
+    "crowded": (
+        PhantomConfig(dims=(40, 40, 6), lesion_count_range=(4, 4), confounder_count=3,
+                      wm_clearance_voxels=1),
+        6, 5, {
+            "t1": "18937aff17eda79b82de9cfa362383483562cb565c3a8dba7aa4832a11635a23",
+            "flair": "14098e11c118b07f1bcddc3590c01cefccd1cad2dad46640d26a8287fc01b465",
+            "wm_truth": "7698ac3a98844ca3df589259efaa38f98a4f5e0a639e6b91f9372aa353170d75",
+            "wmh_truth": "009ec876f7975d86f27d8b40bd6c8772314790d191389b087802ff33f2cb6b6e",
+            "confounder": "30311caa0db2e8eaeaf6052dfda31e2d955d7ec7338ae4b8e559c70bfc78455e",
+        }),
+}
+
+
+class TestGoldenDigests:
+    """generate_dataset's volumes are pinned byte for byte, so a change to
+    the geometry code that moves any voxel or RNG draw fails here."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DATASETS))
+    def test_volumes_match_pinned_digests(self, name):
+        cfg, n_cases, seed, expected = GOLDEN_DATASETS[name]
+        cases = generate_dataset(cfg, n_cases, seed)
+        got = {}
+        for field in expected:
+            h = hashlib.sha256()
+            for c in cases:
+                h.update(getattr(c, field).data.tobytes())
+            got[field] = h.hexdigest()
+        assert got == expected
+
+    def test_crowded_config_clips_at_grid_faces(self):
+        cfg, n_cases, seed, _ = GOLDEN_DATASETS["crowded"]
+        cases = generate_dataset(cfg, n_cases, seed)
+        face = sum(int(c.wmh_truth.data[:, :, [0, -1]].sum()) for c in cases)
+        assert face > 0
