@@ -62,7 +62,7 @@ class PhantomConfig:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
         if self.confounder_count < 0:
             raise ValueError(f"confounder count must be >= 0, got {self.confounder_count}")
-        if self.confounder_radius <= 0:
+        if not self.confounder_radius > 0:  # NaN too
             raise ValueError(f"confounder radius must be > 0, got {self.confounder_radius}")
         if self.max_placement_tries < 1:
             raise ValueError(

@@ -94,6 +94,7 @@ class TestGenerateCase:
         {"dims": (64, 64, -1)},
         {"confounder_count": -1},
         {"confounder_radius": 0.0},
+        {"confounder_radius": float("nan")},
         {"max_placement_tries": 0},
         {"wm_clearance_voxels": -1},
     ])
