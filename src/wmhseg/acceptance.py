@@ -485,7 +485,8 @@ def crit_ablation() -> tuple[bool, dict, str]:
 
 def crit_determinism() -> tuple[bool, dict, str]:
     """Repeating the pinned training run with identical seeds yields
-    bit-identical checkpoints, histories and ablation report (float64)."""
+    bit-identical checkpoints, histories and ablation report (training
+    runs in float32, `training.TRAIN_DTYPE`)."""
     wm_a, wm_hist_a, _, abl_a, trained_a = trained_models()
     wm_b, wm_hist_b, _, abl_b, trained_b = pinned_run()
     # (network, history) of the white matter net and both lesion variants

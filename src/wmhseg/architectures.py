@@ -13,6 +13,9 @@ Building and initializing are separate steps. `Network(spec, dtype)`
 builds the graph with every parameter zero and draws no random numbers;
 `he_init(graph, seed)` then draws the weights in one pass over the graph
 (biases stay zero), or `checkpoint.load_checkpoint` reads them from a file.
+`training.train` builds its networks in float32 and, after `he_init`,
+zeroes the last conv of every residual branch (`*.conv2.w`); `he_init`
+itself draws every weight. The float64 default serves gradient checks.
 """
 
 from __future__ import annotations
@@ -222,8 +225,12 @@ class Network:
     def backward_from_logits(self, dz: np.ndarray) -> None:
         """Backpropagate a gradient w.r.t. the pre-sigmoid head output into
         the parameter gradients, bit-equal to `graph.backward(dz,
-        at=head_logits_index)`. Training reads no input gradient, so the
-        convs on the network input run no dx im2col or GEMM."""
+        at=head_logits_index)` for a `dz` in the network dtype. `dz` is cast
+        to that dtype first, as `forward` casts its input, so a float64
+        loss gradient does not promote a float32 backward to float64.
+        Training reads no input gradient, so the convs on the network input
+        run no dx im2col or GEMM."""
+        dz = np.asarray(dz, dtype=self.dtype)
         self.graph.backward(dz, at=self.head_logits_index, input_grad=False)
 
     def zero_grad(self) -> None:

@@ -72,10 +72,10 @@ class PhantomConfig:
             raise ValueError(
                 f"wm clearance voxels must be >= 0, got {self.wm_clearance_voxels}"
             )
-        if self.noise_std < 0:
-            raise ValueError("noise std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:  # NaN too
+            raise ValueError(f"noise std must be finite and >= 0, got {self.noise_std}")
         lo, hi = self.lesion_radius_range
-        if lo <= 0 or hi < lo:
+        if not 0 < lo <= hi < math.inf:  # NaN too
             raise ValueError(f"bad lesion radius range {self.lesion_radius_range}")
         if self.lesion_count_range[0] < 0 or (
             self.lesion_count_range[1] < self.lesion_count_range[0]

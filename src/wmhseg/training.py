@@ -7,12 +7,28 @@ The loss is a sum over pixels (not a mean): the balanced form
     loss = -w_fg * sum_{j in Y+} log(yhat_j) - w_bg * sum_{j in Y-} log(1 - yhat_j)
 
 with w_fg = beta, w_bg = 1 - beta, where beta is the mean background
-fraction over the training slices (HED, Xie & Tu, ICCV 2015). Training
-runs in float64. The training loop scales the batch gradient and
-recorded loss by the reciprocal of the batch's total class-weight mass
-(sum over pixels of the pixel's class weight), so one optimizer setting
-behaves comparably across slice sizes and across very different
-foreground sparsities.
+fraction over the training slices (HED, Xie & Tu, ICCV 2015). The training
+loop scales the batch gradient and recorded loss by the reciprocal of the
+batch's total class-weight mass (sum over pixels of the pixel's class
+weight), so one optimizer setting behaves comparably across slice sizes
+and across very different foreground sparsities.
+
+Precision: training runs in TRAIN_DTYPE, float32, the usual single
+precision for FCN training (the reference that Micikevicius et al., arXiv
+1710.03740, compare reduced precision against). Parameters, case planes,
+activations, gradients, im2col columns and optimizer state are float32,
+so trained checkpoints are `<f4` and inference on them runs in float32
+too. The loss, its
+gradient w.r.t. the logits and every history value are computed in
+float64; that gradient is rounded to float32 once, as it enters the
+network's backward pass.
+
+Initialization: `he_init` draws every weight, then for the residual block
+kind every `*.conv2.w` (the last conv of each residual branch) is set to
+zero, so each block starts as its skip path (zero-gamma, Goyal et al.,
+arXiv 1706.02677). At He scale on both paths each block roughly doubles
+the activation variance, and the ResU-Net failed to train at several
+seeds.
 
 The network input has one layout, built once per case by `axial_planes`:
 (nz, C, nx, ny) axial planes, so a training slice is the view [z] and an
@@ -30,6 +46,7 @@ SGD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -42,6 +59,9 @@ from .volume_io import BinaryMask3D, Volume3D
 
 # probabilities are clipped to [EPSILON, 1 - EPSILON] inside the log
 EPSILON = 1e-7
+
+# the dtype of the trained network and of the case planes it trains on
+TRAIN_DTYPE = np.dtype(np.float32)
 
 
 @dataclass
@@ -56,6 +76,12 @@ class TrainConfig:
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.learning_rate < math.inf:  # NaN too
+            raise ValueError(
+                f"learning rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation fraction must be in (0, 1)")
         if self.epochs < 1:
@@ -94,16 +120,17 @@ def axial_planes(*volumes: np.ndarray) -> np.ndarray:
 class TrainingCase:
     """One case ready for slice-wise training: its input channels, binary
     labels and, for the lesion stage, the stage-1 white matter `window`
-    that confines its predictions, all as axial planes (`axial_planes`)."""
+    that confines its predictions, all as axial planes (`axial_planes`).
+    The images are kept in TRAIN_DTYPE, cast here once."""
 
     case_id: str
-    images: np.ndarray  # (nz, C, nx, ny)
+    images: np.ndarray  # (nz, C, nx, ny), TRAIN_DTYPE
     labels: np.ndarray  # (nz, nx, ny), values {0, 1}
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     window: np.ndarray | None = None  # (nz, nx, ny), values {0, 1}
 
     def __post_init__(self) -> None:
-        self.images = np.ascontiguousarray(self.images, dtype=np.float64)
+        self.images = np.ascontiguousarray(self.images, dtype=TRAIN_DTYPE)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
         if self.images.ndim != 4:
             raise ValueError(f"images must be (nz, C, nx, ny), got {self.images.shape}")
@@ -258,12 +285,13 @@ def predict_probabilities(net: Network, planes: np.ndarray) -> np.ndarray:
     whatever the volume's depth.
 
     The result bit-equals one forward over all planes stacked as a batch
-    when each pooling level's plane holds a multiple of 8 pixels, as on
-    the 64x64 and 128x128 grids. Otherwise OpenBLAS computes the last 1-4
-    columns of a GEMM with an edge kernel whose rounding differs, so a
-    plane's last pixels at such a level can differ in the last bits; the
-    240x240 grid is such a grid at depth 3 or more (its 30x30 level holds
-    900 pixels)."""
+    when each pooling level's plane holds a multiple of 8 pixels in a
+    float64 network, or of 16 in a float32 one, as on the 64x64 and
+    128x128 grids. Otherwise OpenBLAS's Haswell kernels compute the last
+    columns of a GEMM (up to 7 in dgemm, up to 15 in sgemm) with an edge
+    kernel whose rounding differs, so a plane's last pixels at such a
+    level can differ in the last bits; the 240x240 grid is such a grid at
+    depth 3 or more (its 30x30 level holds 900 pixels)."""
     nz, _, nx, ny = planes.shape
     probs = np.empty((nx, ny, nz), dtype=np.float64)
     for z in range(nz):
@@ -284,7 +312,8 @@ def train(
     spike clipping) and the per-epoch validation Dice of the thresholded
     output: raw in `val_dice`, and ANDed with each case's `window` in
     `val_dice_confined` (empty when no validation case has a window).
-    Bit-reproducible for a fixed seed.
+    Trains in TRAIN_DTYPE with the residual branches zero-initialized (see
+    the module docstring). Bit-reproducible for a fixed seed.
     """
     if not cases:
         raise ValueError("empty dataset")
@@ -303,8 +332,12 @@ def train(
     beta = compute_beta(lab for c in train_cases for lab in c.labels)
     w_fg, w_bg = class_weights(beta)
 
-    net = Network(spec)
+    net = Network(spec, TRAIN_DTYPE)
     he_init(net.graph, seed_init)
+    if spec.block_kind == "residual":  # each block starts as its skip path
+        for p in net.parameters():
+            if p.name.endswith(".conv2.w"):
+                p.value[...] = 0.0
     optimizer = SGD(net.parameters(), cfg.learning_rate, cfg.momentum)
     loop_rng = np.random.default_rng(seed_loop)
 

@@ -367,9 +367,28 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
+        (["--learning-rate", "0"], "learning rate must be finite and > 0, got 0.0"),
+        (["--learning-rate", "nan"], "learning rate must be finite and > 0, got nan"),
+        (["--momentum", "1.5"], "momentum must be in [0, 1), got 1.5"),
+        (["--momentum", "-0.1"], "momentum must be in [0, 1), got -0.1"),
+    ])
+    def test_unusable_optimizer_setting_exits_1_before_training(
+        self, tmp_path, dataset, flags, message
+    ):
+        rpt, out = tmp_path / "fail.json", tmp_path / "x.ckpt"
+        code = run(["train-wm", "--data", str(dataset), "--out", str(out),
+                    "--report", str(rpt), *flags])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("train-wm", "error")
+        assert message in report["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
         (["--confounders", "-1"], "confounder count"),
         (["--dims", "0", "64", "8"], "dims"),
         (["--cases", "-1"], "number of cases"),
+        (["--noise-std", "nan"], "noise std must be finite and >= 0, got nan"),
     ])
     def test_bad_phantom_geometry_exits_1(self, tmp_path, flags, message):
         rpt, out = tmp_path / "fail.json", tmp_path / "phantom"

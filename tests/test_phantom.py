@@ -97,6 +97,11 @@ class TestGenerateCase:
         {"confounder_radius": float("nan")},
         {"max_placement_tries": 0},
         {"wm_clearance_voxels": -1},
+        {"noise_std": float("nan")},
+        {"noise_std": float("inf")},
+        {"lesion_radius_range": (float("nan"), 3.0)},
+        {"lesion_radius_range": (2.0, float("nan"))},
+        {"lesion_radius_range": (2.0, float("inf"))},
     ])
     def test_bad_geometry_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -11,11 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wmhseg
+from wmhseg import diff_core, training
 from wmhseg.architectures import Network, build_resunet, build_trimmed_unet, he_init
+from wmhseg.checkpoint import load_checkpoint, save_checkpoint
 from wmhseg.diff_core import Parameter
 from wmhseg.training import (
     SGD,
     SPIKE_FACTOR,
+    TRAIN_DTYPE,
     TrainConfig,
     TrainingCase,
     apply_dihedral,
@@ -397,7 +402,7 @@ class TestAxialPlanes:
 
 class TestTrainingCase:
     def test_planes_kept_without_copy(self):
-        images = np.zeros((4, 2, 8, 6))
+        images = np.zeros((4, 2, 8, 6), dtype=TRAIN_DTYPE)
         labels = np.zeros((4, 8, 6), dtype=np.uint8)
         case = TrainingCase(case_id="c", images=images, labels=labels)
         assert case.images is images and case.labels is labels
@@ -485,6 +490,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(learning_rate=0.0), dict(learning_rate=-0.05),
+        dict(learning_rate=math.nan), dict(learning_rate=math.inf),
+        dict(momentum=-0.1), dict(momentum=1.0), dict(momentum=1.5),
+        dict(momentum=math.nan),
+    ])
+    def test_unusable_optimizer_settings_rejected(self, bad):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=name.replace("_", " ")) as exc:
+            TrainConfig(**bad)
+        assert f"got {value}" in str(exc.value)
+
     def test_max_iterations_cap(self):
         spec = build_trimmed_unet(base_width=2, depth=2)
         cfg = TrainConfig(epochs=50, seed=9, batch_size=2, max_iterations=5)
@@ -537,22 +554,102 @@ class TestTrain:
         assert d >= 0.90
 
 
-def random_net(spec, seed=3):
-    net = Network(spec)
+class TestFloat32Training:
+    """`train` runs in TRAIN_DTYPE end to end, and zeroes the residual
+    branches after `he_init`."""
+
+    # training backpropagates from the logits, so sigmoid_backward never runs
+    OP_FUNCTIONS = [f"{op}_{way}" for op in ("conv2d", "relu", "maxpool2", "upconv2",
+                                             "concat", "add")
+                    for way in ("forward", "backward")] + ["sigmoid_forward"]
+
+    @staticmethod
+    def float_arrays(obj):
+        if isinstance(obj, np.ndarray):
+            return [obj] if obj.dtype.kind == "f" else []
+        if isinstance(obj, (tuple, list)):
+            return [a for o in obj for a in TestFloat32Training.float_arrays(o)]
+        return []
+
+    def test_every_op_reads_and_writes_float32(self, monkeypatch):
+        # the OPS entries look the op functions up at call time, so the
+        # spies see every activation, gradient and im2col column buffer
+        seen = {name: [] for name in self.OP_FUNCTIONS}
+        for name in self.OP_FUNCTIONS:
+            real = getattr(diff_core, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                out = _real(*args, **kwargs)
+                seen[_name] += [a.dtype for a in self.float_arrays((args, out))]
+                return out
+
+            monkeypatch.setattr(diff_core, name, spy)
+        spec = build_resunet(in_channels=1, base_width=2, depth=2)
+        net, hist = train(spec, tiny_cases(), TrainConfig(max_iterations=1, seed=3))
+        assert hist.iterations == 1 and net.dtype == TRAIN_DTYPE == np.float32
+        for name, dtypes in seen.items():
+            assert dtypes, f"{name} never ran"
+            assert set(dtypes) == {np.dtype(np.float32)}, name
+        assert all(p.value.dtype == p.grad.dtype == np.float32 for p in net.parameters())
+
+    def test_checkpoint_is_f4_and_loads_back_bit_equal(self, tmp_path):
+        spec = build_trimmed_unet(base_width=2, depth=2)
+        net, _ = train(spec, tiny_cases(), TrainConfig(max_iterations=2, seed=4))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net)
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 12)
+        index = json.loads(raw[16 : 16 + n])
+        assert {index["dtype"]} | {q["dtype"] for q in index["params"]} == {"<f4"}
+        back = load_checkpoint(path)
+        assert back.dtype == np.float32
+        for a, b in zip(net.parameters(), back.parameters()):
+            assert a.name == b.name and a.value.tobytes() == b.value.tobytes()
+
+    @pytest.mark.parametrize("builder", [build_resunet, build_trimmed_unet])
+    def test_zero_init_touches_only_residual_conv2_weights(self, monkeypatch, builder):
+        drawn, started = {}, {}
+
+        def spy_init(graph, seed):
+            he_init(graph, seed)
+            drawn.update((p.name, p.value.copy()) for p in graph.parameters())
+
+        class SpySGD(training.SGD):
+            def __init__(self, params, *args):
+                super().__init__(params, *args)
+                started.update((p.name, p.value.copy()) for p in self.params)
+
+        monkeypatch.setattr(training, "he_init", spy_init)
+        monkeypatch.setattr(training, "SGD", SpySGD)
+        spec = builder(in_channels=1, base_width=2, depth=2)
+        train(spec, tiny_cases(), TrainConfig(max_iterations=1, seed=5))
+        zeroed = [name for name in drawn
+                  if spec.block_kind == "residual" and name.endswith(".conv2.w")]
+        assert len(zeroed) == (2 * spec.depth + 1 if spec.block_kind == "residual" else 0)
+        for name, w in drawn.items():
+            if name in zeroed:
+                assert np.all(w != 0) and not np.any(started[name])
+            else:
+                assert w.tobytes() == started[name].tobytes()
+
+
+def random_net(spec, seed=3, dtype=np.float64):
+    net = Network(spec, dtype)
     he_init(net.graph, seed)
     return net
 
 
 class TestPredictProbabilities:
-    # Every pooling level's plane holds a multiple of 8 pixels, as on the
+    # Every pooling level's plane holds a multiple of 16 pixels, as on the
     # 64x64 and 128x128 grids; see the predict_probabilities docstring.
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("spec, plane", [
         (build_resunet(base_width=2, depth=2), (16, 16)),
         (build_trimmed_unet(base_width=2, depth=2), (32, 16)),
         (build_resunet(base_width=2, depth=2), (13, 14)),  # reflect-padded to 16x16
     ])
-    def test_bit_equal_to_one_whole_volume_forward(self, spec, plane):
-        net = random_net(spec)
+    def test_bit_equal_to_one_whole_volume_forward(self, spec, plane, dtype):
+        net = random_net(spec, dtype=dtype)
         rng = np.random.default_rng(4)
         planes = rng.random((5, spec.in_channels, *plane))
         whole = net.forward(planes, train=False)
