@@ -18,10 +18,9 @@ precision for FCN training (the reference that Micikevicius et al., arXiv
 1710.03740, compare reduced precision against). Parameters, case planes,
 activations, gradients, im2col columns and optimizer state are float32,
 so trained checkpoints are `<f4` and inference on them runs in float32
-too. The loss, its
-gradient w.r.t. the logits and every history value are computed in
-float64; that gradient is rounded to float32 once, as it enters the
-network's backward pass.
+too. The loss, its gradient w.r.t. the logits and every history value
+are computed in float64; that gradient is rounded to float32 once, as it
+enters the network's backward pass.
 
 Initialization: `he_init` draws every weight, then for the residual block
 kind every `*.conv2.w` (the last conv of each residual branch) is set to

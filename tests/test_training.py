@@ -407,6 +407,12 @@ class TestTrainingCase:
         case = TrainingCase(case_id="c", images=images, labels=labels)
         assert case.images is images and case.labels is labels
 
+    def test_images_cast_once_to_the_training_dtype(self):
+        images = np.random.default_rng(2).random((4, 2, 8, 6))
+        case = TrainingCase(case_id="c", images=images, labels=np.zeros((4, 8, 6)))
+        assert case.images.dtype == TRAIN_DTYPE and case.images.flags.c_contiguous
+        assert np.array_equal(case.images, images.astype(TRAIN_DTYPE))
+
     @pytest.mark.parametrize("images, labels", [
         (np.zeros((4, 1, 8, 6)), np.zeros((3, 8, 6))),  # plane count
         (np.zeros((4, 1, 8, 6)), np.zeros((4, 6, 8))),  # in-plane grid

@@ -9,7 +9,7 @@ prints the confined validation Dice of each validation case (the
 `segment_wmh` output, as the ablation scores it) and marks with x a
 setting whose mean is below 0.85. Nothing is written to disk.
 
-Run from the repository root (about 15 CPU minutes):
+Run from the repository root (about 6 CPU minutes):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/seed_sweep.py
 """
