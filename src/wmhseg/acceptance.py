@@ -12,8 +12,9 @@ criteria, except where a criterion is explicitly about re-running them.
 The pinned run trains the white matter network, computes its masks and
 runs the plain-vs-residual ablation on them. The ablation's residual
 variant has criterion 6's spec, masks and configs, so it is criterion
-6's lesion network: criteria 6 and 7 read that network, criterion 8 the
-ablation report, and criterion 9 repeats the run once.
+6's lesion network: criterion 6 reads its scored validation cases from
+the ablation report, criterion 7 reads that network, criterion 8 the
+report's summaries, and criterion 9 repeats the run once.
 """
 
 from __future__ import annotations
@@ -403,25 +404,18 @@ def crit_end_to_end() -> tuple[bool, dict, str]:
     """Two-stage training on the default phantom config reaches validation
     Dice >= 0.85 for both stages within 500 iterations each, and the
     pipeline's refined masks and final predictions hold the same bar. The
-    wall time counts the pinned run, plain variant included, once."""
-    _, wm_hist, wm_masks, _, trained = trained_models()
+    final predictions are the ablation's residual validation cases, scored
+    in the pinned run. The wall time counts that run, plain variant
+    included, once."""
+    _, wm_hist, wm_masks, report, trained = trained_models()
     t0 = time.time()
-    wmh_net, wmh_hist = trained["residual"]
-    cases = phantom_dataset()
-    pcfg = PipelineConfig()
-
-    val_ids = set(wmh_hist.val_case_ids)
+    _, wmh_hist = trained["residual"]
+    val_cases = report["variants"]["residual"]["val_cases"]
     refined_dice = [
-        dice(m, c.wm_truth) for m, c in zip(wm_masks, cases) if c.case_id in val_ids
+        dice(m, c.wm_truth)
+        for m, c in zip(wm_masks, phantom_dataset()) if c.case_id in val_cases
     ]
-    e2e_dice = []
-    for case, mask in zip(cases, wm_masks):
-        if case.case_id not in val_ids:
-            continue
-        ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
-        pred = segment_wmh(ci, mask, wmh_net, pcfg)
-        e2e_dice.append(dice(pred, case.wmh_truth))
-
+    e2e_dice = [m["dice"] for m in val_cases.values()]
     wall = time.time() - t0 + _CACHE["train_wall"]
     measured = {
         "wm_val_dice": wm_hist.val_dice[-1],

@@ -1,7 +1,9 @@
 """Two-stage inference: white matter segmentation with morphological
 refinement on T1, then lesion segmentation on mask-normalized (T1, FLAIR)
 pairs confined to the refined white matter mask. Also the training-data
-assembly for both stages and the plain-vs-residual ablation run.
+assembly for both stages, `score_cases`, the one place that segments
+cases with a lesion network and scores them with the five challenge
+metrics, and the plain-vs-residual ablation run, which scores through it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .architectures import Network, build_resunet
-from .metrics import evaluate_case
+from .metrics import CaseMetrics, evaluate_case, summarize_cases
 from .morphology import dilate, largest_component
 from .training import (
     TrainConfig,
@@ -146,6 +148,23 @@ def run_pipeline(
     return wmh_mask, wm_mask, report
 
 
+def score_cases(cases, masks: list[BinaryMask3D], wmh_model: Network,
+                cfg: PipelineConfig | None = None, case_ids=None
+                ) -> list[tuple[str, CaseMetrics]]:
+    """`segment_wmh` each case in its stage-1 mask and `evaluate_case` the
+    result against its `wmh_truth`, only the ids in `case_ids` when given.
+    Returns (case_id, metrics) rows in case order, as `write_case_csv`
+    takes them."""
+    return [
+        (c.case_id, evaluate_case(
+            segment_wmh(CaseInput(t1=c.t1, flair=c.flair, case_id=c.case_id),
+                        m, wmh_model, cfg),
+            c.wmh_truth))
+        for c, m in zip(cases, masks, strict=True)
+        if case_ids is None or c.case_id in case_ids
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Training-data assembly for the two stages
 
@@ -198,32 +217,29 @@ def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
 
     `cases` and their stage-1 white matter `masks` are what
     `wmh_training_cases` takes: inputs are normalized with the masks, and
-    predictions are scored after `segment_wmh` (threshold and confinement
-    to the same mask), exactly like the real pipeline, so the two variants
-    differ in architecture only. Returns (report, trained), where trained
-    maps "plain" and "residual" to (network, history). The residual
-    variant is the network `train-wmh` trains from the same cases, masks
-    and config, bit for bit."""
+    each variant's validation cases are scored by `score_cases` (threshold
+    and confinement to the same mask), exactly like the real pipeline, so
+    the two variants differ in architecture only. Each variant reports
+    `val_cases` (per-case metrics) and `val_summary` (their
+    `summarize_cases`), whose Dice and F-1 are `val_dice` and
+    `val_lesion_f1`. Returns (report, trained), where trained maps "plain"
+    and "residual" to (network, history). The residual variant is the
+    network `train-wmh` trains from the same cases, masks and config, bit
+    for bit."""
     tcs = wmh_training_cases(cases, masks)
-    pcfg = PipelineConfig()
     report: dict = {"variants": {}}
     trained = {}
     for kind in ("plain", "residual"):
         spec = replace(build_resunet(base_width=base_width, depth=depth), block_kind=kind)
         net, history = train(spec, tcs, train_cfg)
         trained[kind] = (net, history)
-        val_ids = set(history.val_case_ids)
-        dices, f1s = [], []
-        for case, mask in zip(cases, masks):
-            if case.case_id not in val_ids:
-                continue
-            ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
-            scores = evaluate_case(segment_wmh(ci, mask, net, pcfg), case.wmh_truth)
-            dices.append(scores.dice)
-            f1s.append(scores.lesion_f1)
+        rows = score_cases(cases, masks, net, case_ids=set(history.val_case_ids))
+        summary = summarize_cases(kind, [m for _, m in rows])
         report["variants"][kind] = {
-            "val_dice": float(np.mean(dices)),
-            "val_lesion_f1": float(np.mean(f1s)),
+            "val_dice": summary.dice,
+            "val_lesion_f1": summary.f1,
+            "val_cases": {cid: asdict(m) for cid, m in rows},
+            "val_summary": asdict(summary),
             "val_dice_per_epoch": history.val_dice,
             "val_dice_confined_per_epoch": history.val_dice_confined,
             "iterations": history.iterations,

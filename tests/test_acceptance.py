@@ -63,29 +63,28 @@ def test_selector_names_number_id_or_word(monkeypatch, capsys):
 
 
 def test_end_to_end_wall_counts_training_once(monkeypatch):
-    """A cold cache: the pinned run "takes" 100 s on a fake clock and
-    scoring each of the two validation cases 1 s, so the wall reads 102 s."""
+    """A cold cache: the pinned run "takes" 100 s on a fake clock and scores
+    the two validation cases itself, so the wall reads 100 s and the
+    end-to-end Dice is read from the residual variant's `val_cases`."""
     clock = [0.0]
 
     def advance(seconds, value=None):
         clock[0] += seconds
         return value
 
-    cases = [
-        SimpleNamespace(case_id=f"c{i}", t1=None, flair=None, wm_truth=None, wmh_truth=None)
-        for i in range(4)
-    ]
+    cases = [SimpleNamespace(case_id=f"c{i}", wm_truth=None) for i in range(4)]
     wm_hist = TrainHistory(val_dice=[0.9], iterations=128)
     wmh_hist = TrainHistory(val_dice=[0.9], iterations=480, val_case_ids=["c1", "c3"])
-    pinned = (None, wm_hist, [None] * 4, {}, {"residual": (None, wmh_hist)})
+    val_cases = {"c1": {"dice": 0.91}, "c3": {"dice": 0.97}}
+    report = {"variants": {"residual": {"val_cases": val_cases}}}
+    pinned = (None, wm_hist, [None] * 4, report, {"residual": (None, wmh_hist)})
     monkeypatch.setattr(acceptance, "time", SimpleNamespace(time=lambda: clock[0]))
     monkeypatch.setattr(acceptance, "_CACHE", {})
     monkeypatch.setattr(acceptance, "phantom_dataset", lambda: cases)
     monkeypatch.setattr(acceptance, "pinned_run", lambda: advance(100.0, pinned))
-    monkeypatch.setattr(acceptance, "CaseInput", SimpleNamespace)
-    monkeypatch.setattr(acceptance, "segment_wmh", lambda *a: advance(1.0))
     monkeypatch.setattr(acceptance, "dice", lambda *a: 0.9)
     passed, measured, _ = acceptance.crit_end_to_end()
-    assert measured["wall_seconds_including_training"] == 102.0
-    assert measured["end_to_end_wmh_dice_val_cases"] == [0.9, 0.9]
+    assert measured["wall_seconds_including_training"] == 100.0
+    assert measured["end_to_end_wmh_dice_val_cases"] == [0.91, 0.97]
+    assert measured["refined_wm_dice_val_cases"] == [0.9, 0.9]
     assert passed

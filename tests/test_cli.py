@@ -144,7 +144,7 @@ class TestAblation:
         tcs = wmh_training_cases(cases, masks)
         raw_differs = False
         for kind, (net, hist) in nets.items():
-            dices, f1s, raw = [], [], []
+            dices, f1s, raw, rows = [], [], [], {}
             for case, mask, tc in zip(cases, masks, tcs):
                 if case.case_id not in hist.val_case_ids:
                     continue
@@ -153,6 +153,7 @@ class TestAblation:
                                        case.wmh_truth)
                 dices.append(scores.dice)
                 f1s.append(scores.lesion_f1)
+                rows[case.case_id] = asdict(scores)
                 probs = predict_probabilities(net, tc.images)
                 unconfined = BinaryMask3D(
                     data=(probs >= 0.5).astype(np.uint8), spacing=case.t1.spacing
@@ -163,6 +164,25 @@ class TestAblation:
             assert got["val_dice_confined_per_epoch"][-1] == got["val_dice"]
             assert got["val_lesion_f1"] == float(np.mean(f1s))
             assert got["iterations"] == hist.iterations
+            # all five metrics per case, and their means as summarize_cases
+            # takes them (undefined values excluded and counted)
+            assert got["val_cases"] == rows
+            summary = got["val_summary"]
+            assert summary["team"] == kind
+            for key, field, count in (
+                ("dice", "dice", None),
+                ("h95", "h95_mm", "h95_undefined_count"),
+                ("avd_percent", "avd_percent", "avd_undefined_count"),
+                ("recall", "lesion_recall", None),
+                ("f1", "lesion_f1", None),
+            ):
+                defined = [r[field] for r in rows.values() if r[field] is not None]
+                if defined:
+                    assert summary[key] == float(np.mean(defined))
+                else:
+                    assert np.isnan(summary[key])
+                if count:
+                    assert summary[count] == len(rows) - len(defined)
             raw_differs |= got["val_dice"] != float(np.mean(raw))
         assert sorted(nets) == ["plain", "residual"]
         assert raw_differs  # the two scorings are told apart on this data

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from wmhseg.architectures import Network, build_resunet, build_trimmed_unet, he_init
+from wmhseg.metrics import evaluate_case, summarize_cases
 from wmhseg.phantom import PhantomConfig, generate_case
 from wmhseg.pipeline import (
     COMPONENT_CONNECTIVITY,
@@ -9,6 +12,7 @@ from wmhseg.pipeline import (
     PipelineConfig,
     PipelineError,
     run_pipeline,
+    score_cases,
     segment_white_matter,
     segment_wmh,
     stack_case_channels,
@@ -179,6 +183,32 @@ class TestRunPipeline:
         ]
         assert np.array_equal(forward[0], backward[1])
         assert np.array_equal(forward[1], backward[0])
+
+
+class TestScoreCases:
+    def test_rows_in_case_order_restricted_to_ids(self, untrained_models):
+        _, wmh_model = untrained_models
+        cases = [generate_case(PhantomConfig(), seed=s) for s in (101, 102, 103)]
+        masks = [c.wm_truth for c in cases]
+        ids = {cases[2].case_id, cases[0].case_id}
+        rows = score_cases(cases, masks, wmh_model, case_ids=ids)
+        assert [cid for cid, _ in rows] == [cases[0].case_id, cases[2].case_id]
+        for (_, m), c, mask in zip(rows, cases[::2], masks[::2]):
+            pred = segment_wmh(case_input(c), mask, wmh_model)
+            assert m == evaluate_case(pred, c.wmh_truth)
+        with pytest.raises(ValueError):
+            score_cases(cases, masks[:2], wmh_model)
+
+    def test_entrant_that_predicts_nothing(self):
+        net = Network(build_resunet(base_width=2, depth=2))  # every parameter zero
+        {p.name: p for p in net.parameters()}["head.b"].value[...] = -10.0
+        cases = [generate_case(PhantomConfig(), seed=s) for s in (101, 102)]
+        rows = score_cases(cases, [c.wm_truth for c in cases], net)
+        assert len(rows) == len(cases)
+        assert all(m.h95_mm is None and m.avd_percent == 100.0 for _, m in rows)
+        summary = summarize_cases("empty", [m for _, m in rows])
+        assert math.isnan(summary.h95)
+        assert summary.h95_undefined_count == len(rows)
 
 
 class TestTrainingCaseAssembly:

@@ -5,9 +5,10 @@ For each (dataset seed, train seed) pair the white matter network trains
 once (8 epochs, batch 4) on a 10-case default phantom, and its stage-1
 masks feed one `run_ablation` call per lesion batch size. Each lesion
 network is width 4, depth 4 and trains for 480 iterations. The table
-prints the confined validation Dice of each validation case (the
-`segment_wmh` output, as the ablation scores it) and marks with x a
-setting whose mean is below 0.85. Nothing is written to disk.
+prints each validation case's Dice from the ablation report (the
+`segment_wmh` output, scored by `pipeline.score_cases`) and marks with x
+a setting whose mean, the report's `val_dice`, is below 0.85. Nothing is
+written to disk.
 
 Run from the repository root (about 6 CPU minutes):
 
@@ -16,19 +17,9 @@ Run from the repository root (about 6 CPU minutes):
 
 from __future__ import annotations
 
-import numpy as np
-
 from wmhseg.architectures import build_trimmed_unet
-from wmhseg.metrics import dice
 from wmhseg.phantom import PhantomConfig, generate_dataset
-from wmhseg.pipeline import (
-    CaseInput,
-    PipelineConfig,
-    run_ablation,
-    segment_white_matter,
-    segment_wmh,
-    wm_training_cases,
-)
+from wmhseg.pipeline import run_ablation, segment_white_matter, wm_training_cases
 from wmhseg.training import TrainConfig, train
 
 SEED_PAIRS = ((42, 1), (7, 2), (11, 5), (123, 3), (2024, 4))  # (dataset, train)
@@ -37,17 +28,6 @@ N_CASES = 10
 ITERATIONS = 480
 BAR = 0.85
 VARIANTS = ("plain", "residual")
-
-
-def confined_val_dice(cases, masks, net, history) -> list[float]:
-    val_ids = set(history.val_case_ids)
-    pcfg = PipelineConfig()
-    return [
-        dice(segment_wmh(CaseInput(t1=c.t1, flair=c.flair, case_id=c.case_id),
-                         m, net, pcfg), c.wmh_truth)
-        for c, m in zip(cases, masks)
-        if c.case_id in val_ids
-    ]
 
 
 def main() -> None:
@@ -64,11 +44,12 @@ def main() -> None:
             # the iteration cap ends training, at any batch size
             cfg = TrainConfig(epochs=ITERATIONS, max_iterations=ITERATIONS,
                               seed=train_seed, batch_size=batch)
-            _, trained = run_ablation(cases, masks, cfg)
+            report, _ = run_ablation(cases, masks, cfg)
             cells = []
             for kind in VARIANTS:
-                scores = confined_val_dice(cases, masks, *trained[kind])
-                ok = float(np.mean(scores)) >= BAR
+                variant = report["variants"][kind]
+                scores = [m["dice"] for m in variant["val_cases"].values()]
+                ok = variant["val_dice"] >= BAR
                 passes[kind] += ok
                 cells.append(", ".join(f"{s:.2f}" for s in scores) + ("" if ok else " x"))
             print(f"| {data_seed}/{train_seed}, b{batch} | " + " | ".join(cells) + " |",
