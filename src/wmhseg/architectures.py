@@ -54,8 +54,6 @@ class NetworkSpec:
     base_width: int
     depth: int
     block_kind: str = "residual"
-    out_channels: int = 1
-    post_add_relu: bool = True
 
     def __post_init__(self) -> None:
         if self.base_width < 1 or self.depth < 1 or self.in_channels < 1:
@@ -168,9 +166,7 @@ class Network:
         channels = spec.stage_channels()
 
         def stage(at: int, ci: int, co: int, prefix: str) -> int:
-            relu = spec.post_add_relu or not residual  # plain stages end in relu
-            blk = ResidualBlockSpec(ci, co, post_add_relu=relu)
-            return _append_block(g, at, blk, prefix, dt, residual)
+            return _append_block(g, at, ResidualBlockSpec(ci, co), prefix, dt, residual)
 
         cur, cur_c = 0, spec.in_channels
         enc_outs: list[int] = []
@@ -190,15 +186,12 @@ class Network:
             cur_c = co
 
         self.head_logits_index = _param_node(
-            g, "conv1x1", cur, "head", (spec.out_channels, cur_c, 1, 1), dt
+            g, "conv1x1", cur, "head", (1, cur_c, 1, 1), dt
         )
         g.add("sigmoid", (self.head_logits_index,))
 
     def parameters(self) -> list[Parameter]:
         return self.graph.parameters()
-
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.parameters())
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)

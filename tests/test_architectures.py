@@ -52,7 +52,7 @@ def closed_form_parameter_count(spec: NetworkSpec) -> int:
         total += ci * co * 4 + co  # upconv
         total += stage(2 * co, co)
         ci = co
-    total += conv(spec.out_channels, channels[0], 1)  # head
+    total += conv(1, channels[0], 1)  # head
     return total
 
 
@@ -62,7 +62,6 @@ class TestBuilders:
         assert spec.in_channels == 2
         assert spec.depth == 4
         assert spec.block_kind == "residual"
-        assert spec.out_channels == 1
 
     def test_channel_sequence_width64(self):
         spec = build_resunet(base_width=64, depth=4)
@@ -93,8 +92,8 @@ class TestBuilders:
             build_resunet(base_width=4, depth=3),
             build_trimmed_unet(base_width=2, depth=2),
         ):
-            net = Network(spec)
-            assert net.parameter_count() == closed_form_parameter_count(spec)
+            params = Network(spec).parameters()
+            assert sum(p.value.size for p in params) == closed_form_parameter_count(spec)
 
     def test_spec_round_trips_through_dict(self):
         spec = build_resunet(base_width=8, depth=3)
@@ -119,13 +118,13 @@ class TestBuilders:
     # to the init order, fan-in rule or scheme must update these on purpose.
     @pytest.mark.parametrize("builder,depth,dtype,digest", [
         (build_resunet, 4, np.float64,
-         "8c8f700addc7b50bb928b68ef3d6812770e820b32914c5214578007c7c0fd6fc"),
+         "9ea02da09b6cefc7288a4e3624b4eac83a3dd497eadb424776bd16701dabb8e3"),
         (build_resunet, 4, np.float32,
-         "c504d9a02ae92c8b5caf91cfc7aebd428eb57955fb1d034c7a1e915cd43813f6"),
+         "e811b4a5ea757cce7ef708f630879dc697c6f7ab34288132e4383a5e366bf26a"),
         (build_trimmed_unet, 3, np.float64,
-         "bab1f047aedd525627382078261055c59ae5426729b50b0c91250e117c824a9e"),
+         "0b39c595920b47191f87381fdaee30a786faecd2eea4f07fb53b6e00f8b56383"),
         (build_trimmed_unet, 3, np.float32,
-         "908ef9d21a899bf5777a8363dde7c3c46555f833a58292f511d5a9dc4c02e5b9"),
+         "5cb826378f7a8df0037fc5e516080efcb5adfc25cad3ec45d8aeb30b9e278f5d"),
     ], ids=["resunet-w4d4-float64", "resunet-w4d4-float32",
             "trimmed-w4d3-float64", "trimmed-w4d3-float32"])
     def test_he_init_checkpoint_digest(self, tmp_path, builder, depth, dtype, digest):
@@ -339,6 +338,12 @@ MALFORMED = {
     "magic-only": (lambda raw: MAGIC, "truncated checkpoint header"),
     "unknown-spec-key": (
         lambda raw: _rewrite_index(raw, lambda i: i["spec"].update(bogus=1)),
+        "spec",
+    ),
+    # the index a checkpoint written before the spec lost its two fields carries
+    "old-spec-keys": (
+        lambda raw: _rewrite_index(
+            raw, lambda i: i["spec"].update(out_channels=1, post_add_relu=True)),
         "spec",
     ),
     "entry-dtype-differs-from-index": (
