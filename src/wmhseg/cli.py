@@ -107,7 +107,6 @@ def cmd_phantom(args) -> tuple[dict, dict]:
         lesion_count_range=(args.lesion_count_min, args.lesion_count_max),
         confounder_count=args.confounders,
         noise_std=args.noise_std,
-        seed=args.seed,
     )
     log.info("generating %d phantom cases into %s", args.cases, args.out)
     cases = generate_dataset(cfg, args.cases, args.seed)

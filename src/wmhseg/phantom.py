@@ -55,7 +55,6 @@ class PhantomConfig:
     noise_std: float = 0.02
     wm_clearance_voxels: int = 3  # min gap between confounder and white matter
     max_placement_tries: int = 200
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if min(self.dims) < 1:

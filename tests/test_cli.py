@@ -115,6 +115,18 @@ class TestTraining:
         assert report["config"]["train"]["learning_rate"] == 0.03  # flag wins
         assert report["config"]["train"]["seed"] == 5
 
+    def test_manifest_with_phantom_seed_fails(self, tmp_path, dataset):
+        # manifests written while PhantomConfig had a `seed` field carry it
+        old = tmp_path / "old"
+        shutil.copytree(dataset, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["config"]["seed"] = 3
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(TypeError, match="seed"):
+            load_dataset(old)
+        assert run(["train-wm", "--data", str(old), "--out",
+                    str(tmp_path / "wm.ckpt")]) == 1
+
     # a misspelt key, and keys of options that no longer exist
     @pytest.mark.parametrize("key", ["learn_rate", "beta", "epsilon",
                                      "weight_placement", "precision"])
