@@ -149,19 +149,18 @@ def run_pipeline(
 
 
 def score_cases(cases, masks: list[BinaryMask3D], wmh_model: Network,
-                cfg: PipelineConfig | None = None, case_ids=None
-                ) -> list[tuple[str, CaseMetrics]]:
-    """`segment_wmh` each case in its stage-1 mask and `evaluate_case` the
-    result against its `wmh_truth`, only the ids in `case_ids` when given.
-    Returns (case_id, metrics) rows in case order, as `write_case_csv`
-    takes them."""
+                case_ids) -> list[tuple[str, CaseMetrics]]:
+    """`segment_wmh` each case whose id is in `case_ids` in its stage-1
+    mask and `evaluate_case` the result against its `wmh_truth`. Returns
+    (case_id, metrics) rows in case order, as `write_case_csv` takes
+    them."""
     return [
         (c.case_id, evaluate_case(
             segment_wmh(CaseInput(t1=c.t1, flair=c.flair, case_id=c.case_id),
-                        m, wmh_model, cfg),
+                        m, wmh_model),
             c.wmh_truth))
         for c, m in zip(cases, masks, strict=True)
-        if case_ids is None or c.case_id in case_ids
+        if c.case_id in case_ids
     ]
 
 
@@ -233,7 +232,7 @@ def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
         spec = replace(build_resunet(base_width=base_width, depth=depth), block_kind=kind)
         net, history = train(spec, tcs, train_cfg)
         trained[kind] = (net, history)
-        rows = score_cases(cases, masks, net, case_ids=set(history.val_case_ids))
+        rows = score_cases(cases, masks, net, set(history.val_case_ids))
         summary = summarize_cases(kind, [m for _, m in rows])
         report["variants"][kind] = {
             "val_dice": summary.dice,

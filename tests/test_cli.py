@@ -6,8 +6,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from wmhseg import pipeline
 from wmhseg.acceptance import checkpoint_bytes
-from wmhseg.architectures import build_resunet
+from wmhseg.architectures import Network, build_resunet
 from wmhseg.checkpoint import load_checkpoint
 from wmhseg.cli import dispatch
 from wmhseg.metrics import dice, evaluate_case
@@ -20,7 +21,7 @@ from wmhseg.pipeline import (
     segment_wmh,
     wmh_training_cases,
 )
-from wmhseg.training import TrainConfig, predict_probabilities, train
+from wmhseg.training import TrainConfig, TrainHistory, predict_probabilities, train
 from wmhseg.volume_io import BinaryMask3D, Volume3D, read_nifti_mask, write_nifti
 
 
@@ -220,6 +221,40 @@ class TestAblation:
         config = json.loads(rpt.read_text())["config"]
         assert config["wm_checkpoint"] == str(trained[0])
         assert (config["base_width"], config["depth"]) == (2, 2)
+
+    def test_command_writes_nan_for_a_metric_undefined_on_every_case(
+            self, tmp_path, dataset, trained, monkeypatch):
+        # Pins the current writer: an entrant that predicts nothing has no
+        # H95 on any case, and the report carries the bare token NaN, which
+        # strict JSON parsers reject. A change to that convention shows here.
+        cases, _ = load_dataset(dataset)
+        val_ids = [c.case_id for c in cases[:2]]
+
+        def predicts_nothing(spec, tcs, cfg):
+            net = Network(spec)  # every parameter zero
+            {p.name: p for p in net.parameters()}["head.b"].value[...] = -10.0
+            return net, TrainHistory(val_case_ids=val_ids)
+
+        monkeypatch.setattr(pipeline, "train", predicts_nothing)
+        out = tmp_path / "ablation.json"
+        assert run(["ablate", "--data", str(dataset), "--out", str(out),
+                    "--wm-checkpoint", str(trained[0]), "--base-width", "2",
+                    "--depth", "2", "--epochs", "1", "--max-iterations", "1",
+                    "--report", str(tmp_path / "report.json")]) == 0
+        text = out.read_text()
+        for kind, variant in json.loads(text)["variants"].items():
+            assert sorted(variant["val_cases"]) == sorted(val_ids)
+            assert all(m["h95_mm"] is None for m in variant["val_cases"].values())
+            summary = variant["val_summary"]
+            assert np.isnan(summary["h95"])
+            assert summary["h95_undefined_count"] == len(val_ids)
+        assert text.count('"h95": NaN') == 2
+
+        def reject(token):
+            raise ValueError(token)
+
+        with pytest.raises(ValueError, match="NaN"):
+            json.loads(text, parse_constant=reject)
 
     def test_command_needs_wm_checkpoint(self, tmp_path, dataset):
         with pytest.raises(SystemExit) as exc:

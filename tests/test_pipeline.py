@@ -191,19 +191,20 @@ class TestScoreCases:
         cases = [generate_case(PhantomConfig(), seed=s) for s in (101, 102, 103)]
         masks = [c.wm_truth for c in cases]
         ids = {cases[2].case_id, cases[0].case_id}
-        rows = score_cases(cases, masks, wmh_model, case_ids=ids)
+        rows = score_cases(cases, masks, wmh_model, ids)
         assert [cid for cid, _ in rows] == [cases[0].case_id, cases[2].case_id]
         for (_, m), c, mask in zip(rows, cases[::2], masks[::2]):
             pred = segment_wmh(case_input(c), mask, wmh_model)
             assert m == evaluate_case(pred, c.wmh_truth)
         with pytest.raises(ValueError):
-            score_cases(cases, masks[:2], wmh_model)
+            score_cases(cases, masks[:2], wmh_model, ids)
 
     def test_entrant_that_predicts_nothing(self):
         net = Network(build_resunet(base_width=2, depth=2))  # every parameter zero
         {p.name: p for p in net.parameters()}["head.b"].value[...] = -10.0
         cases = [generate_case(PhantomConfig(), seed=s) for s in (101, 102)]
-        rows = score_cases(cases, [c.wm_truth for c in cases], net)
+        rows = score_cases(cases, [c.wm_truth for c in cases], net,
+                           {c.case_id for c in cases})
         assert len(rows) == len(cases)
         assert all(m.h95_mm is None and m.avd_percent == 100.0 for _, m in rows)
         summary = summarize_cases("empty", [m for _, m in rows])
