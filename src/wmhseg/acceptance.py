@@ -19,6 +19,7 @@ report's summaries, and criterion 9 repeats the run once.
 
 from __future__ import annotations
 
+import gzip
 import json
 import math
 import struct
@@ -46,14 +47,24 @@ from .morphology import connected_components
 from .phantom import PhantomConfig, generate_dataset
 from .pipeline import (
     CaseInput,
-    PipelineConfig,
     run_ablation,
     segment_white_matter,
     segment_wmh,
     wm_training_cases,
 )
 from .training import TrainConfig, compute_beta, train, weighted_bce
-from .volume_io import BinaryMask3D, Volume3D, VolumeIOError, read_nifti, write_nifti
+from .volume_io import (
+    BinaryMask3D,
+    CompressedStreamError,
+    DimensionError,
+    MalformedHeaderError,
+    TruncatedPayloadError,
+    UnsupportedDatatypeError,
+    Volume3D,
+    WrongMagicError,
+    read_nifti,
+    write_nifti,
+)
 
 # the pinned end-to-end configuration: 10 cases, 64x64x8, base_width 4,
 # and iteration budgets within the 500-per-stage criterion
@@ -237,7 +248,7 @@ def crit_loss() -> tuple[bool, dict, str]:
 # Brute-force metric oracles, also imported by the tests. They are
 # independent of morphology and cKDTree: voxel sets for the overlap
 # metrics, an explicit 6-neighbour border scan, full pairwise distances
-# and a set-based 26-connected flood fill.
+# and a set-based flood fill (26-connected for the lesion metrics).
 
 
 def _voxels(m: BinaryMask3D) -> set:
@@ -288,14 +299,21 @@ def oracle_h95(pred: BinaryMask3D, gt: BinaryMask3D, spacing) -> float:
     return max(directed(a, b), directed(b, a))
 
 
-def oracle_components(arr: np.ndarray) -> list[set]:
-    offs = [
+def oracle_offsets(connectivity: int) -> list[tuple[int, int, int]]:
+    """The neighbour offsets of 6-, 18- or 26-connectivity: those that
+    change at most 1, 2 or 3 coordinates by one."""
+    order = {6: 1, 18: 2, 26: 3}[connectivity]
+    return [
         (dx, dy, dz)
         for dx in (-1, 0, 1)
         for dy in (-1, 0, 1)
         for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
+        if 0 < abs(dx) + abs(dy) + abs(dz) <= order
     ]
+
+
+def oracle_components(arr: np.ndarray, connectivity: int = 26) -> list[set]:
+    offs = oracle_offsets(connectivity)
     remaining = {tuple(c) for c in np.argwhere(arr)}
     comps = []
     while remaining:
@@ -448,7 +466,7 @@ def crit_confinement() -> tuple[bool, dict, str]:
     for case, mask in zip(cases, wm_masks):
         ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
         for confine in fp:
-            pred = segment_wmh(ci, mask, wmh_net, PipelineConfig(confine=confine))
+            pred = segment_wmh(ci, mask, wmh_net, confine=confine)
             lab = connected_components(pred, 26)
             fp[confine] += lab.count - detected_components(lab, case.wmh_truth)
     measured = {"fp_components_confined": fp[True], "fp_components_unconfined": fp[False]}
@@ -462,15 +480,15 @@ def crit_ablation() -> tuple[bool, dict, str]:
     plain = report["variants"]["plain"]
     residual = report["variants"]["residual"]
     measured = {
-        "plain_dice": plain["val_dice"],
-        "plain_lesion_f1": plain["val_lesion_f1"],
-        "residual_dice": residual["val_dice"],
-        "residual_lesion_f1": residual["val_lesion_f1"],
+        "plain_dice": plain["val_summary"]["dice"],
+        "plain_lesion_f1": plain["val_summary"]["f1"],
+        "residual_dice": residual["val_summary"]["dice"],
+        "residual_lesion_f1": residual["val_summary"]["f1"],
         "iterations": residual["iterations"],
     }
     ok = (
-        plain["val_dice"] >= 0.85
-        and residual["val_dice"] >= 0.85
+        measured["plain_dice"] >= 0.85
+        and measured["residual_dice"] >= 0.85
         and residual["iterations"] <= 500
         and plain["iterations"] <= 500
     )
@@ -497,10 +515,59 @@ def crit_determinism() -> tuple[bool, dict, str]:
     return ckpt_equal and hist_equal and abl_equal, measured, "bit-identical"
 
 
+def _mutate(raw: bytes, fmt: str, offset: int, *values) -> bytes:
+    out = bytearray(raw)
+    struct.pack_into(fmt, out, offset, *values)
+    return bytes(out)
+
+
+def fuzz_cases() -> list[tuple[str, bytes, type]]:
+    """Malformed variants of a valid float32 4x4x4 NIfTI file, each named
+    and paired with the `VolumeIOError` subclass `read_nifti` must raise.
+    Also imported by the tests."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.nii"
+        vol = Volume3D(data=np.arange(64, dtype=np.float32).reshape(4, 4, 4),
+                       spacing=(1, 1, 3))
+        write_nifti(vol, path, "float32")
+        raw = path.read_bytes()
+    cases = [(f"truncated_header_{n}", raw[:n], MalformedHeaderError)
+             for n in (0, 1, 40, 200, 347)]
+    cases += [(f"sizeof_{bad}", _mutate(raw, "<i", 0, bad), MalformedHeaderError)
+              for bad in (347, 349, 0, -1)]
+    cases += [(f"magic_{magic!r}", raw[:344] + magic + raw[348:], WrongMagicError)
+              for magic in (b"ni1\x00", b"n+2\x00", b"\x00\x00\x00\x00")]
+    cases.append(("gzip", gzip.compress(raw), CompressedStreamError))
+    # float64, complex, rgb and binary datatype codes
+    cases += [(f"datatype_{code}", _mutate(raw, "<h", 70, code), UnsupportedDatatypeError)
+              for code in (64, 32, 128, 1)]
+    # more than 3 nontrivial axes, and a zero dim[0]
+    cases += [(name, _mutate(raw, "<8h", 40, *dims), DimensionError) for name, dims in (
+        ("dim4", (4, 4, 4, 2, 2, 1, 1, 1)),
+        ("dim5", (5, 4, 4, 1, 2, 2, 1, 1)),
+        ("dim0_zero", (0, 4, 4, 4, 1, 1, 1, 1)),
+    )]
+    cases += [(f"payload_{cut}", raw[:cut], TruncatedPayloadError)
+              for cut in (349, 352, len(raw) - 1)]
+    cases.append(("vox_offset_past_end", _mutate(raw, "<f", 108, len(raw) + 64.0),
+                  TruncatedPayloadError))
+    cases += [
+        ("pixdim_zero", _mutate(raw, "<f", 80, 0.0), MalformedHeaderError),
+        ("pixdim_nan", _mutate(raw, "<f", 84, float("nan")), MalformedHeaderError),
+        ("vox_offset", _mutate(raw, "<f", 108, 10.0), MalformedHeaderError),
+    ]
+    # non-finite scl_slope (offset 112) or scl_inter (offset 116)
+    cases += [(f"scl_{offset}_{value}", _mutate(raw, "<f", offset, value),
+               MalformedHeaderError)
+              for offset in (112, 116) for value in (float("nan"), float("inf"))]
+    return cases
+
+
 def crit_io() -> tuple[bool, dict, str]:
-    """Float32 NIfTI round trip is bit-exact; a malformed-header fuzz corpus
-    is rejected with typed errors."""
+    """Float32 NIfTI round trip is bit-exact; every case of the
+    malformed-file fuzz corpus is rejected with its own typed error."""
     rng = np.random.default_rng(101)
+    fuzz = fuzz_cases()
     with tempfile.TemporaryDirectory() as tmp:
         vol = Volume3D(
             data=rng.normal(size=(8, 8, 8)).astype(np.float32).astype(np.float64),
@@ -513,43 +580,14 @@ def crit_io() -> tuple[bool, dict, str]:
             np.array_equal(back.data, vol.data) and back.spacing == vol.spacing
         )
 
-        raw = bytearray(path.read_bytes())
-        fuzz: list[bytes] = []
-        for n in (0, 1, 40, 200, 347):
-            fuzz.append(bytes(raw[:n]))
-        for bad in (347, 349, 0, -1):
-            m = bytearray(raw)
-            struct.pack_into("<i", m, 0, bad)
-            fuzz.append(bytes(m))
-        for magic in (b"ni1\x00", b"n+2\x00", b"\x00\x00\x00\x00"):
-            m = bytearray(raw)
-            m[344:348] = magic
-            fuzz.append(bytes(m))
-        import gzip
-
-        fuzz.append(gzip.compress(bytes(raw)))
-        for code in (64, 32, 128, 1):
-            m = bytearray(raw)
-            struct.pack_into("<h", m, 70, code)
-            fuzz.append(bytes(m))
-        for dims in ((4, 8, 8, 8, 2, 1, 1, 1), (5, 8, 8, 1, 2, 2, 1, 1)):
-            m = bytearray(raw)
-            struct.pack_into("<8h", m, 40, *dims)
-            fuzz.append(bytes(m))
-        for cut in (349, 352, len(raw) - 1):
-            fuzz.append(bytes(raw[:cut]))
-        m = bytearray(raw)
-        struct.pack_into("<f", m, 80, 0.0)
-        fuzz.append(bytes(m))
-
         rejected = 0
         wrong_error = 0
-        for i, blob in enumerate(fuzz):
+        for i, (_, blob, exc) in enumerate(fuzz):
             bad_path = Path(tmp) / f"bad_{i}.nii"
             bad_path.write_bytes(blob)
             try:
                 read_nifti(bad_path)
-            except VolumeIOError:
+            except exc:
                 rejected += 1
             except Exception:
                 wrong_error += 1
@@ -560,7 +598,7 @@ def crit_io() -> tuple[bool, dict, str]:
         "fuzz_wrong_error_type": wrong_error,
     }
     ok = round_trip and len(fuzz) >= 20 and rejected == len(fuzz)
-    return ok, measured, "bit-exact round trip; all fuzz cases typed-rejected"
+    return ok, measured, "bit-exact round trip; each fuzz case rejected with its typed error"
 
 
 CRITERIA = [

@@ -17,7 +17,7 @@ import logging
 import resource
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +34,6 @@ from .metrics import (
 from .phantom import PhantomConfig, generate_dataset, load_dataset, save_dataset
 from .pipeline import (
     CaseInput,
-    PipelineConfig,
     run_ablation,
     run_pipeline,
     segment_white_matter,
@@ -48,8 +47,6 @@ log = logging.getLogger("wmhseg")
 
 REPORT_SCHEMA_VERSION = 1
 
-TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
-
 
 def _write_report(report: dict, path: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -60,37 +57,18 @@ def _write_report(report: dict, path: str | None) -> None:
         print(text)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    cfg = json.loads(Path(path).read_text())
-    unknown = set(cfg) - set(TRAIN_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
 def _resolve_train_config(args) -> TrainConfig:
-    """File values first, then any flag the user set explicitly on top."""
-    kwargs = _load_config_file(args.config)
-    for k in TRAIN_KEYS:
-        v = getattr(args, k, None)
-        if v is not None:
-            kwargs[k] = v
-    if args.no_augment:
-        kwargs["augment"] = False
-    return TrainConfig(**kwargs)
+    """TrainConfig's defaults, with each flag the user set on top."""
+    return TrainConfig(**{
+        k: getattr(args, k) for k in ("epochs", "seed", "batch_size", "max_iterations")
+        if getattr(args, k) is not None
+    })
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--momentum", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--no-augment", action="store_true")
     p.add_argument("--max-iterations", dest="max_iterations", type=int)
     p.add_argument("--base-width", dest="base_width", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
@@ -132,19 +110,11 @@ def _train_stage(args) -> tuple[dict, dict]:
         tcs = wm_training_cases(cases)
     else:
         wm_net = load_checkpoint(args.wm_checkpoint)
-        pcfg = PipelineConfig(
-            threshold=args.threshold,
-            dilation_radius=args.dilation_radius,
-        )
-        if args.use_truth_wm:
-            masks = [c.wm_truth for c in cases]
-        else:
-            log.info("computing stage-1 white matter masks for normalization")
-            masks = [segment_white_matter(c.t1, wm_net, pcfg) for c in cases]
+        log.info("computing stage-1 white matter masks for normalization")
+        masks = [segment_white_matter(c.t1, wm_net) for c in cases]
         spec = build_resunet(base_width=args.base_width or 64, depth=args.depth or 4)
         tcs = wmh_training_cases(cases, masks)
-        config.update(wm_checkpoint=args.wm_checkpoint, use_truth_wm=args.use_truth_wm,
-                      threshold=args.threshold, dilation_radius=args.dilation_radius)
+        config.update(wm_checkpoint=args.wm_checkpoint)
     config.update(base_width=spec.base_width, depth=spec.depth)
     log.info(
         "training %s: %d cases, width %d, depth %d", stage, len(tcs),
@@ -164,10 +134,10 @@ def _train_stage(args) -> tuple[dict, dict]:
 
 
 def _predict_one(case_id: str, t1_path: Path, flair_path: Path, out_dir: Path,
-                 cfg, wm_net, wmh_net) -> dict:
+                 wm_net, wmh_net, confine: bool) -> dict:
     case = CaseInput(t1=read_nifti(t1_path), flair=read_nifti(flair_path),
                      case_id=case_id)
-    wmh_mask, wm_mask, report = run_pipeline(case, cfg, wm_net, wmh_net)
+    wmh_mask, wm_mask, report = run_pipeline(case, wm_net, wmh_net, confine=confine)
     d = out_dir / case_id
     d.mkdir(parents=True, exist_ok=True)
     write_nifti(wmh_mask, d / "wmh.nii")
@@ -193,16 +163,12 @@ def cmd_predict(args) -> tuple[dict, dict]:
         if not case_dirs:
             raise ValueError(f"no case directory with a t1.nii under {args.data}")
         inputs = [(d.name, d / "t1.nii", d / "flair.nii") for d in case_dirs]
-    cfg = PipelineConfig(
-        threshold=args.threshold,
-        dilation_radius=args.dilation_radius,
-        confine=not args.no_confine,
-    )
     wm_net = load_checkpoint(args.wm_checkpoint)
     wmh_net = load_checkpoint(args.wmh_checkpoint)
     out_dir = Path(args.out)
     log.info("predicting %d cases", len(inputs))
-    reports = [_predict_one(*case, out_dir, cfg, wm_net, wmh_net) for case in inputs]
+    reports = [_predict_one(*case, out_dir, wm_net, wmh_net, not args.no_confine)
+               for case in inputs]
     config = {
         "data": args.data,
         "t1": args.t1,
@@ -211,7 +177,7 @@ def cmd_predict(args) -> tuple[dict, dict]:
         "out": str(args.out),
         "wm_checkpoint": args.wm_checkpoint,
         "wmh_checkpoint": args.wmh_checkpoint,
-        "pipeline": asdict(cfg),
+        "no_confine": args.no_confine,
     }
     return config, {"cases": reports}
 
@@ -285,8 +251,8 @@ def cmd_ablate(args) -> tuple[dict, dict]:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for kind, r in report["variants"].items():
-        log.info("%s: val dice %.4f lesion F1 %.4f", kind, r["val_dice"],
-                 r["val_lesion_f1"])
+        log.info("%s: val dice %.4f lesion F1 %.4f", kind, r["val_summary"]["dice"],
+                 r["val_summary"]["f1"])
     return (
         {"data": str(args.data), "out": str(args.out),
          "wm_checkpoint": args.wm_checkpoint, "base_width": base_width,
@@ -330,10 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True)
-    p.add_argument("--use-truth-wm", action="store_true",
-                   help="normalize with ground-truth WM masks instead of stage-1 output")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--dilation-radius", type=int, default=2)
     _add_train_flags(p)
     p.add_argument("--report")
     p.set_defaults(func=_train_stage)
@@ -346,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True)
     p.add_argument("--wmh-checkpoint", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--dilation-radius", type=int, default=2)
     p.add_argument("--no-confine", action="store_true")
     p.add_argument("--report")
     p.set_defaults(func=cmd_predict)

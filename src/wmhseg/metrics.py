@@ -17,7 +17,8 @@ costs in proportion to the foreground, not to the grid.
 Empty-mask conventions: both-empty Dice is 1.0; H95 is undefined unless
 both masks are nonempty; AVD% is undefined for an empty ground truth.
 Undefined values surface as None and are excluded from team averages,
-with the exclusion count reported.
+with the exclusion count reported; a team average over no defined value
+is None too.
 
 The 95th percentile is nearest-rank: the element at 1-based position
 ceil(0.95 * n) of the ascending sorted distances, computed with integer
@@ -38,7 +39,6 @@ from .morphology import LabelVolume, border_voxels, connected_components
 from .volume_io import BinaryMask3D
 
 LESION_CONNECTIVITY = 26
-HIGHER_BETTER = ("dice", "recall", "f1")
 LOWER_BETTER = ("h95", "avd_percent")
 METRIC_ORDER = ("dice", "h95", "avd_percent", "recall", "f1")
 
@@ -77,12 +77,13 @@ class CaseMetrics:
 
 @dataclass
 class TeamSummary:
-    """Per-team metric averages over a shared case set."""
+    """Per-team metric averages over a shared case set; None marks a
+    metric undefined on every case."""
 
     team: str
     dice: float
-    h95: float
-    avd_percent: float
+    h95: float | None
+    avd_percent: float | None
     recall: float
     f1: float
     h95_undefined_count: int = 0
@@ -213,7 +214,8 @@ def evaluate_case(pred: BinaryMask3D, gt: BinaryMask3D) -> CaseMetrics:
 
 def summarize_cases(team: str, cases: list[CaseMetrics]) -> TeamSummary:
     """Average per-case metrics; undefined cases are excluded from the
-    affected metric's average and counted."""
+    affected metric's average and counted, and the average is None when
+    every case is undefined."""
     if not cases:
         raise ValueError("no cases to summarize")
     h95_vals = [c.h95_mm for c in cases if c.h95_mm is not None]
@@ -221,8 +223,8 @@ def summarize_cases(team: str, cases: list[CaseMetrics]) -> TeamSummary:
     return TeamSummary(
         team=team,
         dice=float(np.mean([c.dice for c in cases])),
-        h95=float(np.mean(h95_vals)) if h95_vals else float("nan"),
-        avd_percent=float(np.mean(avd_vals)) if avd_vals else float("nan"),
+        h95=float(np.mean(h95_vals)) if h95_vals else None,
+        avd_percent=float(np.mean(avd_vals)) if avd_vals else None,
         recall=float(np.mean([c.lesion_recall for c in cases])),
         f1=float(np.mean([c.lesion_f1 for c in cases])),
         h95_undefined_count=len(cases) - len(h95_vals),
@@ -233,8 +235,8 @@ def summarize_cases(team: str, cases: list[CaseMetrics]) -> TeamSummary:
 def rank_teams(summaries: list[TeamSummary]) -> RankTable:
     """Min-max rank per metric in [0, 1], 0 best; overall is the mean of
     the five. A degenerate metric range ranks every team 0 on it. A
-    non-finite value (a metric undefined on every case) has no rank, so it
-    raises ValueError naming the team and the metric."""
+    value that is None (a metric undefined on every case) or not finite
+    has no rank, so it raises ValueError naming the team and the metric."""
     if len(summaries) < 2:
         raise ValueError("ranking needs at least 2 teams")
     teams = [s.team for s in summaries]
@@ -242,8 +244,8 @@ def rank_teams(summaries: list[TeamSummary]) -> RankTable:
     for metric in METRIC_ORDER:
         vals = [getattr(s, metric) for s in summaries]
         for team, v in zip(teams, vals):
-            if not math.isfinite(v):
-                raise ValueError(f"team {team!r} has a non-finite {metric}: {v}")
+            if v is None or not math.isfinite(v):
+                raise ValueError(f"team {team!r} has no finite {metric}: {v}")
         lo, hi = min(vals), max(vals)
         if hi == lo:
             ranks[metric] = [0.0] * len(vals)

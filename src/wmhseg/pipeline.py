@@ -8,7 +8,7 @@ metrics, and the plain-vs-residual ablation run, which scores through it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .architectures import Network, build_resunet
 from .metrics import CaseMetrics, evaluate_case, summarize_cases
 from .morphology import dilate, largest_component
 from .training import (
+    THRESHOLD,
     TrainConfig,
     TrainHistory,
     TrainingCase,
@@ -27,9 +28,11 @@ from .training import (
 from .volume_io import BinaryMask3D, Volume3D
 
 
-# white matter refinement: largest 6-connected component, 6-connected dilation
+# white matter refinement: largest 6-connected component, then a 6-connected
+# dilation by DILATION_RADIUS voxels for full coverage
 COMPONENT_CONNECTIVITY = 6
 DILATION_CONNECTIVITY = 6
+DILATION_RADIUS = 2
 
 
 class PipelineError(RuntimeError):
@@ -56,46 +59,28 @@ class CaseInput:
 
 
 @dataclass
-class PipelineConfig:
-    threshold: float = 0.5
-    dilation_radius: int = 2
-    confine: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.dilation_radius < 0:
-            raise ValueError("dilation radius must be >= 0")
-
-
-@dataclass
 class CaseReport:
     case_id: str
     wmh_voxels: int
     wmh_volume_mm3: float
     wm_voxels: int
     wm_volume_mm3: float
-    config: dict = field(default_factory=dict)
+    confine: bool
 
 
-def segment_white_matter(
-    t1: Volume3D, wm_model: Network, cfg: PipelineConfig | None = None
-) -> BinaryMask3D:
+def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
     """Per-slice forward pass on T1, threshold, keep the largest connected
     component, then dilate for full coverage."""
-    cfg = cfg or PipelineConfig()
     if wm_model.spec.in_channels != 1:
         raise PipelineError(
             f"white matter model expects 1 input channel, has {wm_model.spec.in_channels}"
         )
     probs = predict_probabilities(wm_model, axial_planes(t1.data))
-    raw = BinaryMask3D(
-        data=(probs >= cfg.threshold).astype(np.uint8), spacing=t1.spacing
-    )
+    raw = BinaryMask3D(data=(probs >= THRESHOLD).astype(np.uint8), spacing=t1.spacing)
     if raw.voxel_count() == 0:
         raise PipelineError("white matter prediction is empty; model unusable")
     refined = largest_component(raw, COMPONENT_CONNECTIVITY)
-    return dilate(refined, cfg.dilation_radius, DILATION_CONNECTIVITY)
+    return dilate(refined, DILATION_RADIUS, DILATION_CONNECTIVITY)
 
 
 def stack_case_channels(
@@ -112,11 +97,11 @@ def segment_wmh(
     case: CaseInput,
     wm_mask: BinaryMask3D,
     wmh_model: Network,
-    cfg: PipelineConfig | None = None,
+    *,
+    confine: bool = True,
 ) -> BinaryMask3D:
     """Lesion segmentation on normalized 2-channel slices; predictions
-    outside the white matter mask are zeroed when confinement is on."""
-    cfg = cfg or PipelineConfig()
+    outside the white matter mask are zeroed when `confine` is on."""
     if wmh_model.spec.in_channels != 2:
         raise PipelineError(
             f"lesion model expects 2 input channels, has {wmh_model.spec.in_channels}"
@@ -124,18 +109,18 @@ def segment_wmh(
     if wm_mask.voxel_count() == 0:
         raise PipelineError("white matter mask is empty")
     probs = predict_probabilities(wmh_model, stack_case_channels(case, wm_mask))
-    pred = (probs >= cfg.threshold).astype(np.uint8)
-    if cfg.confine:
+    pred = (probs >= THRESHOLD).astype(np.uint8)
+    if confine:
         pred &= wm_mask.data
     return BinaryMask3D(data=pred, spacing=case.t1.spacing)
 
 
 def run_pipeline(
-    case: CaseInput, cfg: PipelineConfig, wm_model: Network, wmh_model: Network
+    case: CaseInput, wm_model: Network, wmh_model: Network, *, confine: bool = True
 ) -> tuple[BinaryMask3D, BinaryMask3D, CaseReport]:
     """Both stages end to end; returns (wmh mask, wm mask, report)."""
-    wm_mask = segment_white_matter(case.t1, wm_model, cfg)
-    wmh_mask = segment_wmh(case, wm_mask, wmh_model, cfg)
+    wm_mask = segment_white_matter(case.t1, wm_model)
+    wmh_mask = segment_wmh(case, wm_mask, wmh_model, confine=confine)
     vox = case.t1.voxel_volume_mm3()
     report = CaseReport(
         case_id=case.case_id,
@@ -143,7 +128,7 @@ def run_pipeline(
         wmh_volume_mm3=wmh_mask.voxel_count() * vox,
         wm_voxels=wm_mask.voxel_count(),
         wm_volume_mm3=wm_mask.voxel_count() * vox,
-        config=asdict(cfg),
+        confine=confine,
     )
     return wmh_mask, wm_mask, report
 
@@ -175,7 +160,6 @@ def wm_training_cases(phantom_cases) -> list[TrainingCase]:
             case_id=c.case_id,
             images=axial_planes(c.t1.data),
             labels=axial_planes(c.wm_truth.data)[:, 0],
-            spacing=c.t1.spacing,
         )
         for c in phantom_cases
     ]
@@ -197,7 +181,6 @@ def wmh_training_cases(
                 case_id=c.case_id,
                 images=stack_case_channels(case_input, m),
                 labels=axial_planes(c.wmh_truth.data)[:, 0],
-                spacing=c.t1.spacing,
                 window=axial_planes(m.data)[:, 0],
             )
         )
@@ -220,8 +203,7 @@ def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
     and confinement to the same mask), exactly like the real pipeline, so
     the two variants differ in architecture only. Each variant reports
     `val_cases` (per-case metrics) and `val_summary` (their
-    `summarize_cases`), whose Dice and F-1 are `val_dice` and
-    `val_lesion_f1`. Returns (report, trained), where trained maps "plain"
+    `summarize_cases`). Returns (report, trained), where trained maps "plain"
     and "residual" to (network, history). The residual variant is the
     network `train-wmh` trains from the same cases, masks and config, bit
     for bit."""
@@ -235,8 +217,6 @@ def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
         rows = score_cases(cases, masks, net, set(history.val_case_ids))
         summary = summarize_cases(kind, [m for _, m in rows])
         report["variants"][kind] = {
-            "val_dice": summary.dice,
-            "val_lesion_f1": summary.f1,
             "val_cases": {cid: asdict(m) for cid, m in rows},
             "val_summary": asdict(summary),
             "val_dice_per_epoch": history.val_dice,
@@ -244,7 +224,6 @@ def run_ablation(cases, masks: list[BinaryMask3D], train_cfg: TrainConfig,
             "iterations": history.iterations,
             "beta": history.beta,
         }
-    report["seed"] = train_cfg.seed
     report["train"] = asdict(train_cfg)
     report["base_width"] = base_width
     report["depth"] = depth

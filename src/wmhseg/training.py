@@ -45,7 +45,6 @@ SGD.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -59,30 +58,25 @@ from .volume_io import BinaryMask3D, Volume3D
 # probabilities are clipped to [EPSILON, 1 - EPSILON] inside the log
 EPSILON = 1e-7
 
+# the optimizer, the case-level validation split and the probability at
+# which an output pixel counts as foreground, in training and inference
+LEARNING_RATE = 0.05
+MOMENTUM = 0.9
+VALIDATION_FRACTION = 0.15
+THRESHOLD = 0.5
+
 # the dtype of the trained network and of the case planes it trains on
 TRAIN_DTYPE = np.dtype(np.float32)
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.05
-    momentum: float = 0.9
     epochs: int = 4
     seed: int = 0
-    validation_fraction: float = 0.15
-    augment: bool = True
     batch_size: int = 4
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate < math.inf:  # NaN too
-            raise ValueError(
-                f"learning rate must be finite and > 0, got {self.learning_rate}"
-            )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation fraction must be in (0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -125,7 +119,6 @@ class TrainingCase:
     case_id: str
     images: np.ndarray  # (nz, C, nx, ny), TRAIN_DTYPE
     labels: np.ndarray  # (nz, nx, ny), values {0, 1}
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     window: np.ndarray | None = None  # (nz, nx, ny), values {0, 1}
 
     def __post_init__(self) -> None:
@@ -322,9 +315,7 @@ def train(
     )
 
     split_rng = np.random.default_rng(seed_split)
-    train_idx, val_idx = split_cases(
-        len(cases), cfg.validation_fraction, split_rng
-    )
+    train_idx, val_idx = split_cases(len(cases), VALIDATION_FRACTION, split_rng)
     train_cases = [cases[i] for i in train_idx]
     val_cases = [cases[i] for i in val_idx]
 
@@ -337,7 +328,7 @@ def train(
         for p in net.parameters():
             if p.name.endswith(".conv2.w"):
                 p.value[...] = 0.0
-    optimizer = SGD(net.parameters(), cfg.learning_rate, cfg.momentum)
+    optimizer = SGD(net.parameters(), LEARNING_RATE, MOMENTUM)
     loop_rng = np.random.default_rng(seed_loop)
 
     slices = [
@@ -365,10 +356,8 @@ def train(
             planes = []
             for si in batch_ids:
                 ci, z = slices[si]
-                img, lab = train_cases[ci].images[z], train_cases[ci].labels[z]
-                if cfg.augment:
-                    img, lab = augment(img, lab, loop_rng)
-                planes.append((img, lab))
+                planes.append(augment(train_cases[ci].images[z],
+                                      train_cases[ci].labels[z], loop_rng))
 
             net.zero_grad()
             # group by plane shape: 90/270-degree rotations of rectangles
@@ -399,13 +388,14 @@ def train(
             history.losses.append(float(loss_acc))
             iteration += 1
         raw_scores, confined_scores = [], []
+        grid = (1.0, 1.0, 1.0)  # Dice reads no spacing
         for c in val_cases:
-            pred = (predict_probabilities(net, c.images) >= 0.5).astype(np.uint8)
-            truth = BinaryMask3D(c.labels.transpose(1, 2, 0) > 0, c.spacing)
-            raw_scores.append(dice(BinaryMask3D(pred, c.spacing), truth))
+            pred = (predict_probabilities(net, c.images) >= THRESHOLD).astype(np.uint8)
+            truth = BinaryMask3D(c.labels.transpose(1, 2, 0) > 0, grid)
+            raw_scores.append(dice(BinaryMask3D(pred, grid), truth))
             if c.window is not None:
                 confined = pred & c.window.transpose(1, 2, 0)
-                confined_scores.append(dice(BinaryMask3D(confined, c.spacing), truth))
+                confined_scores.append(dice(BinaryMask3D(confined, grid), truth))
         history.val_dice.append(float(np.mean(raw_scores)))
         if confined_scores:
             history.val_dice_confined.append(float(np.mean(confined_scores)))

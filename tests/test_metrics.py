@@ -318,6 +318,9 @@ class TestEvaluateCase:
         assert s.h95 == 2.0
         assert s.h95_undefined_count == 1
         assert s.avd_undefined_count == 1
+        s = summarize_cases("t", cases[1:])  # undefined on every case
+        assert (s.h95, s.avd_percent) == (None, None)
+        assert (s.h95_undefined_count, s.avd_undefined_count) == (1, 1)
 
 
 class TestRanking:
@@ -359,14 +362,16 @@ class TestRanking:
         ]
         assert rank_teams(better).rank_of("nih_cidi_2", "dice") <= base
 
-    # an H95 undefined on every case of a team summarizes to NaN
+    # an H95 undefined on every case of a team summarizes to None; a team
+    # CSV cell reading nan parses to NaN
     @pytest.mark.parametrize("nan_position", [0, 1])
     def test_non_finite_value_rejected_in_any_row_order(self, nan_position):
-        rows = [TeamSummary("b", 0.7, 5.0, 10.0, 0.8, 0.7),
-                TeamSummary("c", 0.6, 9.0, 20.0, 0.7, 0.6)]
-        rows.insert(nan_position, TeamSummary("a", 0.5, float("nan"), 30.0, 0.6, 0.5))
-        with pytest.raises(ValueError, match="team 'a' has a non-finite h95"):
-            rank_teams(rows)
+        for h95 in (None, float("nan")):
+            rows = [TeamSummary("b", 0.7, 5.0, 10.0, 0.8, 0.7),
+                    TeamSummary("c", 0.6, 9.0, 20.0, 0.7, 0.6)]
+            rows.insert(nan_position, TeamSummary("a", 0.5, h95, 30.0, 0.6, 0.5))
+            with pytest.raises(ValueError, match=f"team 'a' has no finite h95: {h95}"):
+                rank_teams(rows)
 
 
 class TestCsv:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from wmhseg.acceptance import oracle_border
+from wmhseg.acceptance import oracle_border, oracle_components, oracle_offsets
 from wmhseg.morphology import (
     border_voxels,
     connected_components,
@@ -18,46 +18,10 @@ def mask(arr) -> BinaryMask3D:
     return BinaryMask3D(data=np.asarray(arr, dtype=np.uint8), spacing=SP)
 
 
-def offsets_for(connectivity: int):
-    offs = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if (dx, dy, dz) == (0, 0, 0):
-                    continue
-                order = abs(dx) + abs(dy) + abs(dz)
-                if connectivity == 6 and order > 1:
-                    continue
-                if connectivity == 18 and order > 2:
-                    continue
-                offs.append((dx, dy, dz))
-    return offs
-
-
 def oracle_partition(data: np.ndarray, connectivity: int) -> set[frozenset]:
-    """Brute-force flood fill: per-voxel label propagation to fixpoint,
-    independent of the union-find implementation under test."""
-    data = data.astype(bool)
-    ids = np.where(data, np.arange(data.size).reshape(data.shape) + 1, 0)
-    offs = offsets_for(connectivity)
-    shape = data.shape
-    changed = True
-    while changed:
-        changed = False
-        for x, y, z in np.argwhere(data):
-            best = ids[x, y, z]
-            for dx, dy, dz in offs:
-                nx, ny, nz = x + dx, y + dy, z + dz
-                if 0 <= nx < shape[0] and 0 <= ny < shape[1] and 0 <= nz < shape[2]:
-                    if data[nx, ny, nz] and ids[nx, ny, nz] < best:
-                        best = ids[nx, ny, nz]
-            if best < ids[x, y, z]:
-                ids[x, y, z] = best
-                changed = True
-    groups: dict[int, set] = {}
-    for x, y, z in np.argwhere(data):
-        groups.setdefault(int(ids[x, y, z]), set()).add((int(x), int(y), int(z)))
-    return {frozenset(g) for g in groups.values()}
+    """The brute-force flood fill's components, independent of the
+    union-find implementation under test."""
+    return {frozenset(c) for c in oracle_components(data, connectivity)}
 
 
 def partition_of(label_volume) -> set[frozenset]:
@@ -124,7 +88,7 @@ class TestConnectedComponents:
         # a row and the first of the next, stay separate components.
         shape = (3, 4, 5)
         strides = np.array([20, 5, 1])
-        offs = set(offsets_for(connectivity))
+        offs = set(oracle_offsets(connectivity))
         flat_offs = {int(np.dot(o, strides)) for o in offs}
         coords = [tuple(int(c) for c in p) for p in np.argwhere(np.ones(shape))]
         pairs = [

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from wmhseg.phantom import PhantomConfig, generate_case
 from wmhseg.pipeline import (
     COMPONENT_CONNECTIVITY,
     CaseInput,
-    PipelineConfig,
     PipelineError,
     run_pipeline,
     score_cases,
@@ -19,7 +16,7 @@ from wmhseg.pipeline import (
     wm_training_cases,
     wmh_training_cases,
 )
-from wmhseg.training import axial_planes, predict_probabilities
+from wmhseg.training import THRESHOLD, axial_planes, predict_probabilities
 from wmhseg.volume_io import BinaryMask3D, Volume3D
 
 
@@ -55,20 +52,6 @@ class TestCaseInput:
             CaseInput(t1=t1, flair=flair)
 
 
-class TestPipelineConfig:
-    def test_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(threshold=0.0)
-        with pytest.raises(ValueError):
-            PipelineConfig(threshold=1.0)
-
-    def test_defaults(self):
-        cfg = PipelineConfig()
-        assert cfg.threshold == 0.5
-        assert cfg.dilation_radius == 2
-        assert cfg.confine is True
-
-
 class TestSegmentWhiteMatter:
     def test_wrong_channel_model_rejected(self, phantom_case, untrained_models):
         _, wmh = untrained_models
@@ -86,24 +69,22 @@ class TestSegmentWhiteMatter:
         wm_model, _ = untrained_models
         from wmhseg.morphology import largest_component
 
-        cfg = PipelineConfig()
         probs = predict_probabilities(wm_model, axial_planes(phantom_case.t1.data))
         raw = BinaryMask3D(
-            data=(probs >= cfg.threshold).astype(np.uint8),
+            data=(probs >= THRESHOLD).astype(np.uint8),
             spacing=phantom_case.t1.spacing,
         )
         pre = largest_component(raw, COMPONENT_CONNECTIVITY)
-        refined = segment_white_matter(phantom_case.t1, wm_model, cfg)
+        refined = segment_white_matter(phantom_case.t1, wm_model)
         assert np.all(refined.data >= pre.data)
 
     def test_empty_prediction_raises(self, phantom_case):
-        # force an empty thresholded mask with an extreme threshold on an
-        # untrained net biased toward 0.5 outputs
+        # every parameter zero and a very negative head bias: each output
+        # pixel reads sigmoid(-10), far below the threshold
         net = Network(build_trimmed_unet(base_width=2, depth=3))
-        he_init(net.graph, 3)
-        cfg = PipelineConfig(threshold=0.999999)
+        {p.name: p for p in net.parameters()}["head.b"].value[...] = -10.0
         with pytest.raises(PipelineError, match="empty"):
-            segment_white_matter(phantom_case.t1, net, cfg)
+            segment_white_matter(phantom_case.t1, net)
 
 
 class TestSegmentWmh:
@@ -111,7 +92,7 @@ class TestSegmentWmh:
         _, wmh_model = untrained_models
         wm_mask = phantom_case.wm_truth
         ci = case_input(phantom_case)
-        on = segment_wmh(ci, wm_mask, wmh_model, PipelineConfig(confine=True))
+        on = segment_wmh(ci, wm_mask, wmh_model)
         assert not np.any(on.data & ~wm_mask.data)
 
     def test_confinement_identity(self, phantom_case, untrained_models):
@@ -119,17 +100,9 @@ class TestSegmentWmh:
         _, wmh_model = untrained_models
         wm_mask = phantom_case.wm_truth
         ci = case_input(phantom_case)
-        off = segment_wmh(ci, wm_mask, wmh_model, PipelineConfig(confine=False))
-        on = segment_wmh(ci, wm_mask, wmh_model, PipelineConfig(confine=True))
+        off = segment_wmh(ci, wm_mask, wmh_model, confine=False)
+        on = segment_wmh(ci, wm_mask, wmh_model, confine=True)
         assert np.array_equal(on.data, off.data & wm_mask.data)
-
-    def test_threshold_monotone(self, phantom_case, untrained_models):
-        _, wmh_model = untrained_models
-        ci = case_input(phantom_case)
-        wm_mask = phantom_case.wm_truth
-        low = segment_wmh(ci, wm_mask, wmh_model, PipelineConfig(threshold=0.3, confine=False))
-        high = segment_wmh(ci, wm_mask, wmh_model, PipelineConfig(threshold=0.7, confine=False))
-        assert np.all(high.data <= low.data)
 
     def test_empty_wm_mask_rejected(self, phantom_case, untrained_models):
         _, wmh_model = untrained_models
@@ -152,33 +125,27 @@ class TestSegmentWmh:
 class TestRunPipeline:
     def test_volume_report_spacing_product(self, phantom_case, untrained_models):
         wm_model, wmh_model = untrained_models
-        cfg = PipelineConfig()
         wmh_mask, wm_mask, report = run_pipeline(
-            case_input(phantom_case), cfg, wm_model, wmh_model
+            case_input(phantom_case), wm_model, wmh_model
         )
         sx, sy, sz = phantom_case.t1.spacing
         assert report.wmh_volume_mm3 == report.wmh_voxels * sx * sy * sz
         assert report.wm_volume_mm3 == report.wm_voxels * sx * sy * sz
-        assert report.config["threshold"] == 0.5
+        assert report.confine is True
 
     def test_deterministic(self, phantom_case, untrained_models):
         wm_model, wmh_model = untrained_models
-        cfg = PipelineConfig()
-        a = run_pipeline(case_input(phantom_case), cfg, wm_model, wmh_model)
-        b = run_pipeline(case_input(phantom_case), cfg, wm_model, wmh_model)
+        a = run_pipeline(case_input(phantom_case), wm_model, wmh_model)
+        b = run_pipeline(case_input(phantom_case), wm_model, wmh_model)
         assert np.array_equal(a[0].data, b[0].data)
         assert np.array_equal(a[1].data, b[1].data)
 
     def test_order_invariance_across_cases(self, untrained_models):
         wm_model, wmh_model = untrained_models
-        cfg = PipelineConfig()
         cases = [generate_case(PhantomConfig(), seed=s) for s in (101, 102)]
-        forward = [
-            run_pipeline(case_input(c), cfg, wm_model, wmh_model)[0].data
-            for c in cases
-        ]
+        forward = [run_pipeline(case_input(c), wm_model, wmh_model)[0].data for c in cases]
         backward = [
-            run_pipeline(case_input(c), cfg, wm_model, wmh_model)[0].data
+            run_pipeline(case_input(c), wm_model, wmh_model)[0].data
             for c in reversed(cases)
         ]
         assert np.array_equal(forward[0], backward[1])
@@ -208,7 +175,7 @@ class TestScoreCases:
         assert len(rows) == len(cases)
         assert all(m.h95_mm is None and m.avd_percent == 100.0 for _, m in rows)
         summary = summarize_cases("empty", [m for _, m in rows])
-        assert math.isnan(summary.h95)
+        assert summary.h95 is None
         assert summary.h95_undefined_count == len(rows)
 
 

@@ -3,17 +3,12 @@ import struct
 import numpy as np
 import pytest
 
+from wmhseg.acceptance import fuzz_cases
 from wmhseg.volume_io import (
     BinaryMask3D,
-    CompressedStreamError,
-    DimensionError,
-    MalformedHeaderError,
     NIFTI_HEADER_SIZE,
-    TruncatedPayloadError,
-    UnsupportedDatatypeError,
     Volume3D,
     VolumeIOError,
-    WrongMagicError,
     read_nifti,
     read_nifti_mask,
     write_nifti,
@@ -259,97 +254,6 @@ class TestMaskIO:
         struct.pack_into("<f", raw, 112, 0.25)  # scl_slope
         path.write_bytes(bytes(raw))
         self._check_read_back(read_nifti_mask(path), d)
-
-
-def _valid_file_bytes() -> bytearray:
-    v = Volume3D(
-        data=np.arange(64, dtype=np.float32).reshape(4, 4, 4), spacing=(1, 1, 3)
-    )
-    import io, tempfile, os
-
-    fd, name = tempfile.mkstemp(suffix=".nii")
-    os.close(fd)
-    write_nifti(v, name, "float32")
-    with open(name, "rb") as f:
-        raw = bytearray(f.read())
-    os.unlink(name)
-    return raw
-
-
-def _mutate(raw: bytearray, *edits) -> bytes:
-    out = bytearray(raw)
-    for fmt, offset, values in edits:
-        struct.pack_into(fmt, out, offset, *values)
-    return bytes(out)
-
-
-def fuzz_cases() -> list[tuple[str, bytes, type]]:
-    raw = _valid_file_bytes()
-    cases: list[tuple[str, bytes, type]] = []
-    # truncated headers at assorted lengths
-    for n in (0, 1, 40, 200, 347):
-        cases.append((f"truncated_header_{n}", bytes(raw[:n]), MalformedHeaderError))
-    # sizeof_hdr wrong
-    for bad in (347, 349, 0, -1):
-        cases.append(
-            (f"sizeof_{bad}", _mutate(raw, ("<i", 0, (bad,))), MalformedHeaderError)
-        )
-    # wrong magic
-    for magic in (b"ni1\x00", b"n+2\x00", b"\x00\x00\x00\x00"):
-        bad = bytearray(raw)
-        bad[344:348] = magic
-        cases.append((f"magic_{magic!r}", bytes(bad), WrongMagicError))
-    # gzip stream
-    import gzip
-
-    cases.append(("gzip", gzip.compress(bytes(raw)), CompressedStreamError))
-    # unsupported datatypes (float64=64, complex=32, rgb=128)
-    for code in (64, 32, 128, 1):
-        cases.append(
-            (f"datatype_{code}", _mutate(raw, ("<h", 70, (code,))),
-             UnsupportedDatatypeError)
-        )
-    # more than 3 nontrivial axes
-    cases.append(
-        ("dim4", _mutate(raw, ("<8h", 40, (4, 4, 4, 2, 2, 1, 1, 1))),
-         DimensionError)
-    )
-    cases.append(
-        ("dim5", _mutate(raw, ("<8h", 40, (5, 4, 4, 1, 2, 2, 1, 1))),
-         DimensionError)
-    )
-    cases.append(
-        ("dim0_zero", _mutate(raw, ("<8h", 40, (0, 4, 4, 4, 1, 1, 1, 1))),
-         DimensionError)
-    )
-    # truncated payloads
-    for cut in (349, 352, len(raw) - 1):
-        cases.append((f"payload_{cut}", bytes(raw[:cut]), TruncatedPayloadError))
-    # payload offset past the end of the file
-    cases.append(
-        ("vox_offset_past_end", _mutate(raw, ("<f", 108, (len(raw) + 64.0,))),
-         TruncatedPayloadError)
-    )
-    # nonpositive / nonfinite pixdim
-    cases.append(
-        ("pixdim_zero", _mutate(raw, ("<f", 80, (0.0,))), MalformedHeaderError)
-    )
-    cases.append(
-        ("pixdim_nan", _mutate(raw, ("<f", 84, (float("nan"),))),
-         MalformedHeaderError)
-    )
-    # bad vox_offset
-    cases.append(
-        ("vox_offset", _mutate(raw, ("<f", 108, (10.0,))), MalformedHeaderError)
-    )
-    # non-finite scl_slope (offset 112) or scl_inter (offset 116)
-    for offset in (112, 116):
-        for value in (float("nan"), float("inf")):
-            cases.append(
-                (f"scl_{offset}_{value}", _mutate(raw, ("<f", offset, (value,))),
-                 MalformedHeaderError)
-            )
-    return cases
 
 
 class TestFuzz:
