@@ -2,11 +2,12 @@
 prediction, evaluation, ranking, and the plain-vs-residual ablation
 harness.
 
-Each sub-command returns the resolved flag values and its outputs;
-`dispatch` times it and writes the machine-readable JSON run report (to
---report, else stdout). Progress is logged to stderr. Exit codes: 0
-success, 2 usage errors, 1 runtime failures (the failing stage is named,
-and the error report goes to --report only).
+The parser holds every flag and its default. Each sub-command returns
+its outputs; `dispatch` times it and writes the machine-readable JSON
+run report (to --report, else stdout), whose `config` echoes the parsed
+flags. Progress is logged to stderr. Exit codes: 0 success, 2 usage
+errors, 1 runtime failures (the failing stage is named, and the error
+report goes to --report only).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .volume_io import read_nifti, read_nifti_mask, write_nifti
 
 log = logging.getLogger("wmhseg")
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -57,28 +58,23 @@ def _write_report(report: dict, path: str | None) -> None:
         print(text)
 
 
-def _resolve_train_config(args) -> TrainConfig:
-    """TrainConfig's defaults, with each flag the user set on top."""
-    return TrainConfig(**{
-        k: getattr(args, k) for k in ("epochs", "seed", "batch_size", "max_iterations")
-        if getattr(args, k) is not None
-    })
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--base-width", dest="base_width", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
+def _add_train_flags(p: argparse.ArgumentParser, base_width: int, depth: int) -> None:
+    """TrainConfig's fields at its defaults, and the command's network size."""
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--batch-size", dest="batch_size", type=int,
+                   default=TrainConfig.batch_size)
+    p.add_argument("--max-iterations", dest="max_iterations", type=int,
+                   default=TrainConfig.max_iterations)
+    p.add_argument("--base-width", dest="base_width", type=int, default=base_width)
+    p.add_argument("--depth", type=int, default=depth)
 
 
 # ---------------------------------------------------------------------------
 # sub-commands
 
 
-def cmd_phantom(args) -> tuple[dict, dict]:
+def cmd_phantom(args) -> dict:
     cfg = PhantomConfig(
         dims=tuple(args.dims),
         spacing=tuple(args.spacing),
@@ -89,33 +85,24 @@ def cmd_phantom(args) -> tuple[dict, dict]:
     log.info("generating %d phantom cases into %s", args.cases, args.out)
     cases = generate_dataset(cfg, args.cases, args.seed)
     save_dataset(cases, cfg, args.out)
-    return (
-        {"cases": args.cases, "seed": args.seed, "out": str(args.out),
-         "phantom": asdict(cfg)},
-        {"dataset_dir": str(args.out), "case_ids": [c.case_id for c in cases]},
-    )
+    return {"dataset_dir": args.out, "case_ids": [c.case_id for c in cases]}
 
 
-def _train_stage(args) -> tuple[dict, dict]:
+def _train_stage(args) -> dict:
     """train-wm and train-wmh: the stage is named by the sub-command."""
     stage = args.command.removeprefix("train-")
-    train_cfg = _resolve_train_config(args)
+    build = build_trimmed_unet if stage == "wm" else build_resunet
+    spec = build(base_width=args.base_width, depth=args.depth)
+    train_cfg = TrainConfig(epochs=args.epochs, seed=args.seed,
+                            batch_size=args.batch_size, max_iterations=args.max_iterations)
     cases, _ = load_dataset(args.data)
-    config: dict = {"data": str(args.data), "out": str(args.out),
-                    "train": asdict(train_cfg)}
     if stage == "wm":
-        spec = build_trimmed_unet(
-            base_width=args.base_width or 64, depth=args.depth or 3
-        )
         tcs = wm_training_cases(cases)
     else:
         wm_net = load_checkpoint(args.wm_checkpoint)
         log.info("computing stage-1 white matter masks for normalization")
         masks = [segment_white_matter(c.t1, wm_net) for c in cases]
-        spec = build_resunet(base_width=args.base_width or 64, depth=args.depth or 4)
         tcs = wmh_training_cases(cases, masks)
-        config.update(wm_checkpoint=args.wm_checkpoint)
-    config.update(base_width=spec.base_width, depth=spec.depth)
     log.info(
         "training %s: %d cases, width %d, depth %d", stage, len(tcs),
         spec.base_width, spec.depth,
@@ -126,11 +113,10 @@ def _train_stage(args) -> tuple[dict, dict]:
     save_checkpoint(out, net)
     history_path = out.with_suffix(".history.json")
     history_path.write_text(json.dumps(asdict(history), indent=2, sort_keys=True) + "\n")
-    outputs = {"checkpoint": str(out), "beta": history.beta,
-               "val_dice": history.val_dice, "iterations": history.iterations,
-               "history_json": str(history_path)}
     log.info("%s training done: final val dice %.4f", stage, history.val_dice[-1])
-    return config, outputs
+    return {"checkpoint": str(out), "beta": history.beta,
+            "val_dice": history.val_dice, "iterations": history.iterations,
+            "history_json": str(history_path)}
 
 
 def _predict_one(case_id: str, t1_path: Path, flair_path: Path, out_dir: Path,
@@ -147,7 +133,7 @@ def _predict_one(case_id: str, t1_path: Path, flair_path: Path, out_dir: Path,
     return record
 
 
-def cmd_predict(args) -> tuple[dict, dict]:
+def cmd_predict(args) -> dict:
     """The single-case mode is a one-case list: both modes write
     <out>/<case_id>/{wmh.nii, wm.nii, report.json}."""
     if args.t1 or args.flair:
@@ -169,20 +155,12 @@ def cmd_predict(args) -> tuple[dict, dict]:
     log.info("predicting %d cases", len(inputs))
     reports = [_predict_one(*case, out_dir, wm_net, wmh_net, not args.no_confine)
                for case in inputs]
-    config = {
-        "data": args.data,
-        "t1": args.t1,
-        "flair": args.flair,
-        "case_id": args.case_id,
-        "out": str(args.out),
-        "wm_checkpoint": args.wm_checkpoint,
-        "wmh_checkpoint": args.wmh_checkpoint,
-        "no_confine": args.no_confine,
-    }
-    return config, {"cases": reports}
+    return {"cases": reports}
 
 
-def cmd_evaluate(args) -> tuple[dict, dict]:
+def cmd_evaluate(args) -> dict:
+    """Batch mode pairs <pred-dir>/<id>/wmh.nii with <gt-dir>/<id>/wmh.nii
+    and needs the same case ids on both sides."""
     if args.pred or args.gt:
         if not (args.pred and args.gt):
             raise ValueError("single-case mode needs both --pred and --gt")
@@ -191,13 +169,17 @@ def cmd_evaluate(args) -> tuple[dict, dict]:
         if not (args.pred_dir and args.gt_dir):
             raise ValueError("batch mode needs both --pred-dir and --gt-dir")
         pred_root, gt_root = Path(args.pred_dir), Path(args.gt_dir)
-        pairs = []
-        for d in sorted(p for p in pred_root.iterdir() if p.is_dir()):
-            gt_path = gt_root / d.name / "wmh.nii"
-            if gt_path.exists():
-                pairs.append((d.name, d / "wmh.nii", gt_path))
-        if not pairs:
+        pred_ids = {d.name for d in pred_root.iterdir() if d.is_dir()}
+        gt_ids = {d.name for d in gt_root.iterdir() if (d / "wmh.nii").exists()}
+        if pred_ids != gt_ids:
+            raise ValueError(
+                f"prediction and truth case sets differ: no truth for "
+                f"{sorted(pred_ids - gt_ids)}, no prediction for {sorted(gt_ids - pred_ids)}"
+            )
+        if not pred_ids:
             raise ValueError(f"no prediction/truth pairs under {pred_root}")
+        pairs = [(cid, pred_root / cid / "wmh.nii", gt_root / cid / "wmh.nii")
+                 for cid in sorted(pred_ids)]
 
     rows = [
         (case_id, evaluate_case(read_nifti_mask(pred_path), read_nifti_mask(gt_path)))
@@ -207,22 +189,14 @@ def cmd_evaluate(args) -> tuple[dict, dict]:
     outputs: dict = {"cases": {cid: asdict(m) for cid, m in rows}}
     if args.out_csv:
         write_case_csv(args.out_csv, rows)
-        outputs["case_csv"] = str(args.out_csv)
+        outputs["case_csv"] = args.out_csv
     if args.team:
         summary = summarize_cases(args.team, [m for _, m in rows])
         outputs["team_summary"] = asdict(summary)
-    config = {
-        "pred": args.pred,
-        "gt": args.gt,
-        "pred_dir": args.pred_dir,
-        "gt_dir": args.gt_dir,
-        "out_csv": args.out_csv,
-        "team": args.team,
-    }
-    return config, outputs
+    return outputs
 
 
-def cmd_rank(args) -> tuple[dict, dict]:
+def cmd_rank(args) -> dict:
     summaries = read_team_summaries(args.summaries)
     table = rank_teams(summaries)
     outputs = {
@@ -231,34 +205,28 @@ def cmd_rank(args) -> tuple[dict, dict]:
     }
     if args.out_csv:
         write_rank_csv(args.out_csv, table)
-        outputs["rank_csv"] = str(args.out_csv)
+        outputs["rank_csv"] = args.out_csv
     for i, team in enumerate(table.teams):
         log.info("team %-16s overall rank %.4f", team, table.overall[i])
-    config = {"summaries": str(args.summaries), "out_csv": args.out_csv}
-    return config, outputs
+    return outputs
 
 
-def cmd_ablate(args) -> tuple[dict, dict]:
-    train_cfg = _resolve_train_config(args)
-    base_width, depth = args.base_width or 4, args.depth or 4
+def cmd_ablate(args) -> dict:
+    train_cfg = TrainConfig(epochs=args.epochs, seed=args.seed,
+                            batch_size=args.batch_size, max_iterations=args.max_iterations)
     cases, _ = load_dataset(args.data)
     wm_net = load_checkpoint(args.wm_checkpoint)
     log.info("computing stage-1 white matter masks for normalization")
     masks = [segment_white_matter(c.t1, wm_net) for c in cases]
     report, _ = run_ablation(cases, masks, train_cfg,
-                             base_width=base_width, depth=depth)
+                             base_width=args.base_width, depth=args.depth)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for kind, r in report["variants"].items():
         log.info("%s: val dice %.4f lesion F1 %.4f", kind, r["val_summary"]["dice"],
                  r["val_summary"]["f1"])
-    return (
-        {"data": str(args.data), "out": str(args.out),
-         "wm_checkpoint": args.wm_checkpoint, "base_width": base_width,
-         "depth": depth, "train": asdict(train_cfg)},
-        {"report_path": str(out), "variants": report["variants"]},
-    )
+    return {"report_path": str(out), "variants": report["variants"]}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-wm", help="train the white matter network")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, base_width=64, depth=3)
     p.add_argument("--report")
     p.set_defaults(func=_train_stage)
 
@@ -296,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, base_width=64, depth=4)
     p.add_argument("--report")
     p.set_defaults(func=_train_stage)
 
@@ -333,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True,
                    help="stage-1 checkpoint whose masks normalize and confine the lesion inputs")
-    _add_train_flags(p)
+    _add_train_flags(p, base_width=4, depth=4)
     p.add_argument("--report")
     p.set_defaults(func=cmd_ablate)
 
@@ -341,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    """Run one sub-command, time it and write its run report. A command
-    returns (config, outputs); an exception exits 1 with an error report,
-    written only to --report."""
+    """Run one sub-command, time it and write its run report, whose
+    `config` is the parsed flags. A command returns its outputs; an
+    exception exits 1 with an error report, written only to --report."""
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO,
@@ -352,7 +320,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        config, outputs = args.func(args)
+        outputs = args.func(args)
     except Exception as exc:  # noqa: BLE001 - report the failing stage, exit 1
         log.error("stage %s failed: %s", args.command, exc)
         if args.report:
@@ -364,7 +332,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         "schema_version": REPORT_SCHEMA_VERSION,
         "version": __version__,
         "command": args.command,
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "outputs": outputs,
         "runtime_seconds": time.time() - t0,
         # the process peak so far, which for one CLI call is the command's

@@ -10,7 +10,7 @@ from wmhseg import pipeline
 from wmhseg.acceptance import checkpoint_bytes
 from wmhseg.architectures import Network, build_resunet
 from wmhseg.checkpoint import load_checkpoint
-from wmhseg.cli import dispatch
+from wmhseg.cli import build_parser, dispatch
 from wmhseg.metrics import dice, evaluate_case
 from wmhseg.phantom import load_dataset
 from wmhseg.pipeline import (
@@ -74,7 +74,7 @@ class TestPhantomCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "ok"
         assert report["config"]["seed"] == 9
-        assert report["config"]["phantom"]["dims"] == [64, 64, 8]
+        assert report["config"]["dims"] == [64, 64, 8]
 
     def test_report_to_file(self, tmp_path):
         rpt = tmp_path / "report.json"
@@ -101,9 +101,9 @@ class TestTraining:
         assert (tmp_path / "a" / "wm.history.json").read_bytes() == (
             tmp_path / "b" / "wm.history.json").read_bytes()
         # the flags set, the TrainConfig defaults fill the rest
-        train_cfg = json.loads((tmp_path / "a.json").read_text())["config"]["train"]
-        assert train_cfg == {"epochs": 1, "seed": 3, "batch_size": 4,
-                             "max_iterations": None}
+        config = json.loads((tmp_path / "a.json").read_text())["config"]
+        assert {k: config[k] for k in ("epochs", "seed", "batch_size", "max_iterations")} == {
+            "epochs": 1, "seed": 3, "batch_size": 4, "max_iterations": None}
 
     def test_manifest_with_phantom_seed_fails(self, tmp_path, dataset):
         # manifests written while PhantomConfig had a `seed` field carry it
@@ -330,6 +330,21 @@ class TestPredictEvaluate:
         assert (report["command"], report["status"]) == ("evaluate", "error")
         assert "--pred-dir" in report["error"] and "--gt-dir" in report["error"]
 
+    def test_evaluate_refuses_case_sets_that_differ(self, tmp_path, dataset):
+        # one prediction against a four-case truth, and a stray prediction
+        (tmp_path / "pred" / "case_000").mkdir(parents=True)
+        shutil.copy(dataset / "case_000" / "wmh.nii", tmp_path / "pred" / "case_000")
+        (tmp_path / "pred" / "extra").mkdir()
+        rpt = tmp_path / "fail.json"
+        code = run(["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(dataset),
+                    "--team", "us", "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("evaluate", "error")
+        assert report["error"] == (
+            "prediction and truth case sets differ: no truth for ['extra'], "
+            "no prediction for ['case_001', 'case_002', 'case_003']")
+
     def test_evaluate_identical_masks(self, tmp_path, dataset, capsys):
         gt = dataset / "case_000" / "wmh.nii"
         assert run(["evaluate", "--pred", str(gt), "--gt", str(gt)]) == 0
@@ -392,16 +407,22 @@ class TestRunReports:
         teams.write_text(TestRank.TABLE2_CSV)
         flags = {
             "phantom": ["--out", str(tmp_path / "d"), "--cases", "1"],
+            "train-wm": ["--data", str(dataset), "--out", str(tmp_path / "wm.ckpt"),
+                         "--base-width", "2", "--depth", "2", "--max-iterations", "1"],
             "evaluate": ["--pred", str(gt), "--gt", str(gt)],
             "rank": ["--summaries", str(teams)],
         }
         for command, extra in flags.items():
-            rpt = tmp_path / f"{command}.json"
-            assert run([command, *extra, "--report", str(rpt)]) == 0
-            report = json.loads(rpt.read_text())
+            argv = [command, *extra, "--report", str(tmp_path / f"{command}.json")]
+            assert run(argv) == 0
+            report = json.loads((tmp_path / f"{command}.json").read_text())
             assert set(report) == self.KEYS
             assert (report["command"], report["status"]) == (command, "ok")
             assert report["peak_rss_mb"] > 0
+            # the config is the parsed flags, defaults included
+            parsed = vars(build_parser().parse_args(argv))
+            del parsed["func"], parsed["command"]
+            assert report["config"] == parsed
 
 
 class TestErrors:
@@ -427,6 +448,19 @@ class TestErrors:
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("train-wm", "error")
         assert "batch size" in report["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-wm", "train-wmh", "ablate"])
+    @pytest.mark.parametrize("flag", ["--base-width", "--depth"])
+    def test_zero_network_size_exits_1(self, tmp_path, dataset, trained, command, flag):
+        rpt, out = tmp_path / "fail.json", tmp_path / "out"
+        stage1 = [] if command == "train-wm" else ["--wm-checkpoint", str(trained[0])]
+        code = run([command, "--data", str(dataset), "--out", str(out), *stage1,
+                    flag, "0", "--max-iterations", "1", "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == (command, "error")
+        assert "invalid network sizes" in report["error"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
