@@ -214,14 +214,12 @@ def upconv2_backward(g: np.ndarray, w: np.ndarray, cache):
     x, w_shape = cache
     batch, in_c, h, wd = x.shape
     out_c = w_shape[1]
-    # a multi-axis sum's order follows the memory layout, and a GEMM's last
-    # bits can follow its operands' layouts: both keep batch-major operands
-    db = np.ascontiguousarray(g).sum(axis=(0, 2, 3))
-    g6 = g.reshape(batch, out_c, h, 2, wd, 2).transpose(0, 2, 4, 1, 3, 5)
-    gm = np.ascontiguousarray(g6).reshape(-1, out_c * 4)  # (B*H*W, O*4) taps
-    xt = np.ascontiguousarray(_channel_rows(x).T)  # (B*H*W, C)
-    dw = (xt.T @ gm).reshape(w_shape)
-    dx = (w.reshape(in_c, out_c * 4) @ gm.T).reshape(in_c, batch, h, wd)
+    db = _channel_rows(g).sum(axis=1)
+    # (O*4, B*H*W): row o*4 + di*2 + dj holds tap (di, dj) of output channel o
+    taps = g.reshape(batch, out_c, h, 2, wd, 2).transpose(1, 3, 5, 0, 2, 4)
+    taps = taps.reshape(out_c * 4, -1)
+    dw = (_channel_rows(x) @ taps.T).reshape(w_shape)
+    dx = (w.reshape(in_c, out_c * 4) @ taps).reshape(in_c, batch, h, wd)
     return dx.transpose(1, 0, 2, 3), dw, db
 
 

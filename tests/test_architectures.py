@@ -158,11 +158,11 @@ class TestTrainingStepDigest:
 
     @pytest.mark.parametrize("builder, params_digest, output_digest", [
         (build_resunet,
-         "918b6128ecdbc21d750c14a305d15bfb9ffdc599d8154ef748547fda4289368e",
+         "61a051611d7a26a2ed615f75d271ff5dc73b4ec12871f6e3345896e9bf36f0fc",
          "5b8f1c882145db1ad0eb31553b3883d8d91d9e0274ad9bf7ab02f18b8431d598"),
         (build_trimmed_unet,
-         "318cbf48fac861125a0b37f1175831a1ac6feca0a0633d883cf18106301c7abb",
-         "b452b5dd7b3da419616530e756e771fe5193c88bd31775cc4bcb8f6b6f1ea62c"),
+         "16020f5290965c897679de50c2935da0eb39e31c2b8c312eea6041aa3c09ebd0",
+         "42e94c69e791b140fdff7e6b28a98615d76cba4b44f5c84580fa61528372fc39"),
     ], ids=["resunet-w4d2", "trimmed-w4d2"])
     def test_two_steps_and_a_padded_inference_are_pinned(
         self, builder, params_digest, output_digest
