@@ -72,6 +72,9 @@ DATASET_SEED = 42
 TRAIN_SEED = 1
 WM_TRAIN = dict(epochs=8, seed=TRAIN_SEED, batch_size=4)  # 128 iterations
 WMH_TRAIN = dict(epochs=30, seed=TRAIN_SEED, batch_size=4)  # 480 iterations
+# the bars of criteria 6 and 8
+DICE_BAR = 0.85
+ITERATION_BUDGET = 500
 
 
 @dataclass
@@ -443,14 +446,22 @@ def crit_end_to_end() -> tuple[bool, dict, str]:
         "refined_wm_dice_val_cases": refined_dice,
         "end_to_end_wmh_dice_val_cases": e2e_dice,
         "wall_seconds_including_training": wall,
+        # each gate's margin: the smallest gated Dice minus the bar, or the
+        # budget minus the iterations
+        "wm_val_dice_margin": wm_hist.val_dice[-1] - DICE_BAR,
+        "wm_iterations_margin": ITERATION_BUDGET - wm_hist.iterations,
+        "wmh_val_dice_margin": wmh_hist.val_dice[-1] - DICE_BAR,
+        "wmh_iterations_margin": ITERATION_BUDGET - wmh_hist.iterations,
+        "refined_wm_dice_val_cases_margin": min(refined_dice) - DICE_BAR,
+        "end_to_end_wmh_dice_val_cases_margin": min(e2e_dice) - DICE_BAR,
     }
     ok = (
-        wm_hist.val_dice[-1] >= 0.85
-        and wmh_hist.val_dice[-1] >= 0.85
-        and wm_hist.iterations <= 500
-        and wmh_hist.iterations <= 500
-        and min(refined_dice) >= 0.85
-        and min(e2e_dice) >= 0.85
+        wm_hist.val_dice[-1] >= DICE_BAR
+        and wmh_hist.val_dice[-1] >= DICE_BAR
+        and wm_hist.iterations <= ITERATION_BUDGET
+        and wmh_hist.iterations <= ITERATION_BUDGET
+        and min(refined_dice) >= DICE_BAR
+        and min(e2e_dice) >= DICE_BAR
         and wall <= 600.0
     )
     return ok, measured, "dice >= 0.85; <= 500 iterations/stage; <= 600 s"
@@ -485,12 +496,18 @@ def crit_ablation() -> tuple[bool, dict, str]:
         "residual_dice": residual["val_summary"]["dice"],
         "residual_lesion_f1": residual["val_summary"]["f1"],
         "iterations": residual["iterations"],
+        # each gate's margin, as in criterion 6; `iterations` is the residual
+        # variant's, and its margin covers both variants
+        "plain_dice_margin": plain["val_summary"]["dice"] - DICE_BAR,
+        "residual_dice_margin": residual["val_summary"]["dice"] - DICE_BAR,
+        "iterations_margin": ITERATION_BUDGET - max(plain["iterations"],
+                                                    residual["iterations"]),
     }
     ok = (
-        measured["plain_dice"] >= 0.85
-        and measured["residual_dice"] >= 0.85
-        and residual["iterations"] <= 500
-        and plain["iterations"] <= 500
+        measured["plain_dice"] >= DICE_BAR
+        and measured["residual_dice"] >= DICE_BAR
+        and residual["iterations"] <= ITERATION_BUDGET
+        and plain["iterations"] <= ITERATION_BUDGET
     )
     return ok, measured, "both variants dice >= 0.85 within 500 iterations"
 

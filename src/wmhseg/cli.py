@@ -212,6 +212,7 @@ def cmd_rank(args) -> dict:
 
 
 def cmd_ablate(args) -> dict:
+    build_resunet(base_width=args.base_width, depth=args.depth)  # a bad size fails first
     train_cfg = TrainConfig(epochs=args.epochs, seed=args.seed,
                             batch_size=args.batch_size, max_iterations=args.max_iterations)
     cases, _ = load_dataset(args.data)

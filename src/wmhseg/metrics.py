@@ -8,10 +8,11 @@ when it shares at least one voxel with the other mask.
 That rule lives in `detected_components` alone; recall, precision and the
 acceptance false-positive count all go through it.
 
-Every metric works from the masks' `foreground` flat indices: sizes,
-intersections (a `searchsorted` of one sorted index list in the other),
-labels per foreground voxel and borders. A mask is scanned at most once,
-and a mask read from disk not at all, so past that scan an evaluation
+Every metric works from the masks' `foreground` flat indices and `dims`:
+sizes, intersections (a `searchsorted` of one sorted index list in the
+other), labels per foreground voxel and borders, which share one edge
+pass per mask. A mask is scanned at most once, and a mask read from disk
+not at all, nor is its dense grid built, so past that scan an evaluation
 costs in proportion to the foreground, not to the grid.
 
 Empty-mask conventions: both-empty Dice is 1.0; H95 is undefined unless
@@ -101,8 +102,8 @@ class RankTable:
 
 
 def _check_grids(pred: BinaryMask3D, gt: BinaryMask3D) -> None:
-    if pred.data.shape != gt.data.shape:
-        raise ValueError(f"grid mismatch: {pred.data.shape} vs {gt.data.shape}")
+    if pred.dims != gt.dims:
+        raise ValueError(f"grid mismatch: {pred.dims} vs {gt.dims}")
     if pred.spacing != gt.spacing:
         raise ValueError(f"spacing mismatch: {pred.spacing} vs {gt.spacing}")
 

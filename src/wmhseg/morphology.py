@@ -2,9 +2,13 @@
 iterated dilation, and border extraction.
 
 Connectivity is the 3-D neighbour count: 6 (faces), 18 (faces+edges) or
-26 (full). Labeling and borders share one foreground edge list, built
-from the mask's `foreground`, so their cost grows with the foreground,
-not with the grid. Labels are kept per foreground voxel. Union-find over
+26 (full). Labeling and borders share one edge pass per mask: the edges
+of each back offset are found once, from the mask's `foreground`, by one
+`searchsorted` on flat indices into the grid padded by one voxel (so no
+edge wraps across a row or a plane), and kept on the mask. Borders read
+the 3 face offsets that 26-connected labeling found, and the reverse, so
+the cost grows with the foreground, not with the grid, and neither reads
+the dense grid. Labels are kept per foreground voxel. Union-find over
 the edges (Wu, Otoo & Suzuki, Pattern Anal. Appl. 2009) roots each
 component at its minimum C-order flat index, so labels follow first-visit
 scan order; a border voxel has fewer than six 6-connected foreground edges.
@@ -63,34 +67,35 @@ class LabelVolume:
         return np.bincount(self.voxel_labels, minlength=self.count + 1)
 
 
-def _edges(flat: np.ndarray, shape: tuple, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+def _edges(m: BinaryMask3D, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of neighbouring foreground voxels once, as (voxel, earlier
-    neighbour) positions in `flat`, the foreground's sorted flat indices."""
+    neighbour) positions in `m.foreground`. Each back offset's pairs are
+    found once per mask and kept in `m._edges`, so labeling and borders
+    share them."""
     offs = _neighbor_offsets(connectivity)
-    coords = np.unravel_index(flat, shape)
-    strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=np.int64)
-    # One offset of each +/- pair. The coordinate bounds keep flat offsets
-    # from wrapping across rows and planes.
-    src, dst = [], []
-    for off in offs[: len(offs) // 2]:  # the offsets that point back in scan order
-        inside = np.ones(flat.size, dtype=bool)
-        for c, d, n in zip(coords, off, shape):
-            if d:
-                inside &= (c >= 1) if d < 0 else (c < n - 1)
-        pos = np.flatnonzero(inside)
-        target = flat[pos] + off @ strides
-        hit = np.searchsorted(flat, target)  # < flat.size: target < flat[pos]
-        found = flat[hit] == target
-        src.append(pos[found])
-        dst.append(hit[found])
-    return np.concatenate(src), np.concatenate(dst)
+    back = [tuple(o) for o in offs[: len(offs) // 2]]  # they point back in scan order
+    missing = [o for o in back if o not in m._edges]
+    if missing:
+        _, ny, nz = m.dims
+        flat = m.foreground
+        # The flat index in the grid padded by one background voxel on
+        # every side, ((i+1)(ny+2) + j+1)(nz+2) + k+1. It is sorted as
+        # `flat` is, and no offset from it wraps across a row or a plane.
+        row = flat // nz  # i*ny + j
+        padded = (row + 2 * (row // ny) + ny + 3) * (nz + 2) + (flat - row * nz) + 1
+        for dx, dy, dz in missing:
+            target = padded + ((dx * (ny + 2) + dy) * (nz + 2) + dz)
+            hit = np.searchsorted(padded, target)  # < padded.size: target < padded
+            found = padded[hit] == target
+            m._edges[dx, dy, dz] = (np.flatnonzero(found), hit[found])
+    return tuple(np.concatenate(e) for e in zip(*(m._edges[o] for o in back)))
 
 
 def connected_components(m: BinaryMask3D, connectivity: int = 26) -> LabelVolume:
     """Label connected components by union-find, in first-visit scan
     order. The cost grows with the foreground voxels, not with the grid."""
     flat = m.foreground  # sorted: position order is scan order
-    a, b = _edges(flat, m.dims, connectivity)
+    a, b = _edges(m, connectivity)
 
     # Hook each edge's larger root onto its smaller one, then pointer-jump
     # to full compression; repeat until both ends of every edge share a
@@ -159,6 +164,6 @@ def border_voxels(m: BinaryMask3D) -> np.ndarray:
     than six 6-connected foreground edges (a volume face counts as outside).
     The cost grows with the foreground."""
     flat = m.foreground
-    a, b = _edges(flat, m.dims, 6)
+    a, b = _edges(m, 6)
     degree = np.bincount(a, minlength=flat.size) + np.bincount(b, minlength=flat.size)
     return np.stack(np.unravel_index(flat[degree < 6], m.dims), axis=1)

@@ -6,15 +6,18 @@ x-fastest (Fortran order), matching NIfTI. Spacing is mm per voxel.
 In memory, grids are C-ordered. A mask keeps its foreground, the sorted
 C-order flat indices of its ones, once found. Masks move between the two
 orders by that foreground alone: a read scans the file's values once and
-hands the indices it finds to the mask, and a write scatters ones into a
-zeroed buffer, so past one scan the cost grows with the foreground, not
-with the grid. Volumes are reordered whole.
+hands the indices it finds to the mask, which builds its dense grid only
+on first use, and a write scatters ones into a zeroed buffer. So past one
+scan the cost grows with the foreground, not with the grid. Volumes are
+reordered whole.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -135,29 +138,33 @@ def _scan_foreground(data: np.ndarray) -> np.ndarray:
     return np.flatnonzero(data.view(bool))
 
 
-@dataclass
 class BinaryMask3D:
     """Same grid contract as Volume3D, values restricted to {0, 1} and
     stored as uint8. uint8 data is kept as given, without a copy.
 
     `foreground` holds the sorted C-order flat indices of the ones. It is
     found by one scan on first use, or handed over when the mask is built
-    from it (`read_nifti_mask`, `largest_component`), and kept. So a
-    mask's `data` is not changed in place after construction: build a new
-    mask instead.
+    from it (`read_nifti_mask`, `largest_component`), and kept. A mask
+    built from its foreground keeps only its `dims` and builds the dense
+    `data` on first use. The mask also keeps the foreground's neighbour
+    edges that `morphology` finds. So a mask's `data` is not changed in
+    place after construction: build a new mask instead.
     """
 
-    data: np.ndarray
-    spacing: tuple[float, float, float]
-    _foreground: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, data, spacing) -> None:
+        data, self.spacing = _checked_grid(data, spacing)
+        self.data = _binary_uint8(data)
+        self.dims: tuple[int, int, int] = data.shape
+        self._foreground: np.ndarray | None = None
+        self._edges: dict = {}  # back offset -> edges, kept by `morphology`
 
-    def __post_init__(self) -> None:
-        self.data, self.spacing = _checked_grid(self.data, self.spacing)
-        self.data = _binary_uint8(self.data)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(self.data.shape)  # type: ignore[return-value]
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        """The dense uint8 grid, C-ordered; a mask built from its foreground
+        scatters ones into a zeroed grid here, on first use."""
+        data = np.zeros(self.dims, dtype=np.uint8)
+        data.reshape(-1)[self._foreground] = 1
+        return data
 
     @property
     def foreground(self) -> np.ndarray:
@@ -174,11 +181,9 @@ class BinaryMask3D:
     ) -> BinaryMask3D:
         """The mask of a checked grid with ones at the sorted C-order flat
         indices `fg`. It is 0/1 by construction, so its values are neither
-        checked nor scanned again."""
-        data = np.zeros(dims, dtype=np.uint8)
-        data.reshape(-1)[fg] = 1
+        checked nor scanned again, and its grid is built only if read."""
         m = cls.__new__(cls)
-        m.data, m.spacing, m._foreground = data, spacing, fg
+        m.dims, m.spacing, m._foreground, m._edges = dims, spacing, fg, {}
         return m
 
 
@@ -295,10 +300,10 @@ def read_nifti_mask(path: str | Path) -> BinaryMask3D:
     an integer label outside {0, 1} raises ValueError.
 
     One scan of the file's values finds the foreground in file order; its
-    indices, mapped to C order and sorted, become the mask's `foreground`,
-    and the C-ordered uint8 grid is built by scattering ones at them into
-    a zeroed array. Past that scan the cost grows with the foreground, not
-    with the grid, and the mask is never scanned again.
+    indices, mapped to C order and sorted, become the mask's `foreground`.
+    The C-ordered uint8 grid is built from them only when `data` is first
+    read. Past that scan the cost grows with the foreground, not with the
+    grid, and the mask is never scanned again.
     """
     v = read_nifti(path, stored_dtype=True)
     stored = _binary_uint8(v.data).reshape(-1, order="F")  # file order
@@ -318,7 +323,7 @@ def write_nifti(
     reordered whole; integer datatypes raise on value overflow.
     """
     if isinstance(v, BinaryMask3D):  # 0/1 by construction: no range check
-        payload = np.zeros(v.data.size, dtype=np.uint8)
+        payload = np.zeros(math.prod(v.dims), dtype=np.uint8)
         payload[_transposed_flat_index(v.foreground, v.dims)] = 1
     else:
         if datatype not in _CODE_BY_NAME:

@@ -88,3 +88,21 @@ def test_end_to_end_wall_counts_training_once(monkeypatch):
     assert measured["end_to_end_wmh_dice_val_cases"] == [0.91, 0.97]
     assert measured["refined_wm_dice_val_cases"] == [0.9, 0.9]
     assert passed
+    assert measured["wm_iterations_margin"] == 372
+    assert measured["wmh_iterations_margin"] == 20
+    assert measured["wmh_val_dice_margin"] == 0.9 - 0.85
+    assert measured["end_to_end_wmh_dice_val_cases_margin"] == 0.91 - 0.85
+
+
+def test_ablation_reports_each_gate_margin(monkeypatch):
+    """The iteration margin is the smaller of the two variants'."""
+    def variant(dice, iterations):
+        return {"val_summary": {"dice": dice, "f1": 0.5}, "iterations": iterations}
+
+    report = {"variants": {"plain": variant(0.86, 490), "residual": variant(0.95, 480)}}
+    monkeypatch.setattr(acceptance, "trained_models", lambda: (None, None, None, report, None))
+    passed, measured, _ = acceptance.crit_ablation()
+    assert passed
+    assert measured["plain_dice_margin"] == 0.86 - 0.85
+    assert measured["residual_dice_margin"] == 0.95 - 0.85
+    assert (measured["iterations"], measured["iterations_margin"]) == (480, 10)

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from wmhseg import pipeline
+from wmhseg import cli, pipeline
 from wmhseg.acceptance import checkpoint_bytes
 from wmhseg.architectures import Network, build_resunet
 from wmhseg.checkpoint import load_checkpoint
@@ -452,7 +452,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["train-wm", "train-wmh", "ablate"])
     @pytest.mark.parametrize("flag", ["--base-width", "--depth"])
-    def test_zero_network_size_exits_1(self, tmp_path, dataset, trained, command, flag):
+    def test_zero_network_size_exits_1(self, tmp_path, dataset, trained, command, flag,
+                                       monkeypatch):
+        """The size is checked before any stage-1 mask is computed."""
+        stage1_calls = []
+        monkeypatch.setattr(cli, "segment_white_matter", lambda *a: stage1_calls.append(a))
         rpt, out = tmp_path / "fail.json", tmp_path / "out"
         stage1 = [] if command == "train-wm" else ["--wm-checkpoint", str(trained[0])]
         code = run([command, "--data", str(dataset), "--out", str(out), *stage1,
@@ -462,6 +466,7 @@ class TestErrors:
         assert (report["command"], report["status"]) == (command, "error")
         assert "invalid network sizes" in report["error"]
         assert not out.exists()
+        assert stage1_calls == []
 
     @pytest.mark.parametrize("flags, message", [
         (["--confounders", "-1"], "confounder count"),

@@ -29,7 +29,7 @@ from wmhseg.metrics import (
     write_case_csv,
     write_rank_csv,
 )
-from wmhseg.morphology import border_voxels, connected_components
+from wmhseg.morphology import border_voxels, connected_components, largest_component
 from wmhseg.volume_io import BinaryMask3D, read_nifti_mask, write_nifti
 
 SP = (1.0, 1.0, 1.0)
@@ -294,6 +294,44 @@ class TestEvaluateCase:
         scans.clear()
         assert evaluate_case(*read) == built
         assert scans == []
+
+    def test_read_and_largest_component_masks_evaluate_without_a_grid(self, tmp_path):
+        """Masks built from their foreground build `data` only when it is
+        read, and then build the grid a mask made from it would hold."""
+        rng = np.random.default_rng(15)
+        pred, gt = random_mask(rng, (7, 9, 5), 0.3), random_mask(rng, (7, 9, 5), 0.3)
+        write_nifti(pred, tmp_path / "p.nii")
+        write_nifti(gt, tmp_path / "g.nii")
+        lazy = (read_nifti_mask(tmp_path / "p.nii"), read_nifti_mask(tmp_path / "g.nii"),
+                largest_component(pred), largest_component(gt))
+        for m in lazy:
+            assert m.dims == (7, 9, 5)
+            assert m.voxel_count() == m.foreground.size
+            write_nifti(m, tmp_path / "again.nii")
+        assert np.array_equal(lazy[0].foreground, pred.foreground)
+        assert np.array_equal(lazy[1].foreground, gt.foreground)
+        assert evaluate_case(*lazy[:2]) == evaluate_case(pred, gt)
+        eager_lcc = (mask(largest_component(m).data) for m in (pred, gt))
+        assert evaluate_case(*lazy[2:]) == evaluate_case(*eager_lcc)
+        for m in lazy:
+            assert "data" not in vars(m)  # evaluated and written from the foreground
+            grid = np.isin(np.arange(7 * 9 * 5), m.foreground).reshape(7, 9, 5)
+            assert np.array_equal(m.data, grid)
+            assert m.data.dtype == np.uint8
+            assert m.data.flags.c_contiguous and m.data.flags.writeable
+            assert m.data is m.data  # built once, then kept
+
+    def test_grid_check_needs_no_grid(self, tmp_path):
+        rng = np.random.default_rng(16)
+        write_nifti(random_mask(rng, (4, 5, 6), 0.5), tmp_path / "a.nii")
+        write_nifti(random_mask(rng, (4, 5, 7), 0.5), tmp_path / "b.nii")
+        write_nifti(random_mask(rng, (4, 5, 6), 0.5, (1, 1, 2)), tmp_path / "c.nii")
+        a, b, c = (read_nifti_mask(tmp_path / f"{n}.nii") for n in "abc")
+        with pytest.raises(ValueError, match="grid mismatch"):
+            evaluate_case(a, b)
+        with pytest.raises(ValueError, match="spacing mismatch"):
+            evaluate_case(a, c)
+        assert all("data" not in vars(m) for m in (a, b, c))
 
     def test_perfect_case(self):
         m = random_mask(np.random.default_rng(10))

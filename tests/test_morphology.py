@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from wmhseg.acceptance import oracle_border, oracle_components, oracle_offsets
@@ -322,3 +324,30 @@ class TestBorderVoxels:
         for x in range(3):
             for y in range(3):
                 assert {(x, y, 4), (x, y + 1, 0)} <= got
+
+
+# Grids of 1-4 voxels per axis, where most voxels lie on a face, an edge or
+# a corner of the grid.
+small_grids = st.tuples(*[st.integers(1, 4)] * 3).flatmap(
+    lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=small_grids, connectivity=st.sampled_from([6, 18, 26]))
+def test_property_labels_and_borders_match_oracles_in_any_order(grid, connectivity):
+    """Labels and borders share a mask's kept edges, so neither may depend
+    on which of them ran first."""
+    border = oracle_border(grid.astype(bool)).reshape(-1, 3)
+    fresh = connected_components(mask(grid), connectivity)
+    assert partition_of(fresh) == oracle_partition(grid, connectivity)
+    assert np.array_equal(border_voxels(mask(grid)), border)
+
+    labels_first = mask(grid)
+    lab = connected_components(labels_first, connectivity)
+    assert np.array_equal(border_voxels(labels_first), border)
+    border_first = mask(grid)
+    assert np.array_equal(border_voxels(border_first), border)
+    lab2 = connected_components(border_first, connectivity)
+    for other in (lab, lab2):
+        assert other.count == fresh.count
+        assert np.array_equal(other.voxel_labels, fresh.voxel_labels)
