@@ -41,7 +41,7 @@ from .pipeline import (
     wm_training_cases,
     wmh_training_cases,
 )
-from .training import TrainConfig, train
+from .training import TrainConfig, TrainingCase, train
 from .volume_io import read_nifti, read_nifti_mask, write_nifti
 
 log = logging.getLogger("wmhseg")
@@ -88,6 +88,19 @@ def cmd_phantom(args) -> dict:
     return {"dataset_dir": args.out, "case_ids": [c.case_id for c in cases]}
 
 
+def _training_cases(args, stage: str) -> list[TrainingCase]:
+    """The stage's training cases from --data. The loaded cases, the
+    stage-1 network and its masks are dropped on return, so that
+    training does not hold them."""
+    cases, _ = load_dataset(args.data)
+    if stage == "wm":
+        return wm_training_cases(cases)
+    wm_net = load_checkpoint(args.wm_checkpoint)
+    log.info("computing stage-1 white matter masks for normalization")
+    masks = [segment_white_matter(c.t1, wm_net) for c in cases]
+    return wmh_training_cases(cases, masks)
+
+
 def _train_stage(args) -> dict:
     """train-wm and train-wmh: the stage is named by the sub-command."""
     stage = args.command.removeprefix("train-")
@@ -95,14 +108,7 @@ def _train_stage(args) -> dict:
     spec = build(base_width=args.base_width, depth=args.depth)
     train_cfg = TrainConfig(epochs=args.epochs, seed=args.seed,
                             batch_size=args.batch_size, max_iterations=args.max_iterations)
-    cases, _ = load_dataset(args.data)
-    if stage == "wm":
-        tcs = wm_training_cases(cases)
-    else:
-        wm_net = load_checkpoint(args.wm_checkpoint)
-        log.info("computing stage-1 white matter masks for normalization")
-        masks = [segment_white_matter(c.t1, wm_net) for c in cases]
-        tcs = wmh_training_cases(cases, masks)
+    tcs = _training_cases(args, stage)
     log.info(
         "training %s: %d cases, width %d, depth %d", stage, len(tcs),
         spec.base_width, spec.depth,

@@ -24,17 +24,22 @@ is None too.
 The 95th percentile is nearest-rank: the element at 1-based position
 ceil(0.95 * n) of the ascending sorted distances, computed with integer
 arithmetic (ceil(19n/20)) to avoid float rounding at exact multiples.
+
+H95's nearest-border queries use scipy's `cKDTree`, the package's only
+use of scipy. The module attribute `cKDTree` imports it on first access
+(module `__getattr__`), so a command that never computes H95 never loads
+scipy; `h95` reads the attribute at call time, so it can be replaced.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .morphology import LabelVolume, border_voxels, connected_components
 from .volume_io import BinaryMask3D
@@ -101,6 +106,17 @@ class RankTable:
         return self.ranks[metric][self.teams.index(team)]
 
 
+def __getattr__(name: str):
+    """scipy's `cKDTree`, imported on first access and then bound as the
+    module global, so that only H95 pays for loading scipy (PEP 562)."""
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+
+        globals()["cKDTree"] = cKDTree
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _check_grids(pred: BinaryMask3D, gt: BinaryMask3D) -> None:
     if pred.dims != gt.dims:
         raise ValueError(f"grid mismatch: {pred.dims} vs {gt.dims}")
@@ -148,9 +164,10 @@ def h95(pred: BinaryMask3D, gt: BinaryMask3D) -> float:
     a_flat, b_flat = (np.ravel_multi_index(v.T, pred.dims) for v in (a, b))
     a_in_b, b_in_a = _in_sorted(a_flat, b_flat), _in_sorted(b_flat, a_flat)
     a, b = a.astype(np.float64) * sp, b.astype(np.float64) * sp
+    tree = sys.modules[__name__].cKDTree  # read at call time: it may be rebound
     return max(
-        _nearest_rank_95(cKDTree(b), a[~a_in_b], int(a_in_b.sum())),
-        _nearest_rank_95(cKDTree(a), b[~b_in_a], int(b_in_a.sum())),
+        _nearest_rank_95(tree(b), a[~a_in_b], int(a_in_b.sum())),
+        _nearest_rank_95(tree(a), b[~b_in_a], int(b_in_a.sum())),
     )
 
 

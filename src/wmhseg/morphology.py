@@ -17,6 +17,7 @@ scan order; a border voxel has fewer than six 6-connected foreground edges.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,22 +25,22 @@ import numpy as np
 from .volume_io import BinaryMask3D
 
 
+def _offsets(max_order: int) -> np.ndarray:
+    """The offsets in {-1, 0, 1}^3 with 1 to `max_order` nonzero components,
+    in scan order, so the first half point back; read-only, as it is shared."""
+    offs = np.array([o for o in itertools.product((-1, 0, 1), repeat=3)
+                     if 0 < np.count_nonzero(o) <= max_order], dtype=np.int64)
+    offs.setflags(write=False)
+    return offs
+
+
+_OFFSETS = {6: _offsets(1), 18: _offsets(2), 26: _offsets(3)}
+
+
 def _neighbor_offsets(connectivity: int) -> np.ndarray:
     if connectivity not in (6, 18, 26):
         raise ValueError(f"connectivity must be one of 6, 18, 26, got {connectivity}")
-    offs = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == dy == dz == 0:
-                    continue
-                order = abs(dx) + abs(dy) + abs(dz)
-                if connectivity == 6 and order > 1:
-                    continue
-                if connectivity == 18 and order > 2:
-                    continue
-                offs.append((dx, dy, dz))
-    return np.array(offs, dtype=np.int64)
+    return _OFFSETS[connectivity]
 
 
 @dataclass

@@ -41,3 +41,43 @@ def test_one_blas_thread_by_default():
 def test_explicit_blas_threads_win():
     _, values = probe(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
     assert values == ["2", "1", "3"]
+
+
+# import every command module, then touch the KD-tree name, then compare
+# H95 on two small masks with the value scipy's cKDTree gives directly
+SCIPY_PROBE = """
+import sys
+import numpy as np
+import wmhseg.cli
+from wmhseg import metrics
+from wmhseg.acceptance import oracle_border
+from wmhseg.volume_io import BinaryMask3D
+print(any(name.split(".")[0] == "scipy" for name in sys.modules))
+print(hasattr(metrics, "cKDTree"), "scipy" in sys.modules)
+from scipy.spatial import cKDTree
+print(metrics.cKDTree is cKDTree)
+spacing = (1.0, 2.0, 3.0)
+a, b = np.zeros((2, 6, 7, 5), dtype=np.uint8)
+a[1:4, 1:5, 1:3] = 1
+b[2:6, 2:7, 2:5] = 1
+b[0, 0, 0] = 1
+pa, pb = (oracle_border(m.astype(bool)) * spacing for m in (a, b))
+def directed(src, dst):
+    d = np.sort(cKDTree(dst).query(src)[0])
+    return d[(19 * len(d) + 19) // 20 - 1]
+print(repr(metrics.h95(BinaryMask3D(data=a, spacing=spacing),
+                       BinaryMask3D(data=b, spacing=spacing))))
+print(repr(float(max(directed(pa, pb), directed(pb, pa)))))
+"""
+
+
+def test_scipy_loads_on_first_kdtree_access():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split("\n")
+    assert out[0] == "False"  # no command module imports scipy
+    assert out[1] == "True True"
+    assert out[2] == "True"
+    assert float(out[3]) > 0 and out[3] == out[4]
