@@ -46,13 +46,20 @@ from .metrics import TeamSummary, detected_components, dice, evaluate_case, rank
 from .morphology import connected_components
 from .phantom import PhantomConfig, generate_dataset
 from .pipeline import (
-    CaseInput,
     run_ablation,
     segment_white_matter,
     segment_wmh,
+    stack_case_channels,
     wm_training_cases,
 )
-from .training import TrainConfig, compute_beta, train, weighted_bce
+from .training import (
+    THRESHOLD,
+    TrainConfig,
+    compute_beta,
+    predict_probabilities,
+    train,
+    weighted_bce,
+)
 from .volume_io import (
     BinaryMask3D,
     CompressedStreamError,
@@ -469,17 +476,19 @@ def crit_end_to_end() -> tuple[bool, dict, str]:
 
 def crit_confinement() -> tuple[bool, dict, str]:
     """With the FLAIR confounder present, confinement strictly reduces
-    false-positive lesion components."""
+    false-positive lesion components: `segment_wmh` against the same
+    thresholded prediction without the white matter mask applied."""
     _, _, wm_masks, _, trained = trained_models()
     wmh_net, _ = trained["residual"]
     cases = phantom_dataset()
-    fp = {True: 0, False: 0}  # confine -> predicted components touching no lesion
+    fp = {True: 0, False: 0}  # confined? -> predicted components touching no lesion
     for case, mask in zip(cases, wm_masks):
-        ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
-        for confine in fp:
-            pred = segment_wmh(ci, mask, wmh_net, confine=confine)
+        probs = predict_probabilities(wmh_net, stack_case_channels(case.t1, case.flair, mask))
+        preds = {True: segment_wmh(case.t1, case.flair, mask, wmh_net),
+                 False: BinaryMask3D((probs >= THRESHOLD).astype(np.uint8), case.t1.spacing)}
+        for confined, pred in preds.items():
             lab = connected_components(pred, 26)
-            fp[confine] += lab.count - detected_components(lab, case.wmh_truth)
+            fp[confined] += lab.count - detected_components(lab, case.wmh_truth)
     measured = {"fp_components_confined": fp[True], "fp_components_unconfined": fp[False]}
     return fp[True] < fp[False], measured, "strict reduction"
 

@@ -34,19 +34,18 @@ from .metrics import (
 )
 from .phantom import PhantomConfig, generate_dataset, load_dataset, save_dataset
 from .pipeline import (
-    CaseInput,
     run_ablation,
-    run_pipeline,
     segment_white_matter,
+    segment_wmh,
     wm_training_cases,
     wmh_training_cases,
 )
 from .training import TrainConfig, TrainingCase, train
-from .volume_io import read_nifti, read_nifti_mask, write_nifti
+from .volume_io import BinaryMask3D, read_nifti, read_nifti_mask, write_nifti
 
 log = logging.getLogger("wmhseg")
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -88,17 +87,22 @@ def cmd_phantom(args) -> dict:
     return {"dataset_dir": args.out, "case_ids": [c.case_id for c in cases]}
 
 
+def _stage1_masks(args) -> tuple[list, list[BinaryMask3D]]:
+    """The cases of --data and the white matter mask that --wm-checkpoint
+    segments in each."""
+    cases, _ = load_dataset(args.data)
+    wm_net = load_checkpoint(args.wm_checkpoint)
+    log.info("computing stage-1 white matter masks for normalization")
+    return cases, [segment_white_matter(c.t1, wm_net) for c in cases]
+
+
 def _training_cases(args, stage: str) -> list[TrainingCase]:
     """The stage's training cases from --data. The loaded cases, the
     stage-1 network and its masks are dropped on return, so that
     training does not hold them."""
-    cases, _ = load_dataset(args.data)
     if stage == "wm":
-        return wm_training_cases(cases)
-    wm_net = load_checkpoint(args.wm_checkpoint)
-    log.info("computing stage-1 white matter masks for normalization")
-    masks = [segment_white_matter(c.t1, wm_net) for c in cases]
-    return wmh_training_cases(cases, masks)
+        return wm_training_cases(load_dataset(args.data)[0])
+    return wmh_training_cases(*_stage1_masks(args))
 
 
 def _train_stage(args) -> dict:
@@ -126,15 +130,17 @@ def _train_stage(args) -> dict:
 
 
 def _predict_one(case_id: str, t1_path: Path, flair_path: Path, out_dir: Path,
-                 wm_net, wmh_net, confine: bool) -> dict:
-    case = CaseInput(t1=read_nifti(t1_path), flair=read_nifti(flair_path),
-                     case_id=case_id)
-    wmh_mask, wm_mask, report = run_pipeline(case, wm_net, wmh_net, confine=confine)
+                 wm_net, wmh_net) -> dict:
+    t1, flair = read_nifti(t1_path), read_nifti(flair_path)
+    wm_mask = segment_white_matter(t1, wm_net)
+    wmh_mask = segment_wmh(t1, flair, wm_mask, wmh_net)
     d = out_dir / case_id
     d.mkdir(parents=True, exist_ok=True)
     write_nifti(wmh_mask, d / "wmh.nii")
     write_nifti(wm_mask, d / "wm.nii")
-    record = asdict(report)
+    n_wmh, n_wm, vox = wmh_mask.voxel_count(), wm_mask.voxel_count(), t1.voxel_volume_mm3()
+    record = {"case_id": case_id, "wmh_voxels": n_wmh, "wmh_volume_mm3": n_wmh * vox,
+              "wm_voxels": n_wm, "wm_volume_mm3": n_wm * vox}
     (d / "report.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record
 
@@ -159,8 +165,7 @@ def cmd_predict(args) -> dict:
     wmh_net = load_checkpoint(args.wmh_checkpoint)
     out_dir = Path(args.out)
     log.info("predicting %d cases", len(inputs))
-    reports = [_predict_one(*case, out_dir, wm_net, wmh_net, not args.no_confine)
-               for case in inputs]
+    reports = [_predict_one(*case, out_dir, wm_net, wmh_net) for case in inputs]
     return {"cases": reports}
 
 
@@ -221,10 +226,7 @@ def cmd_ablate(args) -> dict:
     build_resunet(base_width=args.base_width, depth=args.depth)  # a bad size fails first
     train_cfg = TrainConfig(epochs=args.epochs, seed=args.seed,
                             batch_size=args.batch_size, max_iterations=args.max_iterations)
-    cases, _ = load_dataset(args.data)
-    wm_net = load_checkpoint(args.wm_checkpoint)
-    log.info("computing stage-1 white matter masks for normalization")
-    masks = [segment_white_matter(c.t1, wm_net) for c in cases]
+    cases, masks = _stage1_masks(args)
     report, _ = run_ablation(cases, masks, train_cfg,
                              base_width=args.base_width, depth=args.depth)
     out = Path(args.out)
@@ -283,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True)
     p.add_argument("--wmh-checkpoint", required=True)
-    p.add_argument("--no-confine", action="store_true")
     p.add_argument("--report")
     p.set_defaults(func=cmd_predict)
 
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True,
-                   help="stage-1 checkpoint whose masks normalize and confine the lesion inputs")
+                   help="stage-1 checkpoint whose masks normalize and bound the lesion stage")
     _add_train_flags(p, base_width=4, depth=4)
     p.add_argument("--report")
     p.set_defaults(func=cmd_ablate)

@@ -1,14 +1,16 @@
-"""Two-stage inference: white matter segmentation with morphological
-refinement on T1, then lesion segmentation on mask-normalized (T1, FLAIR)
-pairs confined to the refined white matter mask. Also the training-data
-assembly for both stages, `score_cases`, the one place that segments
-cases with a lesion network and scores them with the five challenge
-metrics, and the plain-vs-residual ablation run, which scores through it.
+"""Two-stage inference: `segment_white_matter` refines a stage-1
+prediction on T1 into a white matter mask, then `segment_wmh` segments
+lesions on the mask-normalized (T1, FLAIR) volumes and always confines
+them to that mask. `stack_case_channels` builds every lesion input, for
+training, scoring and prediction alike. Also the training-data assembly
+for both stages, `score_cases`, the one place that segments cases with a
+lesion network and scores them with the five challenge metrics, and the
+plain-vs-residual ablation run, which scores through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -39,35 +41,6 @@ class PipelineError(RuntimeError):
     pass
 
 
-@dataclass
-class CaseInput:
-    """Co-registered T1 and FLAIR volumes."""
-
-    t1: Volume3D
-    flair: Volume3D
-    case_id: str = "case"
-
-    def __post_init__(self) -> None:
-        if self.t1.data.shape != self.flair.data.shape:
-            raise ValueError(
-                f"t1/flair grid mismatch: {self.t1.data.shape} vs {self.flair.data.shape}"
-            )
-        if self.t1.spacing != self.flair.spacing:
-            raise ValueError(
-                f"t1/flair spacing mismatch: {self.t1.spacing} vs {self.flair.spacing}"
-            )
-
-
-@dataclass
-class CaseReport:
-    case_id: str
-    wmh_voxels: int
-    wmh_volume_mm3: float
-    wm_voxels: int
-    wm_volume_mm3: float
-    confine: bool
-
-
 def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
     """Per-slice forward pass on T1, threshold, keep the largest connected
     component, then dilate for full coverage."""
@@ -83,54 +56,33 @@ def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
     return dilate(refined, DILATION_RADIUS, DILATION_CONNECTIVITY)
 
 
-def stack_case_channels(
-    case: CaseInput, wm_mask: BinaryMask3D
-) -> np.ndarray:
+def stack_case_channels(t1: Volume3D, flair: Volume3D, wm_mask: BinaryMask3D) -> np.ndarray:
     """Mask-normalize T1 and FLAIR as the 2-channel network input planes,
-    channel order (t1, flair)."""
-    t1n = normalize_to_mask(case.t1, wm_mask)
-    flairn = normalize_to_mask(case.flair, wm_mask)
+    channel order (t1, flair). Every lesion input passes here, so the two
+    volumes must share one grid and spacing."""
+    if t1.data.shape != flair.data.shape:
+        raise ValueError(f"t1/flair grid mismatch: {t1.data.shape} vs {flair.data.shape}")
+    if t1.spacing != flair.spacing:
+        raise ValueError(f"t1/flair spacing mismatch: {t1.spacing} vs {flair.spacing}")
+    t1n = normalize_to_mask(t1, wm_mask)
+    flairn = normalize_to_mask(flair, wm_mask)
     return axial_planes(t1n.data, flairn.data)
 
 
 def segment_wmh(
-    case: CaseInput,
-    wm_mask: BinaryMask3D,
-    wmh_model: Network,
-    *,
-    confine: bool = True,
+    t1: Volume3D, flair: Volume3D, wm_mask: BinaryMask3D, wmh_model: Network
 ) -> BinaryMask3D:
     """Lesion segmentation on normalized 2-channel slices; predictions
-    outside the white matter mask are zeroed when `confine` is on."""
+    outside the white matter mask are zeroed."""
     if wmh_model.spec.in_channels != 2:
         raise PipelineError(
             f"lesion model expects 2 input channels, has {wmh_model.spec.in_channels}"
         )
     if wm_mask.voxel_count() == 0:
         raise PipelineError("white matter mask is empty")
-    probs = predict_probabilities(wmh_model, stack_case_channels(case, wm_mask))
-    pred = (probs >= THRESHOLD).astype(np.uint8)
-    if confine:
-        pred &= wm_mask.data
-    return BinaryMask3D(data=pred, spacing=case.t1.spacing)
-
-
-def run_pipeline(
-    case: CaseInput, wm_model: Network, wmh_model: Network, *, confine: bool = True
-) -> tuple[BinaryMask3D, BinaryMask3D, CaseReport]:
-    """Both stages end to end; returns (wmh mask, wm mask, report)."""
-    wm_mask = segment_white_matter(case.t1, wm_model)
-    wmh_mask = segment_wmh(case, wm_mask, wmh_model, confine=confine)
-    vox = case.t1.voxel_volume_mm3()
-    report = CaseReport(
-        case_id=case.case_id,
-        wmh_voxels=wmh_mask.voxel_count(),
-        wmh_volume_mm3=wmh_mask.voxel_count() * vox,
-        wm_voxels=wm_mask.voxel_count(),
-        wm_volume_mm3=wm_mask.voxel_count() * vox,
-        confine=confine,
-    )
-    return wmh_mask, wm_mask, report
+    probs = predict_probabilities(wmh_model, stack_case_channels(t1, flair, wm_mask))
+    pred = (probs >= THRESHOLD).astype(np.uint8) & wm_mask.data
+    return BinaryMask3D(data=pred, spacing=t1.spacing)
 
 
 def score_cases(cases, masks: list[BinaryMask3D], wmh_model: Network,
@@ -140,10 +92,7 @@ def score_cases(cases, masks: list[BinaryMask3D], wmh_model: Network,
     (case_id, metrics) rows in case order, as `write_case_csv` takes
     them."""
     return [
-        (c.case_id, evaluate_case(
-            segment_wmh(CaseInput(t1=c.t1, flair=c.flair, case_id=c.case_id),
-                        m, wmh_model),
-            c.wmh_truth))
+        (c.case_id, evaluate_case(segment_wmh(c.t1, c.flair, m, wmh_model), c.wmh_truth))
         for c, m in zip(cases, masks, strict=True)
         if c.case_id in case_ids
     ]
@@ -173,18 +122,15 @@ def wmh_training_cases(
     predictions in the paper's protocol; ground truth for isolation runs)."""
     if len(wm_masks) != len(phantom_cases):
         raise ValueError("one white matter mask per case required")
-    out = []
-    for c, m in zip(phantom_cases, wm_masks):
-        case_input = CaseInput(t1=c.t1, flair=c.flair, case_id=c.case_id)
-        out.append(
-            TrainingCase(
-                case_id=c.case_id,
-                images=stack_case_channels(case_input, m),
-                labels=axial_planes(c.wmh_truth.data)[:, 0],
-                window=axial_planes(m.data)[:, 0],
-            )
+    return [
+        TrainingCase(
+            case_id=c.case_id,
+            images=stack_case_channels(c.t1, c.flair, m),
+            labels=axial_planes(c.wmh_truth.data)[:, 0],
+            window=axial_planes(m.data)[:, 0],
         )
-    return out
+        for c, m in zip(phantom_cases, wm_masks)
+    ]
 
 
 # ---------------------------------------------------------------------------

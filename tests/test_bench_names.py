@@ -1,8 +1,9 @@
 """The benchmark in `wmhbench/` wraps program functions by name. Every
 name it wraps must resolve in `wmhseg`, and one case of `evaluate` (two
-mask reads and `evaluate_case`) must call every span the benchmark
-requires of that phase; otherwise a traced benchmark run fails. The
-benchmark's files are only read here."""
+mask reads and `evaluate_case`) and of `predict` (the CLI command on one
+phantom case) must each call every span the benchmark requires of that
+phase; otherwise a traced benchmark run fails. The benchmark's files are
+only read here."""
 
 import json
 import subprocess
@@ -15,15 +16,17 @@ BENCH = Path(__file__).resolve().parents[1] / "wmhbench"
 SRC = str(Path(wmhseg.__file__).resolve().parents[1])
 
 # Runs apart, because installing the tracer patches the program's modules.
+# argv: the benchmark directory and the phase to run under the tracer.
 PROBE = """
 import importlib, json, runpy, sys, tempfile
 from pathlib import Path
 import numpy as np
 import wmhseg
-from wmhseg import metrics, volume_io
+from wmhseg import architectures, checkpoint, cli, metrics, phantom, volume_io
 
-tracing = runpy.run_path(sys.argv[1] + "/tracing.py", run_name="bench_tracing")
-layers = runpy.run_path(sys.argv[1] + "/layers.py", run_name="bench_layers")
+bench, phase = sys.argv[1], sys.argv[2]
+tracing = runpy.run_path(bench + "/tracing.py", run_name="bench_tracing")
+layers = runpy.run_path(bench + "/layers.py", run_name="bench_layers")
 module = lambda name: importlib.import_module("wmhseg." + name)
 unresolved = [f"{m}.{a}" for m, names in tracing["FUNCTIONS"].items()
               for a in names if not hasattr(module(m), a)]
@@ -33,29 +36,55 @@ unresolved += [f"{m}.{c}.{a}" for m, classes in tracing["METHODS"].items()
 silent = None
 if not unresolved:
     tracer = tracing["Tracer"]()
-    tracing["install"](tracer, wmhseg)
-    rng = np.random.default_rng(0)
-    truth = rng.random((16, 14, 6)) < 0.1
-    pred = truth ^ (rng.random(truth.shape) < 0.05)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in (("pred", pred), ("gt", truth)):
-            volume_io.write_nifti(volume_io.BinaryMask3D(data, (0.9, 0.9, 3.0)),
-                                  Path(tmp) / f"{name}.nii")
-        tracer.phase = "evaluate"
+        tmp = Path(tmp)
+        if phase == "evaluate":
+            rng = np.random.default_rng(0)
+            truth = rng.random((16, 14, 6)) < 0.1
+            pred = truth ^ (rng.random(truth.shape) < 0.05)
+            for name, data in (("pred", pred), ("gt", truth)):
+                volume_io.write_nifti(volume_io.BinaryMask3D(data, (0.9, 0.9, 3.0)),
+                                      tmp / f"{name}.nii")
+        else:
+            cfg = phantom.PhantomConfig()
+            phantom.save_dataset([phantom.generate_case(cfg, seed=0)], cfg, tmp / "data")
+            # every parameter zero and a large head bias: all voxels are white matter
+            wm = architectures.Network(architectures.build_trimmed_unet(base_width=2, depth=2))
+            {p.name: p for p in wm.parameters()}["head.b"].value[...] = 10.0
+            wmh = architectures.Network(architectures.build_resunet(base_width=2, depth=2))
+            architectures.he_init(wmh.graph, 0)
+            checkpoint.save_checkpoint(tmp / "wm.ckpt", wm)
+            checkpoint.save_checkpoint(tmp / "wmh.ckpt", wmh)
+        tracing["install"](tracer, wmhseg)
+        tracer.phase = phase
         # through the modules, whose attributes the tracer patched
-        metrics.evaluate_case(volume_io.read_nifti_mask(Path(tmp) / "pred.nii"),
-                              volume_io.read_nifti_mask(Path(tmp) / "gt.nii"))
-    silent = sorted({span for m in layers["METRICS"] if m.phase == "evaluate"
-                     for span in m.required if not tracer.calls[("evaluate", span)]})
+        if phase == "evaluate":
+            metrics.evaluate_case(volume_io.read_nifti_mask(tmp / "pred.nii"),
+                                  volume_io.read_nifti_mask(tmp / "gt.nii"))
+        else:
+            assert cli.dispatch(["predict", "--data", str(tmp / "data"),
+                                 "--out", str(tmp / "pred"),
+                                 "--wm-checkpoint", str(tmp / "wm.ckpt"),
+                                 "--wmh-checkpoint", str(tmp / "wmh.ckpt"),
+                                 "--report", str(tmp / "report.json")]) == 0
+    silent = sorted({span for m in layers["METRICS"] if m.phase == phase
+                     for span in m.required if not tracer.calls[(phase, span)]})
 print(json.dumps({"unresolved": unresolved, "silent": silent}))
 """
 
 
-def test_traced_names_resolve_and_evaluate_calls_every_required_span():
+def probe(phase: str) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, str(BENCH)],
+        [sys.executable, "-c", PROBE, str(BENCH), phase],
         env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
-    result = json.loads(out.stdout.splitlines()[-1])
-    assert result == {"unresolved": [], "silent": []}
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_traced_names_resolve_and_evaluate_calls_every_required_span():
+    assert probe("evaluate") == {"unresolved": [], "silent": []}
+
+
+def test_predict_command_calls_every_required_span():
+    assert probe("predict") == {"unresolved": [], "silent": []}

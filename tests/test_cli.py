@@ -14,14 +14,19 @@ from wmhseg.cli import build_parser, dispatch
 from wmhseg.metrics import dice, evaluate_case
 from wmhseg.phantom import load_dataset
 from wmhseg.pipeline import (
-    CaseInput,
     run_ablation,
     segment_white_matter,
     segment_wmh,
     wmh_training_cases,
 )
 from wmhseg.training import TrainConfig, TrainHistory, predict_probabilities, train
-from wmhseg.volume_io import BinaryMask3D, Volume3D, read_nifti_mask, write_nifti
+from wmhseg.volume_io import (
+    BinaryMask3D,
+    Volume3D,
+    read_nifti,
+    read_nifti_mask,
+    write_nifti,
+)
 
 
 def run(argv):
@@ -139,8 +144,8 @@ class TestAblation:
             for case, mask, tc in zip(cases, masks, tcs):
                 if case.case_id not in hist.val_case_ids:
                     continue
-                ci = CaseInput(t1=case.t1, flair=case.flair, case_id=case.case_id)
-                scores = evaluate_case(segment_wmh(ci, mask, net), case.wmh_truth)
+                scores = evaluate_case(segment_wmh(case.t1, case.flair, mask, net),
+                                       case.wmh_truth)
                 dices.append(scores.dice)
                 f1s.append(scores.lesion_f1)
                 rows[case.case_id] = asdict(scores)
@@ -203,7 +208,7 @@ class TestAblation:
         assert config["wm_checkpoint"] == str(trained[0])
         assert (config["base_width"], config["depth"]) == (2, 2)
 
-    def test_command_writes_nan_for_a_metric_undefined_on_every_case(
+    def test_command_writes_null_for_a_metric_undefined_on_every_case(
             self, tmp_path, dataset, trained, monkeypatch):
         # An entrant that predicts nothing has no H95 on any case. The
         # report carries null for that mean, never the bare token NaN, so it
@@ -272,21 +277,42 @@ class TestPredictEvaluate:
                 tmp_path / "dir" / "case_000" / f"{kind}.nii").read_bytes()
         assert (tmp_path / "single" / "X" / "report.json").exists()
 
-    def test_no_confine_keeps_predictions_outside_white_matter(self, tmp_path, dataset,
-                                                               trained):
+    def test_predict_confines_lesions_to_the_written_white_matter(self, tmp_path, dataset,
+                                                                  trained):
         wm, wmh = trained
-        ckpts = ["--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh)]
-        case = ["--t1", str(dataset / "case_000" / "t1.nii"),
-                "--flair", str(dataset / "case_000" / "flair.nii")]
-        assert run(["predict", *case, "--out", str(tmp_path / "on"), *ckpts]) == 0
-        assert run(["predict", *case, "--out", str(tmp_path / "off"), "--no-confine",
-                    *ckpts]) == 0
-        on, off = (read_nifti_mask(tmp_path / d / "case" / "wmh.nii") for d in ("on", "off"))
-        white_matter = read_nifti_mask(tmp_path / "on" / "case" / "wm.nii")
-        assert np.array_equal(on.data, off.data & white_matter.data)
-        for d, confine in (("on", True), ("off", False)):
-            assert json.loads((tmp_path / d / "case" / "report.json").read_text())[
-                "confine"] is confine
+        case = dataset / "case_000"
+        assert run(["predict", "--t1", str(case / "t1.nii"), "--flair", str(case / "flair.nii"),
+                    "--out", str(tmp_path), "--wm-checkpoint", str(wm),
+                    "--wmh-checkpoint", str(wmh)]) == 0
+        lesions, white_matter = (read_nifti_mask(tmp_path / "case" / f"{kind}.nii")
+                                 for kind in ("wmh", "wm"))
+        assert lesions.voxel_count() > 0
+        assert not np.any(lesions.data & ~white_matter.data)
+        report = json.loads((tmp_path / "case" / "report.json").read_text())
+        voxel_mm3 = float(np.prod(white_matter.spacing))
+        assert report == {"case_id": "case",
+                          "wmh_voxels": lesions.voxel_count(),
+                          "wmh_volume_mm3": lesions.voxel_count() * voxel_mm3,
+                          "wm_voxels": white_matter.voxel_count(),
+                          "wm_volume_mm3": white_matter.voxel_count() * voxel_mm3}
+
+    @pytest.mark.parametrize("kind", ["grid", "spacing"])
+    def test_single_case_mode_t1_flair_mismatch_exits_1(self, tmp_path, dataset, trained,
+                                                        kind):
+        t1 = read_nifti(dataset / "case_000" / "t1.nii")
+        flair = (Volume3D(data=t1.data[..., :-1], spacing=t1.spacing) if kind == "grid" else
+                 Volume3D(data=t1.data, spacing=(*t1.spacing[:2], 2 * t1.spacing[2])))
+        write_nifti(flair, tmp_path / "flair.nii")
+        rpt = tmp_path / "fail.json"
+        code = run(["predict", "--t1", str(dataset / "case_000" / "t1.nii"),
+                    "--flair", str(tmp_path / "flair.nii"), "--out", str(tmp_path / "out"),
+                    "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1]),
+                    "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("predict", "error")
+        assert f"t1/flair {kind} mismatch" in report["error"]
+        assert not (tmp_path / "out" / "case" / "wmh.nii").exists()
 
     def test_single_case_mode_needs_flair(self, tmp_path, dataset):
         # the pair is checked before either checkpoint is read

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,7 @@ from wmhseg.metrics import evaluate_case, summarize_cases
 from wmhseg.phantom import PhantomConfig, generate_case
 from wmhseg.pipeline import (
     COMPONENT_CONNECTIVITY,
-    CaseInput,
     PipelineError,
-    run_pipeline,
     score_cases,
     segment_white_matter,
     segment_wmh,
@@ -32,24 +32,6 @@ def untrained_models():
     he_init(wm.graph, 1)
     he_init(wmh.graph, 2)
     return wm, wmh
-
-
-def case_input(c) -> CaseInput:
-    return CaseInput(t1=c.t1, flair=c.flair, case_id=c.case_id)
-
-
-class TestCaseInput:
-    def test_grid_mismatch_rejected(self):
-        t1 = Volume3D(data=np.zeros((4, 4, 2)), spacing=(1, 1, 1))
-        flair = Volume3D(data=np.zeros((4, 4, 3)), spacing=(1, 1, 1))
-        with pytest.raises(ValueError):
-            CaseInput(t1=t1, flair=flair)
-
-    def test_spacing_mismatch_rejected(self):
-        t1 = Volume3D(data=np.zeros((4, 4, 2)), spacing=(1, 1, 1))
-        flair = Volume3D(data=np.zeros((4, 4, 2)), spacing=(1, 1, 2))
-        with pytest.raises(ValueError):
-            CaseInput(t1=t1, flair=flair)
 
 
 class TestSegmentWhiteMatter:
@@ -87,22 +69,38 @@ class TestSegmentWhiteMatter:
             segment_white_matter(phantom_case.t1, net)
 
 
+def mismatched_flair(t1: Volume3D, kind: str) -> Volume3D:
+    """A FLAIR one slice short of `t1`'s grid, or at another spacing."""
+    if kind == "grid":
+        return Volume3D(data=t1.data[..., :-1], spacing=t1.spacing)
+    return Volume3D(data=t1.data, spacing=(*t1.spacing[:2], 2 * t1.spacing[2]))
+
+
 class TestSegmentWmh:
     def test_confinement_removes_outside_voxels(self, phantom_case, untrained_models):
         _, wmh_model = untrained_models
         wm_mask = phantom_case.wm_truth
-        ci = case_input(phantom_case)
-        on = segment_wmh(ci, wm_mask, wmh_model)
+        on = segment_wmh(phantom_case.t1, phantom_case.flair, wm_mask, wmh_model)
         assert not np.any(on.data & ~wm_mask.data)
 
     def test_confinement_identity(self, phantom_case, untrained_models):
-        # confined == unconfined AND wm_mask, exactly
+        # the thresholded prediction AND wm_mask, exactly, which is the
+        # confined mask that acceptance criterion 7 counts against the
+        # thresholded prediction alone
         _, wmh_model = untrained_models
-        wm_mask = phantom_case.wm_truth
-        ci = case_input(phantom_case)
-        off = segment_wmh(ci, wm_mask, wmh_model, confine=False)
-        on = segment_wmh(ci, wm_mask, wmh_model, confine=True)
-        assert np.array_equal(on.data, off.data & wm_mask.data)
+        c, wm_mask = phantom_case, phantom_case.wm_truth
+        probs = predict_probabilities(wmh_model, stack_case_channels(c.t1, c.flair, wm_mask))
+        expected = (probs >= THRESHOLD) & wm_mask.data.astype(bool)
+        on = segment_wmh(c.t1, c.flair, wm_mask, wmh_model)
+        assert np.array_equal(on.data, expected)
+        assert np.any(probs[~wm_mask.data.astype(bool)] >= THRESHOLD)  # something is removed
+
+    @pytest.mark.parametrize("kind", ["grid", "spacing"])
+    def test_t1_flair_mismatch_rejected(self, phantom_case, untrained_models, kind):
+        _, wmh_model = untrained_models
+        flair = mismatched_flair(phantom_case.t1, kind)
+        with pytest.raises(ValueError, match=f"t1/flair {kind} mismatch"):
+            segment_wmh(phantom_case.t1, flair, phantom_case.wm_truth, wmh_model)
 
     def test_empty_wm_mask_rejected(self, phantom_case, untrained_models):
         _, wmh_model = untrained_models
@@ -111,43 +109,35 @@ class TestSegmentWmh:
             spacing=phantom_case.t1.spacing,
         )
         with pytest.raises(PipelineError):
-            segment_wmh(case_input(phantom_case), empty, wmh_model)
+            segment_wmh(phantom_case.t1, phantom_case.flair, empty, wmh_model)
 
     def test_channel_order_t1_then_flair(self, phantom_case):
-        stacked = stack_case_channels(case_input(phantom_case), phantom_case.wm_truth)
+        c = phantom_case
+        stacked = stack_case_channels(c.t1, c.flair, c.wm_truth)
         assert stacked.shape[1] == 2
         from wmhseg.training import normalize_to_mask
 
-        t1n = normalize_to_mask(phantom_case.t1, phantom_case.wm_truth)
+        t1n = normalize_to_mask(c.t1, c.wm_truth)
         assert np.array_equal(stacked[:, 0], t1n.data.transpose(2, 0, 1))
 
 
-class TestRunPipeline:
-    def test_volume_report_spacing_product(self, phantom_case, untrained_models):
-        wm_model, wmh_model = untrained_models
-        wmh_mask, wm_mask, report = run_pipeline(
-            case_input(phantom_case), wm_model, wmh_model
-        )
-        sx, sy, sz = phantom_case.t1.spacing
-        assert report.wmh_volume_mm3 == report.wmh_voxels * sx * sy * sz
-        assert report.wm_volume_mm3 == report.wm_voxels * sx * sy * sz
-        assert report.confine is True
+def two_stages(c, wm_model, wmh_model) -> tuple[BinaryMask3D, BinaryMask3D]:
+    """(wmh mask, wm mask) of one case, as `predict` chains the stages."""
+    wm_mask = segment_white_matter(c.t1, wm_model)
+    return segment_wmh(c.t1, c.flair, wm_mask, wmh_model), wm_mask
 
+
+class TestTwoStages:
     def test_deterministic(self, phantom_case, untrained_models):
-        wm_model, wmh_model = untrained_models
-        a = run_pipeline(case_input(phantom_case), wm_model, wmh_model)
-        b = run_pipeline(case_input(phantom_case), wm_model, wmh_model)
+        a = two_stages(phantom_case, *untrained_models)
+        b = two_stages(phantom_case, *untrained_models)
         assert np.array_equal(a[0].data, b[0].data)
         assert np.array_equal(a[1].data, b[1].data)
 
     def test_order_invariance_across_cases(self, untrained_models):
-        wm_model, wmh_model = untrained_models
         cases = [generate_case(PhantomConfig(), seed=s) for s in (101, 102)]
-        forward = [run_pipeline(case_input(c), wm_model, wmh_model)[0].data for c in cases]
-        backward = [
-            run_pipeline(case_input(c), wm_model, wmh_model)[0].data
-            for c in reversed(cases)
-        ]
+        forward = [two_stages(c, *untrained_models)[0].data for c in cases]
+        backward = [two_stages(c, *untrained_models)[0].data for c in reversed(cases)]
         assert np.array_equal(forward[0], backward[1])
         assert np.array_equal(forward[1], backward[0])
 
@@ -161,7 +151,7 @@ class TestScoreCases:
         rows = score_cases(cases, masks, wmh_model, ids)
         assert [cid for cid, _ in rows] == [cases[0].case_id, cases[2].case_id]
         for (_, m), c, mask in zip(rows, cases[::2], masks[::2]):
-            pred = segment_wmh(case_input(c), mask, wmh_model)
+            pred = segment_wmh(c.t1, c.flair, mask, wmh_model)
             assert m == evaluate_case(pred, c.wmh_truth)
         with pytest.raises(ValueError):
             score_cases(cases, masks[:2], wmh_model, ids)
@@ -196,3 +186,9 @@ class TestTrainingCaseAssembly:
     def test_mask_count_mismatch_rejected(self, phantom_case):
         with pytest.raises(ValueError):
             wmh_training_cases([phantom_case], [])
+
+    @pytest.mark.parametrize("kind", ["grid", "spacing"])
+    def test_t1_flair_mismatch_rejected(self, phantom_case, kind):
+        case = replace(phantom_case, flair=mismatched_flair(phantom_case.t1, kind))
+        with pytest.raises(ValueError, match=f"t1/flair {kind} mismatch"):
+            wmh_training_cases([case], [phantom_case.wm_truth])
