@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wmhseg.architectures import Network, build_resunet, build_trimmed_unet, he_init
+from wmhseg.cli import _predict_one
 from wmhseg.metrics import evaluate_case, summarize_cases
 from wmhseg.phantom import PhantomConfig, generate_case
 from wmhseg.pipeline import (
@@ -17,7 +18,7 @@ from wmhseg.pipeline import (
     wmh_training_cases,
 )
 from wmhseg.training import THRESHOLD, axial_planes, predict_probabilities
-from wmhseg.volume_io import BinaryMask3D, Volume3D
+from wmhseg.volume_io import BinaryMask3D, Volume3D, read_nifti_mask, write_nifti
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +128,21 @@ def two_stages(c, wm_model, wmh_model) -> tuple[BinaryMask3D, BinaryMask3D]:
     return segment_wmh(c.t1, c.flair, wm_mask, wmh_model), wm_mask
 
 
-class TestTwoStages:
+class TestRunPipeline:
+    """The run `predict` makes: stage 1 on the T1, then the lesion stage inside its mask."""
+
+    def test_volume_report_spacing_product(self, tmp_path, phantom_case, untrained_models):
+        for kind in ("t1", "flair"):
+            write_nifti(getattr(phantom_case, kind), tmp_path / f"{kind}.nii")
+        report = _predict_one("c", tmp_path / "t1.nii", tmp_path / "flair.nii",
+                              tmp_path / "out", *untrained_models)
+        sx, sy, sz = phantom_case.t1.spacing
+        assert report["wmh_volume_mm3"] == report["wmh_voxels"] * sx * sy * sz
+        assert report["wm_volume_mm3"] == report["wm_voxels"] * sx * sy * sz
+        for kind in ("wmh", "wm"):
+            mask = read_nifti_mask(tmp_path / "out" / "c" / f"{kind}.nii")
+            assert report[f"{kind}_voxels"] == mask.voxel_count()
+
     def test_deterministic(self, phantom_case, untrained_models):
         a = two_stages(phantom_case, *untrained_models)
         b = two_stages(phantom_case, *untrained_models)
