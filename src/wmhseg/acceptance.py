@@ -111,7 +111,7 @@ _CACHE: dict = {}
 
 def phantom_dataset():
     if "dataset" not in _CACHE:
-        _CACHE["dataset"] = generate_dataset(PhantomConfig(), 10, seed=DATASET_SEED)
+        _CACHE["dataset"] = list(generate_dataset(PhantomConfig(), 10, seed=DATASET_SEED))
     return _CACHE["dataset"]
 
 

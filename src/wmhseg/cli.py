@@ -82,9 +82,9 @@ def cmd_phantom(args) -> dict:
         noise_std=args.noise_std,
     )
     log.info("generating %d phantom cases into %s", args.cases, args.out)
-    cases = generate_dataset(cfg, args.cases, args.seed)
-    save_dataset(cases, cfg, args.out)
-    return {"dataset_dir": args.out, "case_ids": [c.case_id for c in cases]}
+    # streamed: one generated case is held at a time
+    case_ids = save_dataset(generate_dataset(cfg, args.cases, args.seed), cfg, args.out)
+    return {"dataset_dir": args.out, "case_ids": case_ids}
 
 
 def _stage1_masks(args) -> tuple[list, list[BinaryMask3D]]:

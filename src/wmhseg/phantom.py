@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -221,28 +222,37 @@ def generate_case(cfg: PhantomConfig, seed: int, case_id: str | None = None) -> 
     )
 
 
-def generate_dataset(cfg: PhantomConfig, n_cases: int, seed: int) -> list[PhantomCase]:
-    """n independent cases from a seeded stream; deterministic."""
+def generate_dataset(cfg: PhantomConfig, n_cases: int, seed: int) -> Iterator[PhantomCase]:
+    """n independent cases from a seeded stream; deterministic. The
+    arguments are checked and the seeds spawned on the call, and each case
+    is generated when the iterator reaches it, so a caller that writes or
+    drops each case before the next holds one case at a time. Wrap the
+    call in list(...) to keep them all."""
     if n_cases < 0:
         raise ValueError(f"number of cases must be >= 0, got {n_cases}")
+    if seed < 0:
+        raise ValueError(f"dataset seed must be >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(n_cases)
-    return [
+    return (
         generate_case(cfg, int(c.generate_state(1)[0]), case_id=f"case_{i:03d}")
         for i, c in enumerate(children)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
 # On-disk layout: one directory per case with NIfTI quadruples + manifest
 
 
-def save_dataset(cases: list[PhantomCase], cfg: PhantomConfig, out_dir: str | Path) -> None:
+def save_dataset(
+    cases: Iterable[PhantomCase], cfg: PhantomConfig, out_dir: str | Path
+) -> list[str]:
+    """Write each case as the iterable yields it and drop it before taking
+    the next, then write manifest.json from the ids and seeds written.
+    Returns the case ids in order. A failure part-way leaves no manifest,
+    so the directory does not load as a dataset."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": asdict(cfg),
-        "cases": [{"case_id": c.case_id, "seed": c.seed} for c in cases],
-    }
+    entries = []
     for case in cases:
         d = out / case.case_id
         d.mkdir(exist_ok=True)
@@ -252,9 +262,13 @@ def save_dataset(cases: list[PhantomCase], cfg: PhantomConfig, out_dir: str | Pa
         write_nifti(case.wmh_truth, d / "wmh.nii")
         if case.confounder is not None:
             write_nifti(case.confounder, d / "confounder.nii")
+        entries.append({"case_id": case.case_id, "seed": case.seed})
+        del case  # not held while the next case is generated
+    manifest = {"config": asdict(cfg), "cases": entries}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
+    return [e["case_id"] for e in entries]
 
 
 def load_dataset(data_dir: str | Path) -> tuple[list[PhantomCase], PhantomConfig]:

@@ -83,6 +83,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max iterations must be >= 1 when set")
+        if self.seed < 0:
+            raise ValueError(f"training seed must be >= 0, got {self.seed}")
 
 
 @dataclass

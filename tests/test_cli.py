@@ -1,12 +1,14 @@
 import csv
+import hashlib
 import json
 import shutil
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from wmhseg import cli, pipeline
+from wmhseg import cli, phantom, pipeline
 from wmhseg.acceptance import checkpoint_bytes
 from wmhseg.architectures import Network, build_resunet
 from wmhseg.checkpoint import load_checkpoint
@@ -88,6 +90,70 @@ class TestPhantomCommand:
              "--seed", "1", "--report", str(rpt)]
         ) == 0
         assert json.loads(rpt.read_text())["command"] == "phantom"
+
+    # sha256 of each kind of file `phantom --cases 10 --seed 42` writes (the
+    # acceptance training set), its bytes concatenated over the cases in
+    # order, and of manifest.json
+    PINNED_FILES = {
+        "t1.nii": "ce16275b01d90c5082dc4bd7dcb328325594ec672a1217f7613ec985e1c360d0",
+        "flair.nii": "ad9f404804a7c5ad67afeaa6d9347292ae992ee9884745f37f8faa73425383de",
+        "wm.nii": "32aaf63f60b78796d84728fa72ba127b0e3c3152b97590dc6ff59bd470cee662",
+        "wmh.nii": "e071f1d939eb8378b5f66479b340119a73d5f34a449507c6638285312731ea9c",
+        "confounder.nii": "ca9875007fa35a81ceea36fcd0a8d8a7cb54a6e72f00dfb5a9cfa4086ac907e9",
+        "manifest.json": "3c28c1308788b002be64cfd203a21a0bc3168684b8d169104e8135eab37f992d",
+    }
+
+    def test_written_files_match_pinned_digests(self, tmp_path):
+        out = tmp_path / "d"
+        assert run(["phantom", "--out", str(out), "--cases", "10", "--seed", "42",
+                    "--report", str(tmp_path / "r.json")]) == 0
+        case_dirs = [f"case_{i:03d}" for i in range(10)]
+        volumes = [name for name in self.PINNED_FILES if name.endswith(".nii")]
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert written == sorted(
+            ["manifest.json"] + [f"{d}/{name}" for d in case_dirs for name in volumes])
+        got = {"manifest.json": hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()}
+        for name in volumes:
+            h = hashlib.sha256()
+            for d in case_dirs:
+                h.update((out / d / name).read_bytes())
+            got[name] = h.hexdigest()
+        assert got == self.PINNED_FILES
+
+    def test_memory_independent_of_case_count(self, tmp_path):
+        """The command holds one generated case at a time, so 8 cases
+        peak where 1 does."""
+        def peak(n_cases):
+            tracemalloc.start()
+            try:
+                assert run(["phantom", "--out", str(tmp_path / f"d{n_cases}"),
+                            "--cases", str(n_cases), "--seed", "5",
+                            "--report", str(tmp_path / f"r{n_cases}.json")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: first-call costs are not a case's
+        one, eight = peak(1), peak(8)
+        assert eight <= 1.25 * one, (one, eight)
+
+    def test_failure_part_way_leaves_no_loadable_dataset(self, tmp_path, monkeypatch):
+        real = phantom.generate_case
+
+        def fail_on_second(cfg, seed, case_id=None):
+            if case_id == "case_001":
+                raise phantom.PlacementError("could not place sphere")
+            return real(cfg, seed, case_id)
+
+        monkeypatch.setattr(phantom, "generate_case", fail_on_second)
+        out = tmp_path / "d"
+        assert run(["phantom", "--out", str(out), "--cases", "3", "--seed", "1",
+                    "--report", str(tmp_path / "r.json")]) == 1
+        assert (out / "case_000" / "t1.nii").is_file()  # written before the failure
+        assert not (out / "manifest.json").exists()
+        assert run(["train-wm", "--data", str(out), "--out", str(tmp_path / "wm.ckpt"),
+                    "--report", str(tmp_path / "t.json")]) == 1
+        assert not (tmp_path / "wm.ckpt").exists()
 
 
 class TestTraining:
@@ -506,6 +572,21 @@ class TestErrors:
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("phantom", "error")
+        assert message in report["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, seed, message", [
+        ("phantom", "-5", "dataset seed must be >= 0, got -5"),
+        ("train-wm", "-1", "training seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_exits_1_naming_it(self, tmp_path, dataset, command, seed,
+                                             message):
+        rpt, out = tmp_path / "fail.json", tmp_path / "out"
+        data = [] if command == "phantom" else ["--data", str(dataset)]
+        code = run([command, *data, "--out", str(out), "--seed", seed, "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == (command, "error")
         assert message in report["error"]
         assert not out.exists()
 

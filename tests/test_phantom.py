@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -138,22 +139,43 @@ class TestSphereBox:
 
 class TestGenerateDataset:
     def test_deterministic_given_seed(self):
-        a = generate_dataset(CFG, 4, seed=21)
-        b = generate_dataset(CFG, 4, seed=21)
+        a = list(generate_dataset(CFG, 4, seed=21))
+        b = list(generate_dataset(CFG, 4, seed=21))
+        assert len(a) == len(b) == 4
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.t1.data, cb.t1.data)
 
     def test_cases_distinct(self):
-        cases = generate_dataset(CFG, 6, seed=22)
+        cases = list(generate_dataset(CFG, 6, seed=22))
         placements = {cases[i].wmh_truth.data.tobytes() for i in range(6)}
         assert len(placements) == 6
 
     def test_zero_cases(self):
-        assert generate_dataset(CFG, 0, seed=23) == []
+        assert list(generate_dataset(CFG, 0, seed=23)) == []
 
     def test_negative_cases_rejected(self):
         with pytest.raises(ValueError, match="number of cases"):
             generate_dataset(CFG, -1, seed=23)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="dataset seed must be >= 0, got -5"):
+            generate_dataset(CFG, 2, seed=-5)
+
+    def test_cases_generated_one_at_a_time(self, monkeypatch):
+        """The call checks its arguments and returns before any case is
+        generated; each next() generates one."""
+        calls = []
+        real = generate_case
+        monkeypatch.setattr(
+            "wmhseg.phantom.generate_case",
+            lambda *a, **k: calls.append(k["case_id"]) or real(*a, **k),
+        )
+        cases = generate_dataset(CFG, 3, seed=24)
+        assert calls == []
+        assert next(cases).case_id == "case_000"
+        assert calls == ["case_000"]
+        assert [c.case_id for c in cases] == ["case_001", "case_002"]
+        assert calls == ["case_000", "case_001", "case_002"]
 
     def test_case_ids_stable(self):
         cases = generate_dataset(CFG, 3, seed=24)
@@ -162,7 +184,7 @@ class TestGenerateDataset:
 
 class TestDatasetIO:
     def test_save_load_round_trip(self, tmp_path):
-        cases = generate_dataset(CFG, 2, seed=31)
+        cases = list(generate_dataset(CFG, 2, seed=31))
         save_dataset(cases, CFG, tmp_path / "d")
         loaded, cfg = load_dataset(tmp_path / "d")
         assert cfg == CFG
@@ -181,6 +203,27 @@ class TestDatasetIO:
         assert files_a == files_b
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    def test_each_case_written_and_let_go_before_the_next(self, tmp_path):
+        out, refs = tmp_path / "d", []
+
+        def track(case):
+            refs.append(weakref.ref(case))
+            return case
+
+        def stream():
+            source = generate_dataset(CFG, 3, seed=33)
+            for i in range(3):
+                if i:
+                    assert refs[-1]() is None  # nothing holds the written case
+                    assert (out / f"case_{i - 1:03d}" / "confounder.nii").is_file()
+                    assert not (out / "manifest.json").exists()
+                yield track(next(source))
+
+        assert save_dataset(stream(), CFG, out) == ["case_000", "case_001", "case_002"]
+        assert len(refs) == 3
+        loaded, _ = load_dataset(out)
+        assert [c.seed for c in loaded] == [c.seed for c in generate_dataset(CFG, 3, seed=33)]
 
 
 # sha256 of each volume's array bytes, concatenated over the cases in order.
@@ -221,7 +264,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(GOLDEN_DATASETS))
     def test_volumes_match_pinned_digests(self, name):
         cfg, n_cases, seed, expected = GOLDEN_DATASETS[name]
-        cases = generate_dataset(cfg, n_cases, seed)
+        cases = list(generate_dataset(cfg, n_cases, seed))
         got = {}
         for field in expected:
             h = hashlib.sha256()

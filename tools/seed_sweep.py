@@ -35,7 +35,7 @@ def main() -> None:
     print("| seeds, batch | " + " | ".join(VARIANTS) + " |")
     print("|---|" + "---|" * len(VARIANTS))
     for data_seed, train_seed in SEED_PAIRS:
-        cases = generate_dataset(PhantomConfig(), N_CASES, seed=data_seed)
+        cases = list(generate_dataset(PhantomConfig(), N_CASES, seed=data_seed))
         wm_net, _ = train(build_trimmed_unet(base_width=4, depth=3),
                           wm_training_cases(cases),
                           TrainConfig(epochs=8, seed=train_seed, batch_size=4))
