@@ -300,9 +300,19 @@ def write_case_csv(path: str | Path, rows: list[tuple[str, CaseMetrics]]) -> Non
             )
 
 
+def _summary_cell(row: dict, column: str) -> float | None:
+    """An empty cell is an undefined metric (None), as the case CSV writes it."""
+    try:
+        return float(row[column]) if row[column] else None
+    except ValueError:
+        raise ValueError(
+            f"team {row['team']!r}: {column} {row[column]!r} is not a number") from None
+
+
 def read_team_summaries(path: str | Path) -> list[TeamSummary]:
     """Read a team-summary CSV (columns: team, dice, h95, avd_percent,
-    recall, f1)."""
+    recall, f1). An empty cell reads as None, which `rank_teams` rejects
+    naming the team and the metric."""
     out: list[TeamSummary] = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -310,16 +320,8 @@ def read_team_summaries(path: str | Path) -> list[TeamSummary]:
         if missing:
             raise ValueError(f"team CSV missing columns: {sorted(missing)}")
         for row in reader:
-            out.append(
-                TeamSummary(
-                    team=row["team"],
-                    dice=float(row["dice"]),
-                    h95=float(row["h95"]),
-                    avd_percent=float(row["avd_percent"]),
-                    recall=float(row["recall"]),
-                    f1=float(row["f1"]),
-                )
-            )
+            out.append(TeamSummary(row["team"], *(
+                _summary_cell(row, c) for c in TEAM_CSV_COLUMNS[1:])))
     return out
 
 

@@ -100,6 +100,9 @@ class PhantomConfig:
 
 @dataclass
 class PhantomCase:
+    """One case: float32 T1 and FLAIR in file order, as `read_nifti`
+    gives them back from its files, and uint8 masks."""
+
     case_id: str
     t1: Volume3D
     flair: Volume3D
@@ -166,7 +169,9 @@ def _place_spheres(
 
 
 def generate_case(cfg: PhantomConfig, seed: int, case_id: str | None = None) -> PhantomCase:
-    """One deterministic (T1, FLAIR, WM truth, WMH truth) quadruple."""
+    """One deterministic (T1, FLAIR, WM truth, WMH truth) quadruple. The
+    intensities are computed in float64 and kept as float32, in the
+    file order that `write_nifti` writes without a copy."""
     rng = np.random.default_rng(seed)
     dims = cfg.dims
     center = tuple((n - 1) / 2.0 for n in dims)
@@ -213,8 +218,8 @@ def generate_case(cfg: PhantomConfig, seed: int, case_id: str | None = None) -> 
 
     return PhantomCase(
         case_id=case_id if case_id is not None else f"case_{seed:08d}",
-        t1=Volume3D(data=t1, spacing=cfg.spacing),
-        flair=Volume3D(data=flair, spacing=cfg.spacing),
+        t1=Volume3D(data=t1.astype(np.float32, order="F"), spacing=cfg.spacing),
+        flair=Volume3D(data=flair.astype(np.float32, order="F"), spacing=cfg.spacing),
         wm_truth=BinaryMask3D(data=wm.astype(np.uint8), spacing=cfg.spacing),
         wmh_truth=BinaryMask3D(data=wmh.astype(np.uint8), spacing=cfg.spacing),
         seed=seed,
@@ -256,8 +261,8 @@ def save_dataset(
     for case in cases:
         d = out / case.case_id
         d.mkdir(exist_ok=True)
-        write_nifti(case.t1, d / "t1.nii", "float32")
-        write_nifti(case.flair, d / "flair.nii", "float32")
+        write_nifti(case.t1, d / "t1.nii")
+        write_nifti(case.flair, d / "flair.nii")
         write_nifti(case.wm_truth, d / "wm.nii")
         write_nifti(case.wmh_truth, d / "wmh.nii")
         if case.confounder is not None:

@@ -41,6 +41,13 @@ class PipelineError(RuntimeError):
     pass
 
 
+def _require_finite(channel: str, v: Volume3D) -> None:
+    """A NaN or infinity would spread and empty a mask without a word."""
+    bad = v.data.size - np.count_nonzero(np.isfinite(v.data))
+    if bad:
+        raise ValueError(f"{channel} volume has non-finite voxels: {bad}")
+
+
 def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
     """Per-slice forward pass on T1, threshold, keep the largest connected
     component, then dilate for full coverage."""
@@ -48,6 +55,7 @@ def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
         raise PipelineError(
             f"white matter model expects 1 input channel, has {wm_model.spec.in_channels}"
         )
+    _require_finite("t1", t1)
     probs = predict_probabilities(wm_model, axial_planes(t1.data))
     raw = BinaryMask3D(data=(probs >= THRESHOLD).astype(np.uint8), spacing=t1.spacing)
     if raw.voxel_count() == 0:
@@ -59,11 +67,13 @@ def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
 def stack_case_channels(t1: Volume3D, flair: Volume3D, wm_mask: BinaryMask3D) -> np.ndarray:
     """Mask-normalize T1 and FLAIR as the 2-channel network input planes,
     channel order (t1, flair). Every lesion input passes here, so the two
-    volumes must share one grid and spacing."""
+    volumes must share one grid and spacing and hold finite values only."""
     if t1.data.shape != flair.data.shape:
         raise ValueError(f"t1/flair grid mismatch: {t1.data.shape} vs {flair.data.shape}")
     if t1.spacing != flair.spacing:
         raise ValueError(f"t1/flair spacing mismatch: {t1.spacing} vs {flair.spacing}")
+    _require_finite("t1", t1)
+    _require_finite("flair", flair)
     t1n = normalize_to_mask(t1, wm_mask)
     flairn = normalize_to_mask(flair, wm_mask)
     return axial_planes(t1n.data, flairn.data)

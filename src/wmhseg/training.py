@@ -180,18 +180,21 @@ def weighted_bce(
 
 def normalize_to_mask(v: Volume3D, m: BinaryMask3D) -> Volume3D:
     """Min-max normalize using the masked window, clamped to [0, 1]
-    everywhere (voxels outside the mask included)."""
+    everywhere (voxels outside the mask included). The volume is scaled
+    in float64, whatever its dtype."""
     if v.data.shape != m.data.shape:
         raise ValueError(f"grid mismatch: {v.data.shape} vs {m.data.shape}")
     sel = m.data > 0
     if not sel.any():
         raise ValueError("normalization mask is empty")
-    vals = v.data[sel]
+    data = v.data.astype(np.float64)  # a copy, scaled in place below
+    vals = data[sel]
     lo, hi = float(vals.min()), float(vals.max())
     if hi == lo:
         raise ValueError("degenerate intensity range under the mask")
-    out = np.clip((v.data - lo) / (hi - lo), 0.0, 1.0)
-    return Volume3D(data=out, spacing=v.spacing)
+    data -= lo
+    data /= hi - lo
+    return Volume3D(data=np.clip(data, 0.0, 1.0, out=data), spacing=v.spacing)
 
 
 def apply_dihedral(arr: np.ndarray, element: int) -> np.ndarray:

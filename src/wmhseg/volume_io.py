@@ -3,13 +3,13 @@
 Volumes are numpy arrays indexed ``[x, y, z]``; the on-disk payload is
 x-fastest (Fortran order), matching NIfTI. Spacing is mm per voxel.
 
-In memory, grids are C-ordered. A mask keeps its foreground, the sorted
-C-order flat indices of its ones, once found. Masks move between the two
-orders by that foreground alone: a read scans the file's values once and
-hands the indices it finds to the mask, which builds its dense grid only
-on first use, and a write scatters ones into a zeroed buffer. So past one
-scan the cost grows with the foreground, not with the grid. Volumes are
-reordered whole.
+A volume keeps the dtype its file stores, read as a view in file order.
+A mask keeps its foreground, the sorted C-order flat indices of its
+ones, once found, and moves between C and file order by it alone: a
+read scans the file's values once and hands the indices it finds to the
+mask, which builds its dense C-ordered grid only on first use, and a
+write scatters ones into a zeroed buffer. So past one scan the cost
+grows with the foreground, not with the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _DTYPE_BY_CODE = {
     DT_INT16: np.dtype(np.int16),
     DT_FLOAT32: np.dtype(np.float32),
 }
-_CODE_BY_NAME = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
+_CODE_BY_DTYPE = {dtype: code for code, dtype in _DTYPE_BY_CODE.items()}
 
 
 class VolumeIOError(ValueError):
@@ -102,7 +102,8 @@ def _transposed_flat_index(idx: np.ndarray, shape: tuple[int, int, int]) -> np.n
 class Volume3D:
     """A 3-D scalar grid with per-axis voxel spacing in mm.
 
-    ``data`` has shape (nx, ny, nz) and is indexed [x, y, z].
+    ``data`` has shape (nx, ny, nz), is indexed [x, y, z] and keeps its
+    dtype and memory layout (`read_nifti` gives the file's).
     """
 
     data: np.ndarray
@@ -262,14 +263,14 @@ def _parse_header(raw: bytes) -> NiftiHeaderSubset:
     )
 
 
-def read_nifti(path: str | Path, stored_dtype: bool = False) -> Volume3D:
+def read_nifti(path: str | Path) -> Volume3D:
     """Read an uncompressed single-file NIfTI-1 volume.
 
-    Spacing is taken from pixdim[1..3]. If scl_slope is nonzero the stored
-    values are mapped through value = slope*raw + inter (in float64) into
-    a C-ordered array. Otherwise the values are converted to float64 in C
-    order, unless stored_dtype is set: then ``data`` is a read-only view
-    of the payload in file order (Fortran-ordered, no copy). Raises a
+    Spacing is taken from pixdim[1..3]. ``data`` is the payload in its
+    stored dtype and byte order: a read-only view in file order
+    (x-fastest, so Fortran-ordered), with no copy. Only a file with a
+    nonzero scl_slope differs: its values are mapped through
+    value = slope*raw + inter into a C-ordered float64 array. Raises a
     distinct VolumeIOError subclass for each malformation (wrong magic,
     unsupported datatype, gzip stream, extra axes, non-finite scaling,
     truncated payload).
@@ -289,8 +290,6 @@ def read_nifti(path: str | Path, stored_dtype: bool = False) -> Volume3D:
     data = flat.reshape((nx, ny, nz), order="F")  # the file is x-fastest
     if hdr.scl_slope != 0.0:
         data = hdr.scl_slope * data.astype(np.float64, order="C") + hdr.scl_inter
-    elif not stored_dtype:
-        data = data.astype(np.float64, order="C")
     return Volume3D(data=data, spacing=hdr.pixdim)
 
 
@@ -305,44 +304,38 @@ def read_nifti_mask(path: str | Path) -> BinaryMask3D:
     read. Past that scan the cost grows with the foreground, not with the
     grid, and the mask is never scanned again.
     """
-    v = read_nifti(path, stored_dtype=True)
+    v = read_nifti(path)
     stored = _binary_uint8(v.data).reshape(-1, order="F")  # file order
     fg = np.sort(_transposed_flat_index(_scan_foreground(stored), v.dims[::-1]))
     return BinaryMask3D._from_foreground(fg, v.dims, v.spacing)
 
 
-def write_nifti(
-    v: Volume3D | BinaryMask3D, path: str | Path, datatype: str = "float32"
-) -> None:
-    """Write a volume or mask as single-file NIfTI-1.
+def write_nifti(v: Volume3D | BinaryMask3D, path: str | Path) -> None:
+    """Write a volume or mask as single-file little-endian NIfTI-1.
 
-    Masks are written as uint8 regardless of the requested datatype, by
-    scattering ones at the mask's `foreground` into a zeroed file-order
-    buffer, so the cost grows with the foreground (plus one scan, if the
-    mask's foreground was not found before). Volumes are converted and
-    reordered whole; integer datatypes raise on value overflow.
+    A volume is written in its own dtype, uint8, int16 or float32, and a
+    float64 volume as float32; any other dtype raises
+    UnsupportedDatatypeError. A mask is written as uint8 by scattering
+    ones at its `foreground` into a zeroed file-order buffer, so the cost
+    grows with the foreground (plus one scan, if the mask's foreground
+    was not found before).
     """
     if isinstance(v, BinaryMask3D):  # 0/1 by construction: no range check
         payload = np.zeros(math.prod(v.dims), dtype=np.uint8)
         payload[_transposed_flat_index(v.foreground, v.dims)] = 1
     else:
-        if datatype not in _CODE_BY_NAME:
-            raise UnsupportedDatatypeError(f"unsupported datatype {datatype!r}")
-        np_dtype = _DTYPE_BY_CODE[_CODE_BY_NAME[datatype]]
-        data = np.asarray(v.data)
-        if np_dtype.kind in "ui":
-            info = np.iinfo(np_dtype)
-            if data.min() < info.min or data.max() > info.max:
-                raise OverflowError(
-                    f"values outside {datatype} range [{info.min}, {info.max}]"
-                )
-        payload = data.astype(np_dtype, order="F")
+        dtype = v.data.dtype.newbyteorder("<")
+        if dtype == np.float64:
+            dtype = np.dtype("<f4")
+        if dtype not in _CODE_BY_DTYPE:
+            raise UnsupportedDatatypeError(f"unsupported volume dtype {v.data.dtype}")
+        payload = v.data.astype(dtype, order="F", copy=False)
 
     nx, ny, nz = v.dims
     header = bytearray(NIFTI_HEADER_SIZE)
     struct.pack_into("<i", header, 0, NIFTI_HEADER_SIZE)
     struct.pack_into("<8h", header, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into("<h", header, 70, _CODE_BY_NAME[payload.dtype.name])
+    struct.pack_into("<h", header, 70, _CODE_BY_DTYPE[payload.dtype])
     struct.pack_into("<h", header, 72, payload.dtype.itemsize * 8)  # bitpix
     sx, sy, sz = v.spacing
     struct.pack_into("<8f", header, 76, 1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0)

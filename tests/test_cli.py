@@ -10,7 +10,7 @@ import pytest
 
 from wmhseg import cli, phantom, pipeline
 from wmhseg.acceptance import checkpoint_bytes
-from wmhseg.architectures import Network, build_resunet
+from wmhseg.architectures import Network, build_resunet, build_trimmed_unet
 from wmhseg.checkpoint import load_checkpoint
 from wmhseg.cli import build_parser, dispatch
 from wmhseg.metrics import dice, evaluate_case
@@ -19,6 +19,7 @@ from wmhseg.pipeline import (
     run_ablation,
     segment_white_matter,
     segment_wmh,
+    wm_training_cases,
     wmh_training_cases,
 )
 from wmhseg.training import TrainConfig, TrainHistory, predict_probabilities, train
@@ -156,7 +157,47 @@ class TestPhantomCommand:
         assert not (tmp_path / "wm.ckpt").exists()
 
 
+def with_nan_voxel(src, dst):
+    """Write `src` (a case directory's volume file) to `dst` with one NaN,
+    at the first white matter voxel of the case's ground truth."""
+    v = read_nifti(src)
+    data = np.array(v.data)
+    wm = read_nifti_mask(src.parent / "wm.nii")
+    data[np.unravel_index(wm.foreground[0], wm.dims)] = np.nan
+    write_nifti(Volume3D(data=data, spacing=v.spacing), dst)
+
+
 class TestTraining:
+    def test_train_wmh_writes_the_lesion_network_trained_in_memory(self, dataset, trained):
+        # generated cases hold the float32 values their files store, so the
+        # CLI and an in-memory run (the acceptance run's) train one network
+        _, cfg = load_dataset(dataset)
+        cases = list(phantom.generate_dataset(cfg, 4, 3))
+        train_cfg = TrainConfig(epochs=6, seed=1)
+        wm_net, _ = train(build_trimmed_unet(base_width=4, depth=3),
+                          wm_training_cases(cases), train_cfg)
+        masks = [segment_white_matter(c.t1, wm_net) for c in cases]
+        wmh_net, _ = train(build_resunet(base_width=4, depth=4),
+                           wmh_training_cases(cases, masks), train_cfg)
+        wm, wmh = trained
+        assert checkpoint_bytes(wm_net) == wm.read_bytes()
+        assert checkpoint_bytes(wmh_net) == wmh.read_bytes()
+
+    def test_train_wmh_with_a_nan_voxel_exits_1(self, tmp_path, dataset, trained):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        flair = data / "case_001" / "flair.nii"
+        with_nan_voxel(flair, flair)
+        rpt, out = tmp_path / "fail.json", tmp_path / "wmh.ckpt"
+        code = run(["train-wmh", "--data", str(data), "--out", str(out),
+                    "--wm-checkpoint", str(trained[0]), "--base-width", "2", "--depth", "2",
+                    "--max-iterations", "1", "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("train-wmh", "error")
+        assert "flair volume has non-finite voxels: 1" in report["error"]
+        assert not out.exists()
+
     def test_history_files_written(self, trained):
         wm, _ = trained
         hist = json.loads(wm.with_suffix(".history.json").read_text())
@@ -362,6 +403,24 @@ class TestPredictEvaluate:
                           "wm_voxels": white_matter.voxel_count(),
                           "wm_volume_mm3": white_matter.voxel_count() * voxel_mm3}
 
+    @pytest.mark.parametrize("channel", ["t1", "flair"])
+    def test_single_case_mode_nan_voxel_exits_1(self, tmp_path, dataset, trained, channel):
+        # a NaN inside the white matter once emptied the lesion mask (FLAIR)
+        # or cut the white matter mask (T1), and predict exited 0
+        case = dataset / "case_000"
+        paths = {"t1": case / "t1.nii", "flair": case / "flair.nii"}
+        paths[channel] = tmp_path / f"{channel}.nii"
+        with_nan_voxel(case / f"{channel}.nii", paths[channel])
+        rpt = tmp_path / "fail.json"
+        code = run(["predict", "--t1", str(paths["t1"]), "--flair", str(paths["flair"]),
+                    "--out", str(tmp_path / "out"), "--wm-checkpoint", str(trained[0]),
+                    "--wmh-checkpoint", str(trained[1]), "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("predict", "error")
+        assert f"{channel} volume has non-finite voxels: 1" in report["error"]
+        assert not (tmp_path / "out" / "case" / "wmh.nii").exists()
+
     @pytest.mark.parametrize("kind", ["grid", "spacing"])
     def test_single_case_mode_t1_flair_mismatch_exits_1(self, tmp_path, dataset, trained,
                                                         kind):
@@ -487,6 +546,21 @@ class TestRank:
 
     def test_rank_missing_file_exits_1(self, tmp_path):
         assert run(["rank", "--summaries", str(tmp_path / "nope.csv")]) == 1
+
+    @pytest.mark.parametrize("cell, message", [
+        ("", "team 'a' has no finite h95: None"),  # undefined, as the case CSV writes it
+        ("n/a", "team 'a': h95 'n/a' is not a number"),
+    ], ids=["empty", "unparsable"])
+    def test_rank_cell_without_a_value_exits_1_naming_team_and_metric(
+            self, tmp_path, cell, message):
+        path, rpt = tmp_path / "teams.csv", tmp_path / "fail.json"
+        path.write_text("team,dice,h95,avd_percent,recall,f1\n"
+                        f"a,0.7,{cell},20.0,0.8,0.7\n"
+                        "b,0.6,9.0,25.0,0.7,0.6\n")
+        assert run(["rank", "--summaries", str(path), "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("rank", "error")
+        assert message in report["error"]
 
 
 class TestRunReports:

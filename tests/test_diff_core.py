@@ -32,7 +32,7 @@ def fd_report(kind, x, r, *params):
     element of the input and of the (weight, bias) params."""
     g = Graph()
     g.add(kind, (0,), *(Parameter(n, v) for n, v in zip(("w", "b"), params)))
-    return grad_check(g, x, lambda y: (float(np.sum(y * r)), r), max_elements=10**9)
+    return grad_check(g, x, lambda y: (float(np.sum(y * r)), r))
 
 
 class TestConv2d:
@@ -464,19 +464,6 @@ class TestGradCheck:
         report = grad_check(g, np.random.default_rng(15).normal(size=(1, 2, 4, 4)))
         assert [c.name for c in report.checks] == ["input"]
         assert not report.passed
-
-    def test_subsampling_respects_max_elements(self):
-        rng = np.random.default_rng(14)
-        g = Graph()
-        g.add(
-            "conv3x3",
-            (0,),
-            Parameter("w", rng.normal(size=(4, 4, 3, 3))),
-            Parameter("b", rng.normal(size=4)),
-        )
-        report = grad_check(g, rng.normal(size=(1, 4, 4, 4)), max_elements=10)
-        w_check = next(c for c in report.checks if c.name == "w")
-        assert w_check.checked_elements == 10
 
 
 @settings(max_examples=20, deadline=None)

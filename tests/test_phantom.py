@@ -226,20 +226,21 @@ class TestDatasetIO:
         assert [c.seed for c in loaded] == [c.seed for c in generate_dataset(CFG, 3, seed=33)]
 
 
-# sha256 of each volume's array bytes, concatenated over the cases in order.
+# sha256 of each volume's array bytes (float32 T1 and FLAIR, uint8 masks),
+# concatenated over the cases in order.
 # The crowded config clips lesions at the z faces and needs about ten
 # placement attempts per sphere, so the retry path is pinned too.
 GOLDEN_DATASETS = {
     "default": (PhantomConfig(), 10, 42, {
-        "t1": "9ffe3bfa51cdcb0c93ec70cf992f5943374071abb213fbf46813b9f7de03c5e6",
-        "flair": "da1ece4e6bf3546e2e73d03887007dbc407902bc0a533a7e8cb0cea1b92b08eb",
+        "t1": "25dffe0236acd2ed136b4b8e265ac2e88fb706cc0954c7c03413610c1b36bfd0",
+        "flair": "1216955728c337c05e823264716e03d7a3382db33bd328b7b1f61ba60ff05f83",
         "wm_truth": "7bd4ab8f7a833d762fdf99e4fca54a383c5a11fc89d0145a9e3507ed010c4710",
         "wmh_truth": "36690535ca400f92ddb23b5ab4716b3717fb186d35b1f1520c0c87abc7e406a6",
         "confounder": "4a12c36cc721a7c5faa995665cece6222ccb139731d51301278ac7b3e88d026d",
     }),
     "large": (PhantomConfig(dims=(128, 128, 16)), 8, 101, {
-        "t1": "763153cea25bc12b93de155c1456fa0acd80ef26fe108023143fbbd8661c1a38",
-        "flair": "8965323be7f559e30cb9a96451192e4ccd90ffe986d437557a83300b81d067dd",
+        "t1": "a23e4b3cf082d0befc645212364ce775f120fc32f1a54104f661d12a81ab1309",
+        "flair": "b3d9f9290a9d4d7d1f02998e589afe52e4c7f227dc45b1a8fb7a1dbd9b567026",
         "wm_truth": "3e0ff0be29f1f585ff384c8928d4e8561a9787db622c5aec48ea7c1a6fffbf84",
         "wmh_truth": "ec95b873c559644a931556c5adfc4699336277931a649faa2ef7bc3670ad07a8",
         "confounder": "d2b2b103a226c3f52412b1c0593f3b0da57e86139253f74451e50647b6082f0e",
@@ -248,8 +249,8 @@ GOLDEN_DATASETS = {
         PhantomConfig(dims=(40, 40, 6), lesion_count_range=(4, 4), confounder_count=3,
                       wm_clearance_voxels=1),
         6, 5, {
-            "t1": "18937aff17eda79b82de9cfa362383483562cb565c3a8dba7aa4832a11635a23",
-            "flair": "14098e11c118b07f1bcddc3590c01cefccd1cad2dad46640d26a8287fc01b465",
+            "t1": "53df6603b2030386ab4f0ffe0496475bc87a1708b5550ddb2d5c96e848024a32",
+            "flair": "fb26f3544acf22c2f2a5536047d5127f848a64079d2129055ce1c0bc2c69fa7d",
             "wm_truth": "7698ac3a98844ca3df589259efaa38f98a4f5e0a639e6b91f9372aa353170d75",
             "wmh_truth": "009ec876f7975d86f27d8b40bd6c8772314790d191389b087802ff33f2cb6b6e",
             "confounder": "30311caa0db2e8eaeaf6052dfda31e2d955d7ec7338ae4b8e559c70bfc78455e",

@@ -7,6 +7,7 @@ from wmhseg.acceptance import fuzz_cases
 from wmhseg.volume_io import (
     BinaryMask3D,
     NIFTI_HEADER_SIZE,
+    UnsupportedDatatypeError,
     Volume3D,
     VolumeIOError,
     read_nifti,
@@ -16,9 +17,7 @@ from wmhseg.volume_io import (
 
 
 def random_volume(rng, dims=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):
-    # float32-representable values so float32 round trips are bit-exact
-    data = rng.normal(size=dims).astype(np.float32).astype(np.float64)
-    return Volume3D(data=data, spacing=spacing)
+    return Volume3D(data=rng.normal(size=dims).astype(np.float32), spacing=spacing)
 
 
 class TestVolumeTypes:
@@ -61,7 +60,7 @@ class TestNifti:
         rng = np.random.default_rng(0)
         v = random_volume(rng)
         path = tmp_path / "v.nii"
-        write_nifti(v, path, "float32")
+        write_nifti(v, path)
         back = read_nifti(path)
         assert back.dims == v.dims
         assert back.spacing == v.spacing
@@ -70,7 +69,7 @@ class TestNifti:
     def test_pixdim_spacing(self, tmp_path):
         v = Volume3D(data=np.zeros((4, 4, 4), np.float32), spacing=(1.0, 1.0, 3.0))
         path = tmp_path / "v.nii"
-        write_nifti(v, path, "float32")
+        write_nifti(v, path)
         assert read_nifti(path).spacing == (1.0, 1.0, 3.0)
 
     def test_mask_round_trip_uint8(self, tmp_path):
@@ -86,18 +85,18 @@ class TestNifti:
     @pytest.mark.parametrize("datatype,value", [("float32", 0.7), ("int16", 257)])
     def test_mask_reader_checks_stored_values(self, tmp_path, datatype, value):
         # a uint8 cast first would read 0.7 as 0 and 257 as 1
-        data = np.zeros((3, 3, 3))
+        data = np.zeros((3, 3, 3), dtype=datatype)
         data[1, 1, 1] = value
         path = tmp_path / "m.nii"
-        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path, datatype)
+        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path)
         with pytest.raises(ValueError):
             read_nifti_mask(path)
 
     def test_mask_reader_applies_scl_slope(self, tmp_path):
-        data = np.zeros((3, 3, 3))
-        data[0, 1, 2] = 2.0
+        data = np.zeros((3, 3, 3), dtype=np.uint8)
+        data[0, 1, 2] = 2
         path = tmp_path / "m.nii"
-        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path, "uint8")
+        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path)
         raw = bytearray(path.read_bytes())
         struct.pack_into("<f", raw, 112, 0.5)  # scl_slope
         path.write_bytes(bytes(raw))
@@ -107,22 +106,17 @@ class TestNifti:
 
     def test_int16_values_preserved(self, tmp_path):
         v = Volume3D(
-            data=np.arange(-8, 19).reshape(3, 3, 3).astype(np.float64),
+            data=np.arange(-8, 19, dtype=np.int16).reshape(3, 3, 3),
             spacing=(1, 1, 1),
         )
         path = tmp_path / "v.nii"
-        write_nifti(v, path, "int16")
+        write_nifti(v, path)
         assert np.array_equal(read_nifti(path).data, v.data)
-
-    def test_uint8_overflow_rejected(self, tmp_path):
-        v = Volume3D(data=np.full((2, 2, 2), 300.0), spacing=(1, 1, 1))
-        with pytest.raises(OverflowError):
-            write_nifti(v, tmp_path / "v.nii", "uint8")
 
     def test_scl_slope_applied(self, tmp_path):
         v = Volume3D(data=np.ones((2, 2, 2), np.float32), spacing=(1, 1, 1))
         path = tmp_path / "v.nii"
-        write_nifti(v, path, "float32")
+        write_nifti(v, path)
         raw = bytearray(path.read_bytes())
         struct.pack_into("<f", raw, 112, 2.0)  # scl_slope
         struct.pack_into("<f", raw, 116, 0.5)  # scl_inter
@@ -133,7 +127,7 @@ class TestNifti:
         # byte-swap an entire little-endian file's header and payload
         v = Volume3D(data=np.zeros((2, 2, 2), np.float32), spacing=(1, 2, 3))
         path = tmp_path / "v.nii"
-        write_nifti(v, path, "float32")
+        write_nifti(v, path)
         raw = bytearray(path.read_bytes())
         be = bytearray(raw)
         struct.pack_into(">i", be, 0, NIFTI_HEADER_SIZE)
@@ -148,6 +142,81 @@ class TestNifti:
         back = read_nifti(path)
         assert back.spacing == (1.0, 2.0, 3.0)
         assert np.array_equal(back.data, v.data)
+
+
+def big_endian_file(path, data: np.ndarray, code: int) -> None:
+    """A big-endian NIfTI file holding `data` with datatype `code`."""
+    be = bytearray(352)
+    struct.pack_into(">i", be, 0, NIFTI_HEADER_SIZE)
+    struct.pack_into(">8h", be, 40, 3, *data.shape, 1, 1, 1, 1)
+    struct.pack_into(">h", be, 70, code)
+    struct.pack_into(">h", be, 72, data.dtype.itemsize * 8)
+    struct.pack_into(">8f", be, 76, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0)
+    struct.pack_into(">f", be, 108, 352.0)
+    be[344:348] = b"n+1\x00"
+    path.write_bytes(bytes(be) + data.astype(data.dtype.newbyteorder(">")).tobytes(order="F"))
+
+
+class TestStoredDtype:
+    """A volume keeps the dtype its file stores, and is written in its own."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
+    def test_read_returns_the_stored_dtype_as_a_file_order_view(self, tmp_path, dtype):
+        data = np.random.default_rng(4).integers(0, 100, size=(3, 4, 5)).astype(dtype)
+        path = tmp_path / "v.nii"
+        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path)
+        back = read_nifti(path).data
+        assert back.dtype == dtype
+        assert back.flags.f_contiguous and not back.flags.writeable
+        assert np.array_equal(back, data)
+
+    @pytest.mark.parametrize("dtype,code", [(np.int16, 4), (np.float32, 16)])
+    def test_big_endian_values_intact(self, tmp_path, dtype, code):
+        data = (np.arange(60).reshape(3, 4, 5) * 37 - 900).astype(dtype)
+        path = tmp_path / "be.nii"
+        big_endian_file(path, data, code)
+        back = read_nifti(path)
+        assert back.data.dtype.newbyteorder("=") == dtype
+        assert np.array_equal(back.data, data)
+        # written back little-endian, in the same dtype and values
+        write_nifti(back, tmp_path / "le.nii")
+        again = read_nifti(tmp_path / "le.nii").data
+        assert again.dtype == dtype and np.array_equal(again, data)
+
+    def test_only_a_scaled_file_reads_as_float64(self, tmp_path):
+        path = tmp_path / "v.nii"
+        write_nifti(Volume3D(data=np.full((2, 3, 4), 3, np.int16), spacing=(1, 1, 1)), path)
+        assert read_nifti(path).data.dtype == np.int16
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 112, 0.5)  # scl_slope
+        path.write_bytes(bytes(raw))
+        back = read_nifti(path).data
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert np.array_equal(back, np.full((2, 3, 4), 1.5))
+
+    @pytest.mark.parametrize("dtype,code", [(np.uint8, 2), (np.int16, 4), (np.float32, 16)])
+    def test_write_keeps_the_volume_dtype(self, tmp_path, dtype, code):
+        data = np.arange(24).reshape(2, 3, 4).astype(dtype)
+        path = tmp_path / "v.nii"
+        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<2h", raw, 70) == (code, np.dtype(dtype).itemsize * 8)
+        assert raw[352:] == data.tobytes(order="F")
+
+    def test_write_stores_float64_as_float32(self, tmp_path):
+        data = np.random.default_rng(5).normal(size=(3, 4, 5))
+        path = tmp_path / "v.nii"
+        write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path)
+        back = read_nifti(path).data
+        assert back.dtype == np.float32
+        assert np.array_equal(back, data.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.int64, bool])
+    def test_write_rejects_other_dtypes(self, tmp_path, dtype):
+        path = tmp_path / "v.nii"
+        with pytest.raises(UnsupportedDatatypeError):
+            write_nifti(Volume3D(data=np.ones((2, 2, 2), dtype), spacing=(1, 1, 1)), path)
+        assert not path.exists()
 
 
 def oracle_masks() -> list[np.ndarray]:
@@ -228,7 +297,7 @@ class TestMaskIO:
     def test_big_endian_int16_mask(self, tmp_path):
         d = self._mask()
         path = tmp_path / "m.nii"
-        write_nifti(Volume3D(data=d, spacing=(1, 1, 1)), path, "int16")
+        write_nifti(Volume3D(data=d.astype(np.int16), spacing=(1, 1, 1)), path)
         raw = bytearray(path.read_bytes())
         struct.pack_into(">i", raw, 0, NIFTI_HEADER_SIZE)
         struct.pack_into(">8h", raw, 40, 3, *d.shape, 1, 1, 1, 1)
@@ -243,13 +312,13 @@ class TestMaskIO:
     def test_float32_mask(self, tmp_path):
         d = self._mask()
         path = tmp_path / "m.nii"
-        write_nifti(Volume3D(data=d, spacing=(1, 1, 1)), path, "float32")
+        write_nifti(Volume3D(data=d.astype(np.float32), spacing=(1, 1, 1)), path)
         self._check_read_back(read_nifti_mask(path), d)
 
     def test_scl_slope_scaled_mask(self, tmp_path):
         d = self._mask()
         path = tmp_path / "m.nii"
-        write_nifti(Volume3D(data=4 * d, spacing=(1, 1, 1)), path, "uint8")
+        write_nifti(Volume3D(data=4 * d, spacing=(1, 1, 1)), path)
         raw = bytearray(path.read_bytes())
         struct.pack_into("<f", raw, 112, 0.25)  # scl_slope
         path.write_bytes(bytes(raw))
