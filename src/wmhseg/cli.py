@@ -18,16 +18,17 @@ import logging
 import resource
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .architectures import build_resunet, build_trimmed_unet
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (
+    TeamSummary,
     evaluate_case,
     rank_teams,
-    read_team_summaries,
     summarize_cases,
     write_case_csv,
     write_rank_csv,
@@ -45,7 +46,7 @@ from .volume_io import BinaryMask3D, read_nifti, read_nifti_mask, write_nifti
 
 log = logging.getLogger("wmhseg")
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -74,13 +75,7 @@ def _add_train_flags(p: argparse.ArgumentParser, base_width: int, depth: int) ->
 
 
 def cmd_phantom(args) -> dict:
-    cfg = PhantomConfig(
-        dims=tuple(args.dims),
-        spacing=tuple(args.spacing),
-        lesion_count_range=(args.lesion_count_min, args.lesion_count_max),
-        confounder_count=args.confounders,
-        noise_std=args.noise_std,
-    )
+    cfg = PhantomConfig(dims=tuple(args.dims))
     log.info("generating %d phantom cases into %s", args.cases, args.out)
     # streamed: one generated case is held at a time
     case_ids = save_dataset(generate_dataset(cfg, args.cases, args.seed), cfg, args.out)
@@ -129,72 +124,56 @@ def _train_stage(args) -> dict:
             "history_json": str(history_path)}
 
 
-def _predict_one(case_id: str, t1_path: Path, flair_path: Path, out_dir: Path,
-                 wm_net, wmh_net) -> dict:
-    t1, flair = read_nifti(t1_path), read_nifti(flair_path)
+def _predict_one(case_dir: Path, out_dir: Path, wm_net, wmh_net) -> dict:
+    t1, flair = read_nifti(case_dir / "t1.nii"), read_nifti(case_dir / "flair.nii")
     wm_mask = segment_white_matter(t1, wm_net)
     wmh_mask = segment_wmh(t1, flair, wm_mask, wmh_net)
-    d = out_dir / case_id
+    d = out_dir / case_dir.name
     d.mkdir(parents=True, exist_ok=True)
     write_nifti(wmh_mask, d / "wmh.nii")
     write_nifti(wm_mask, d / "wm.nii")
     n_wmh, n_wm, vox = wmh_mask.voxel_count(), wm_mask.voxel_count(), t1.voxel_volume_mm3()
-    record = {"case_id": case_id, "wmh_voxels": n_wmh, "wmh_volume_mm3": n_wmh * vox,
+    record = {"case_id": case_dir.name, "wmh_voxels": n_wmh, "wmh_volume_mm3": n_wmh * vox,
               "wm_voxels": n_wm, "wm_volume_mm3": n_wm * vox}
     (d / "report.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record
 
 
 def cmd_predict(args) -> dict:
-    """The single-case mode is a one-case list: both modes write
-    <out>/<case_id>/{wmh.nii, wm.nii, report.json}."""
-    if args.t1 or args.flair:
-        if not (args.t1 and args.flair):
-            raise ValueError("single-case mode needs both --t1 and --flair")
-        inputs = [(args.case_id, Path(args.t1), Path(args.flair))]
-    else:
-        if not args.data:
-            raise ValueError("predict needs --data, or both --t1 and --flair")
-        case_dirs = sorted(
-            d for d in Path(args.data).iterdir() if d.is_dir() and (d / "t1.nii").exists()
-        )
-        if not case_dirs:
-            raise ValueError(f"no case directory with a t1.nii under {args.data}")
-        inputs = [(d.name, d / "t1.nii", d / "flair.nii") for d in case_dirs]
+    """Writes <out>/<case_id>/{wmh.nii, wm.nii, report.json} for each case
+    directory of --data. A case directory of a dataset holds its truth
+    masks under those names, so --out may not be --data."""
+    data, out_dir = Path(args.data), Path(args.out)
+    if out_dir.resolve() == data.resolve():
+        raise ValueError(f"--out {args.out} is --data: predictions would overwrite "
+                         "the truth masks wm.nii and wmh.nii")
+    case_dirs = sorted(d for d in data.iterdir() if d.is_dir() and (d / "t1.nii").exists())
+    if not case_dirs:
+        raise ValueError(f"no case directory with a t1.nii under {args.data}")
     wm_net = load_checkpoint(args.wm_checkpoint)
     wmh_net = load_checkpoint(args.wmh_checkpoint)
-    out_dir = Path(args.out)
-    log.info("predicting %d cases", len(inputs))
-    reports = [_predict_one(*case, out_dir, wm_net, wmh_net) for case in inputs]
-    return {"cases": reports}
+    log.info("predicting %d cases", len(case_dirs))
+    return {"cases": [_predict_one(d, out_dir, wm_net, wmh_net) for d in case_dirs]}
 
 
 def cmd_evaluate(args) -> dict:
-    """Batch mode pairs <pred-dir>/<id>/wmh.nii with <gt-dir>/<id>/wmh.nii
-    and needs the same case ids on both sides."""
-    if args.pred or args.gt:
-        if not (args.pred and args.gt):
-            raise ValueError("single-case mode needs both --pred and --gt")
-        pairs = [(Path(args.pred).stem, Path(args.pred), Path(args.gt))]
-    else:
-        if not (args.pred_dir and args.gt_dir):
-            raise ValueError("batch mode needs both --pred-dir and --gt-dir")
-        pred_root, gt_root = Path(args.pred_dir), Path(args.gt_dir)
-        pred_ids = {d.name for d in pred_root.iterdir() if d.is_dir()}
-        gt_ids = {d.name for d in gt_root.iterdir() if (d / "wmh.nii").exists()}
-        if pred_ids != gt_ids:
-            raise ValueError(
-                f"prediction and truth case sets differ: no truth for "
-                f"{sorted(pred_ids - gt_ids)}, no prediction for {sorted(gt_ids - pred_ids)}"
-            )
-        if not pred_ids:
-            raise ValueError(f"no prediction/truth pairs under {pred_root}")
-        pairs = [(cid, pred_root / cid / "wmh.nii", gt_root / cid / "wmh.nii")
-                 for cid in sorted(pred_ids)]
-
+    """Pairs <pred-dir>/<id>/wmh.nii with <gt-dir>/<id>/wmh.nii and needs
+    the same case ids on both sides. With --team, `outputs.team_summary`
+    holds the team's means, which `rank` reads back from the report."""
+    pred_root, gt_root = Path(args.pred_dir), Path(args.gt_dir)
+    pred_ids = {d.name for d in pred_root.iterdir() if d.is_dir()}
+    gt_ids = {d.name for d in gt_root.iterdir() if (d / "wmh.nii").exists()}
+    if pred_ids != gt_ids:
+        raise ValueError(
+            f"prediction and truth case sets differ: no truth for "
+            f"{sorted(pred_ids - gt_ids)}, no prediction for {sorted(gt_ids - pred_ids)}"
+        )
+    if not pred_ids:
+        raise ValueError(f"no prediction/truth pairs under {pred_root}")
     rows = [
-        (case_id, evaluate_case(read_nifti_mask(pred_path), read_nifti_mask(gt_path)))
-        for case_id, pred_path, gt_path in pairs
+        (cid, evaluate_case(read_nifti_mask(pred_root / cid / "wmh.nii"),
+                            read_nifti_mask(gt_root / cid / "wmh.nii")))
+        for cid in sorted(pred_ids)
     ]
 
     outputs: dict = {"cases": {cid: asdict(m) for cid, m in rows}}
@@ -207,9 +186,33 @@ def cmd_evaluate(args) -> dict:
     return outputs
 
 
+def _read_team_summary(path: str) -> TeamSummary:
+    """The `outputs.team_summary` of an `evaluate --team` run report. Every
+    `TeamSummary` field must be there, and each but `team` must be a
+    number or null; `rank_teams` rejects a null or non-finite metric."""
+    try:
+        report = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not a JSON run report: {exc}") from None
+    outputs = report.get("outputs") if isinstance(report, dict) else None
+    summary = outputs.get("team_summary") if isinstance(outputs, dict) else None
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path} has no outputs.team_summary: "
+                         "it is not the report of an ok `evaluate --team` run")
+    names = [f.name for f in fields(TeamSummary)]
+    for key in names:
+        if key not in summary:
+            raise ValueError(f"{path}: team {summary.get('team')!r} summary has no {key!r}")
+        value = summary[key]
+        if key != "team" and value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(
+                f"{path}: team {summary['team']!r}: {key} {value!r} is not a number or null")
+    return TeamSummary(**{key: summary[key] for key in names})
+
+
 def cmd_rank(args) -> dict:
-    summaries = read_team_summaries(args.summaries)
-    table = rank_teams(summaries)
+    table = rank_teams([_read_team_summary(path) for path in args.summaries])
     outputs = {
         "teams": table.teams,
         "overall": dict(zip(table.teams, table.overall)),
@@ -248,28 +251,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # whole flag names only: an abbreviation such as `evaluate --pred` would
+    # otherwise parse as a flag that begins with it (--pred-dir)
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("phantom", help="generate a synthetic dataset")
+    p = command("phantom", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--cases", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", type=int, nargs=3, default=[64, 64, 8])
-    p.add_argument("--spacing", type=float, nargs=3, default=[1.0, 1.0, 3.0])
-    p.add_argument("--lesion-count-min", type=int, default=2)
-    p.add_argument("--lesion-count-max", type=int, default=5)
-    p.add_argument("--confounders", type=int, default=1)
-    p.add_argument("--noise-std", type=float, default=0.02)
     p.add_argument("--report")
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("train-wm", help="train the white matter network")
+    p = command("train-wm", help="train the white matter network")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     _add_train_flags(p, base_width=64, depth=3)
     p.add_argument("--report")
     p.set_defaults(func=_train_stage)
 
-    p = sub.add_parser("train-wmh", help="train the lesion network")
+    p = command("train-wmh", help="train the lesion network")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True)
@@ -277,34 +278,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.set_defaults(func=_train_stage)
 
-    p = sub.add_parser("predict", help="run the two-stage pipeline")
-    p.add_argument("--data", help="dataset dir with per-case t1.nii/flair.nii")
-    p.add_argument("--t1")
-    p.add_argument("--flair")
-    p.add_argument("--case-id", default="case")
+    p = command("predict", help="run the two-stage pipeline")
+    p.add_argument("--data", required=True, help="dataset dir with per-case t1.nii/flair.nii")
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True)
     p.add_argument("--wmh-checkpoint", required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="compute the five challenge metrics")
-    p.add_argument("--pred")
-    p.add_argument("--gt")
-    p.add_argument("--pred-dir")
-    p.add_argument("--gt-dir")
+    p = command("evaluate", help="compute the five challenge metrics")
+    p.add_argument("--pred-dir", required=True)
+    p.add_argument("--gt-dir", required=True)
     p.add_argument("--out-csv")
     p.add_argument("--team", help="also emit a team summary under this name")
     p.add_argument("--report")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("rank", help="rank team summaries")
-    p.add_argument("--summaries", required=True)
+    p = command("rank", help="rank the team summaries of `evaluate --team` reports")
+    p.add_argument("--summaries", required=True, nargs="+",
+                   help="one `evaluate --team` run report per team")
     p.add_argument("--out-csv")
     p.add_argument("--report")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("ablate", help="paired plain-vs-residual training run")
+    p = command("ablate", help="paired plain-vs-residual training run")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wm-checkpoint", required=True,

@@ -23,14 +23,20 @@ until its last consumer has run.
 Column buffers: a training forward (keep_cache=True) writes each 3x3 conv
 node's im2col columns into the array that the same node's columns used in
 the previous training forward, whenever its shape and dtype match, and
-allocates a new one otherwise. When that array was last filled from an
-input of the same shape, its zero border strips are not written again.
-The node keeps that array as `OpNode.cols` between steps, so training
-does not allocate and free tens of MB of columns every step;
-`Graph.release_column_buffers` drops them, and `training.train` calls it
-when training ends. An inference forward allocates its own columns and
-never writes into those buffers. Backward has finished with the columns
-by the time the next training forward overwrites them.
+allocates a new one otherwise. Every write fills the whole array, its
+zero border strips included. The node keeps that array as `OpNode.cols`
+between steps, so training does not allocate and free tens of MB of
+columns every step; `Graph.release_column_buffers` drops them, and
+`training.train` calls it when training ends. An inference forward
+allocates its own columns and never writes into those buffers. Backward
+has finished with the columns by the time the next training forward
+overwrites them. The reuse pays: allocating fresh columns every step
+made the pinned benchmark pipeline's `commands_s` 8.5% slower (17.88 ->
+19.40 s medians, slower in 10 of 10 alternating runs on 2 shared vCPUs)
+and its peak RSS 1% higher. Skipping the rewrite of border strips that
+an earlier step had zeroed did not pay: over 8 alternating `train-wmh`
+runs at the pinned config on the same machine, CPU time read 12.99 s
+with the skip and 13.13 s without, slower in only 4 of the 8.
 
 Input gradient: `Graph.backward(..., input_grad=False)`, the training
 path, computes no dL/d(input); the convs that read the input node run no
@@ -79,13 +85,12 @@ def _check4(x: np.ndarray, who: str) -> np.ndarray:
 # conv2d (k in {1, 3}, zero padding (k-1)/2, stride 1)
 
 
-def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None,
-            zeroed: bool = False) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) -> (C*k*k, B*H*W) with zero 'same' padding: one column
     per output pixel of the whole batch. Each tap copies its in-bounds
     window straight from the input and zeroes only the strips that fall
     outside it, so no padded copy is made. The columns are written into
-    `out` when its shape and dtype match, keeping its strips if `zeroed`.
+    `out` when its shape and dtype match.
     Without `out`, k = 1 returns `_channel_rows(x)`."""
     if k == 1 and out is None:
         return _channel_rows(x)
@@ -96,7 +101,6 @@ def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None,
         cols = out.reshape(c, k, k, b, h, w)
     else:
         cols = np.empty((c, k, k, b, h, w), dtype=x.dtype)
-        zeroed = False
     for di in range(k):
         i0, i1 = max(pad - di, 0), min(h + pad - di, h)  # output rows inside
         for dj in range(k):
@@ -104,19 +108,18 @@ def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None,
             tap = cols[:, di, dj]
             tap[:, :, i0:i1, j0:j1] = xt[:, :, i0 + di - pad : i1 + di - pad,
                                          j0 + dj - pad : j1 + dj - pad]
-            if not zeroed:
-                tap[:, :, :i0] = tap[:, :, i1:] = 0
-                tap[..., :j0] = tap[..., j1:] = 0
+            tap[:, :, :i0] = tap[:, :, i1:] = 0
+            tap[..., :j0] = tap[..., j1:] = 0
     return cols.reshape(c * k * k, b * h * w)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                   cols: np.ndarray | None = None, zeroed: bool = False):
+                   cols: np.ndarray | None = None):
     """Same-padded stride-1 convolution, kernel (outC, inC, k, k), k in {1, 3}.
 
     Returns (out, cache); out is stored channel-major and the cache is the
     (inC*k*k, B*H*W) column matrix. It is written into `cols` when that
-    buffer's shape and dtype match (see `_im2col` for `zeroed`).
+    buffer's shape and dtype match.
     """
     x = _check4(x, "conv2d")
     out_c, in_c, k, k2 = w.shape
@@ -125,7 +128,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     if x.shape[1] != in_c:
         raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {in_c}")
     batch, _, h, wd = x.shape
-    cols = _im2col(x, k, cols, zeroed)
+    cols = _im2col(x, k, cols)
     out = w.reshape(out_c, -1) @ cols
     out += b.reshape(out_c, 1)
     return out.reshape(out_c, batch, h, wd).transpose(1, 0, 2, 3), cols
@@ -274,9 +277,7 @@ def _conv_forward(ins: list, n: OpNode, train: bool):
     x, w = ins[0], n.weight.value
     if not train or w.shape[2] == 1:
         return conv2d_forward(x, w, n.bias.value)
-    out, n.cols = conv2d_forward(x, w, n.bias.value, cols=n.cols,
-                                 zeroed=n.cols_from == x.shape)
-    n.cols_from = x.shape
+    out, n.cols = conv2d_forward(x, w, n.bias.value, cols=n.cols)
     return out, n.cols
 
 
@@ -331,10 +332,8 @@ class OpNode:
     weight: Parameter | None = None
     bias: Parameter | None = None
     # 3x3 conv nodes: the im2col columns of the last training forward,
-    # which the next training forward writes into, and the shape of the
-    # input they were filled from (see the module docstring)
+    # which the next training forward writes into (see the module docstring)
     cols: np.ndarray | None = field(default=None, repr=False)
-    cols_from: tuple[int, ...] | None = None
 
 
 class Graph:
@@ -379,7 +378,7 @@ class Graph:
     def release_column_buffers(self) -> None:
         """Drop the column buffers kept between training forwards."""
         for n in self.nodes:
-            n.cols = n.cols_from = None
+            n.cols = None
 
     def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
         """Run every node in order. Each activation is dropped once its

@@ -58,7 +58,6 @@ CASE_CSV_COLUMNS = (
     "h95_defined",
     "avd_defined",
 )
-TEAM_CSV_COLUMNS = ("team", "dice", "h95", "avd_percent", "recall", "f1")
 RANK_CSV_COLUMNS = (
     "team",
     "dice_rank",
@@ -254,10 +253,14 @@ def rank_teams(summaries: list[TeamSummary]) -> RankTable:
     """Min-max rank per metric in [0, 1], 0 best; overall is the mean of
     the five. A degenerate metric range ranks every team 0 on it. A
     value that is None (a metric undefined on every case) or not finite
-    has no rank, so it raises ValueError naming the team and the metric."""
+    has no rank, so it raises ValueError naming the team and the metric,
+    and so does a team name given twice, since teams are told apart by
+    name."""
     if len(summaries) < 2:
         raise ValueError("ranking needs at least 2 teams")
     teams = [s.team for s in summaries]
+    if len(set(teams)) < len(teams):
+        raise ValueError(f"a team name is given twice: {teams}")
     ranks: dict[str, list[float]] = {}
     for metric in METRIC_ORDER:
         vals = [getattr(s, metric) for s in summaries]
@@ -298,31 +301,6 @@ def write_case_csv(path: str | Path, rows: list[tuple[str, CaseMetrics]]) -> Non
                     0 if m.avd_percent is None else 1,
                 ]
             )
-
-
-def _summary_cell(row: dict, column: str) -> float | None:
-    """An empty cell is an undefined metric (None), as the case CSV writes it."""
-    try:
-        return float(row[column]) if row[column] else None
-    except ValueError:
-        raise ValueError(
-            f"team {row['team']!r}: {column} {row[column]!r} is not a number") from None
-
-
-def read_team_summaries(path: str | Path) -> list[TeamSummary]:
-    """Read a team-summary CSV (columns: team, dice, h95, avd_percent,
-    recall, f1). An empty cell reads as None, which `rank_teams` rejects
-    naming the team and the metric."""
-    out: list[TeamSummary] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = set(TEAM_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"team CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            out.append(TeamSummary(row["team"], *(
-                _summary_cell(row, c) for c in TEAM_CSV_COLUMNS[1:])))
-    return out
 
 
 def write_rank_csv(path: str | Path, table: RankTable) -> None:

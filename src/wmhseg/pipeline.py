@@ -113,15 +113,17 @@ def score_cases(cases, masks: list[BinaryMask3D], wmh_model: Network,
 
 
 def wm_training_cases(phantom_cases) -> list[TrainingCase]:
-    """Stage-1 training data: raw T1 in, white matter truth out."""
-    return [
-        TrainingCase(
+    """Stage-1 training data: raw T1 in, white matter truth out. A
+    non-finite T1 voxel raises ValueError naming the case."""
+    tcs = []
+    for c in phantom_cases:
+        _require_finite(f"{c.case_id} t1", c.t1)
+        tcs.append(TrainingCase(
             case_id=c.case_id,
             images=axial_planes(c.t1.data),
             labels=axial_planes(c.wm_truth.data)[:, 0],
-        )
-        for c in phantom_cases
-    ]
+        ))
+    return tcs
 
 
 def wmh_training_cases(

@@ -1,19 +1,22 @@
 import csv
 import hashlib
 import json
+import re
+import shlex
 import shutil
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wmhseg import cli, phantom, pipeline
-from wmhseg.acceptance import checkpoint_bytes
+from wmhseg.acceptance import TABLE2, checkpoint_bytes
 from wmhseg.architectures import Network, build_resunet, build_trimmed_unet
 from wmhseg.checkpoint import load_checkpoint
 from wmhseg.cli import build_parser, dispatch
-from wmhseg.metrics import dice, evaluate_case
+from wmhseg.metrics import dice, evaluate_case, rank_teams, summarize_cases
 from wmhseg.phantom import load_dataset
 from wmhseg.pipeline import (
     run_ablation,
@@ -167,6 +170,20 @@ def with_nan_voxel(src, dst):
     write_nifti(Volume3D(data=data, spacing=v.spacing), dst)
 
 
+def one_case_dir(dataset, root, case="case_000"):
+    """A copy of one case directory of `dataset` as the only case under
+    `root`: how `predict` and `evaluate` run a single case."""
+    shutil.copytree(dataset / case, root / case)
+    return root
+
+
+def team_report(path, summary: dict):
+    """Write `summary` where an `evaluate --team` run report holds it."""
+    path.write_text(json.dumps({"command": "evaluate", "status": "ok",
+                                "outputs": {"team_summary": summary}}))
+    return str(path)
+
+
 class TestTraining:
     def test_train_wmh_writes_the_lesion_network_trained_in_memory(self, dataset, trained):
         # generated cases hold the float32 values their files store, so the
@@ -196,6 +213,25 @@ class TestTraining:
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("train-wmh", "error")
         assert "flair volume has non-finite voxels: 1" in report["error"]
+        assert not out.exists()
+
+    def test_train_wm_with_a_nan_t1_voxel_in_the_validation_case_exits_1(
+            self, tmp_path, dataset, trained):
+        # a NaN there once only cut the validation Dice, and train-wm exited 0
+        val_id = json.loads(trained[0].with_suffix(".history.json").read_text())[
+            "val_case_ids"][0]
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        t1 = data / val_id / "t1.nii"
+        with_nan_voxel(t1, t1)
+        rpt, out = tmp_path / "fail.json", tmp_path / "wm.ckpt"
+        code = run(["train-wm", "--data", str(data), "--out", str(out), "--seed", "1",
+                    "--base-width", "2", "--depth", "2", "--max-iterations", "1",
+                    "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("train-wm", "error")
+        assert f"{val_id} t1 volume has non-finite voxels: 1" in report["error"]
         assert not out.exists()
 
     def test_history_files_written(self, trained):
@@ -370,34 +406,20 @@ class TestPredictEvaluate:
             rep = json.loads((d / "report.json").read_text())
             assert rep["wmh_volume_mm3"] == rep["wmh_voxels"] * 3.0
 
-    def test_single_case_mode_matches_directory_mode(self, tmp_path, dataset, trained):
-        wm, wmh = trained
-        ckpts = ["--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh)]
-        case = dataset / "case_000"
-        shutil.copytree(case, tmp_path / "data" / "case_000")
-        assert run(["predict", "--data", str(tmp_path / "data"),
-                    "--out", str(tmp_path / "dir"), *ckpts]) == 0
-        assert run(["predict", "--t1", str(case / "t1.nii"), "--flair", str(case / "flair.nii"),
-                    "--case-id", "X", "--out", str(tmp_path / "single"), *ckpts]) == 0
-        for kind in ("wmh", "wm"):
-            assert (tmp_path / "single" / "X" / f"{kind}.nii").read_bytes() == (
-                tmp_path / "dir" / "case_000" / f"{kind}.nii").read_bytes()
-        assert (tmp_path / "single" / "X" / "report.json").exists()
-
     def test_predict_confines_lesions_to_the_written_white_matter(self, tmp_path, dataset,
                                                                   trained):
         wm, wmh = trained
-        case = dataset / "case_000"
-        assert run(["predict", "--t1", str(case / "t1.nii"), "--flair", str(case / "flair.nii"),
-                    "--out", str(tmp_path), "--wm-checkpoint", str(wm),
-                    "--wmh-checkpoint", str(wmh)]) == 0
-        lesions, white_matter = (read_nifti_mask(tmp_path / "case" / f"{kind}.nii")
+        data = one_case_dir(dataset, tmp_path / "data")
+        assert run(["predict", "--data", str(data), "--out", str(tmp_path / "pred"),
+                    "--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh)]) == 0
+        out = tmp_path / "pred" / "case_000"
+        lesions, white_matter = (read_nifti_mask(out / f"{kind}.nii")
                                  for kind in ("wmh", "wm"))
         assert lesions.voxel_count() > 0
         assert not np.any(lesions.data & ~white_matter.data)
-        report = json.loads((tmp_path / "case" / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text())
         voxel_mm3 = float(np.prod(white_matter.spacing))
-        assert report == {"case_id": "case",
+        assert report == {"case_id": "case_000",
                           "wmh_voxels": lesions.voxel_count(),
                           "wmh_volume_mm3": lesions.voxel_count() * voxel_mm3,
                           "wm_voxels": white_matter.voxel_count(),
@@ -407,59 +429,63 @@ class TestPredictEvaluate:
     def test_single_case_mode_nan_voxel_exits_1(self, tmp_path, dataset, trained, channel):
         # a NaN inside the white matter once emptied the lesion mask (FLAIR)
         # or cut the white matter mask (T1), and predict exited 0
-        case = dataset / "case_000"
-        paths = {"t1": case / "t1.nii", "flair": case / "flair.nii"}
-        paths[channel] = tmp_path / f"{channel}.nii"
-        with_nan_voxel(case / f"{channel}.nii", paths[channel])
+        data = one_case_dir(dataset, tmp_path / "data")
+        volume = data / "case_000" / f"{channel}.nii"
+        with_nan_voxel(volume, volume)
         rpt = tmp_path / "fail.json"
-        code = run(["predict", "--t1", str(paths["t1"]), "--flair", str(paths["flair"]),
-                    "--out", str(tmp_path / "out"), "--wm-checkpoint", str(trained[0]),
-                    "--wmh-checkpoint", str(trained[1]), "--report", str(rpt)])
+        code = run(["predict", "--data", str(data), "--out", str(tmp_path / "out"),
+                    "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1]),
+                    "--report", str(rpt)])
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("predict", "error")
         assert f"{channel} volume has non-finite voxels: 1" in report["error"]
-        assert not (tmp_path / "out" / "case" / "wmh.nii").exists()
+        assert not (tmp_path / "out" / "case_000" / "wmh.nii").exists()
 
     @pytest.mark.parametrize("kind", ["grid", "spacing"])
     def test_single_case_mode_t1_flair_mismatch_exits_1(self, tmp_path, dataset, trained,
                                                         kind):
-        t1 = read_nifti(dataset / "case_000" / "t1.nii")
+        data = one_case_dir(dataset, tmp_path / "data")
+        t1 = read_nifti(data / "case_000" / "t1.nii")
         flair = (Volume3D(data=t1.data[..., :-1], spacing=t1.spacing) if kind == "grid" else
                  Volume3D(data=t1.data, spacing=(*t1.spacing[:2], 2 * t1.spacing[2])))
-        write_nifti(flair, tmp_path / "flair.nii")
+        write_nifti(flair, data / "case_000" / "flair.nii")
         rpt = tmp_path / "fail.json"
-        code = run(["predict", "--t1", str(dataset / "case_000" / "t1.nii"),
-                    "--flair", str(tmp_path / "flair.nii"), "--out", str(tmp_path / "out"),
+        code = run(["predict", "--data", str(data), "--out", str(tmp_path / "out"),
                     "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1]),
                     "--report", str(rpt)])
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("predict", "error")
         assert f"t1/flair {kind} mismatch" in report["error"]
-        assert not (tmp_path / "out" / "case" / "wmh.nii").exists()
+        assert not (tmp_path / "out" / "case_000" / "wmh.nii").exists()
 
-    def test_single_case_mode_needs_flair(self, tmp_path, dataset):
-        # the pair is checked before either checkpoint is read
+    def test_predict_refuses_out_equal_to_data(self, tmp_path, dataset, trained):
+        # a phantom case directory holds its truth as wm.nii and wmh.nii,
+        # the names predict writes
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        truth = {p: p.read_bytes() for p in sorted(data.rglob("*.nii"))}
         rpt = tmp_path / "fail.json"
-        missing = str(tmp_path / "missing.ckpt")
-        code = run(["predict", "--t1", str(dataset / "case_000" / "t1.nii"),
-                    "--out", str(tmp_path / "single"), "--wm-checkpoint", missing,
-                    "--wmh-checkpoint", missing, "--report", str(rpt)])
+        code = run(["predict", "--data", str(data), "--out", f"{tmp_path}/./data/",
+                    "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1]),
+                    "--report", str(rpt)])
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("predict", "error")
-        assert "--t1" in report["error"] and "--flair" in report["error"]
+        assert "is --data" in report["error"]
+        assert {p: p.read_bytes() for p in sorted(data.rglob("*.nii"))} == truth
+        assert not list(data.rglob("report.json"))
 
     def test_predict_needs_data_or_pair(self, tmp_path):
-        rpt = tmp_path / "fail.json"
-        missing = str(tmp_path / "missing.ckpt")
-        code = run(["predict", "--out", str(tmp_path / "out"), "--wm-checkpoint", missing,
-                    "--wmh-checkpoint", missing, "--report", str(rpt)])
-        assert code == 1
-        report = json.loads(rpt.read_text())
-        assert (report["command"], report["status"]) == ("predict", "error")
-        assert all(flag in report["error"] for flag in ("--data", "--t1", "--flair"))
+        # --data is required, and a --t1/--flair pair is no longer an input:
+        # one case is a one-case directory
+        ckpts = ["--out", str(tmp_path / "out"), "--wm-checkpoint", "a",
+                 "--wmh-checkpoint", "b"]
+        for pair in ([], ["--t1", "t1.nii", "--flair", "flair.nii", "--case-id", "X"]):
+            with pytest.raises(SystemExit) as exc:
+                dispatch(["predict", *pair, *ckpts])
+            assert exc.value.code == 2
 
     def test_predict_data_without_cases_exits_1(self, tmp_path):
         (tmp_path / "data" / "not_a_case").mkdir(parents=True)
@@ -474,12 +500,13 @@ class TestPredictEvaluate:
         assert "t1.nii" in report["error"]
 
     def test_evaluate_needs_both_dirs(self, tmp_path, dataset):
-        rpt = tmp_path / "fail.json"
-        code = run(["evaluate", "--gt-dir", str(dataset), "--report", str(rpt)])
-        assert code == 1
-        report = json.loads(rpt.read_text())
-        assert (report["command"], report["status"]) == ("evaluate", "error")
-        assert "--pred-dir" in report["error"] and "--gt-dir" in report["error"]
+        # `--pred --gt` once named two files; no abbreviation of the
+        # directory flags parses either
+        gt = str(dataset / "case_000" / "wmh.nii")
+        for argv in (["--gt-dir", str(dataset)], ["--pred", gt, "--gt", gt]):
+            with pytest.raises(SystemExit) as exc:
+                dispatch(["evaluate", *argv, "--report", str(tmp_path / "fail.json")])
+            assert exc.value.code == 2
 
     def test_evaluate_refuses_case_sets_that_differ(self, tmp_path, dataset):
         # one prediction against a four-case truth, and a stray prediction
@@ -497,10 +524,10 @@ class TestPredictEvaluate:
             "no prediction for ['case_001', 'case_002', 'case_003']")
 
     def test_evaluate_identical_masks(self, tmp_path, dataset, capsys):
-        gt = dataset / "case_000" / "wmh.nii"
-        assert run(["evaluate", "--pred", str(gt), "--gt", str(gt)]) == 0
+        data = one_case_dir(dataset, tmp_path / "data")
+        assert run(["evaluate", "--pred-dir", str(data), "--gt-dir", str(data)]) == 0
         report = json.loads(capsys.readouterr().out)
-        metrics = report["outputs"]["cases"]["wmh"]
+        metrics = report["outputs"]["cases"]["case_000"]
         assert metrics["dice"] == 1.0
         assert metrics["h95_mm"] == 0.0
 
@@ -525,42 +552,83 @@ class TestPredictEvaluate:
 
 
 class TestRank:
-    TABLE2_CSV = (
-        "team,dice,h95,avd_percent,recall,f1\n"
-        "sysu_media,0.74,11.0,26.2,0.87,0.72\n"
-        "nih_cidi_2,0.70,9.7,21.9,0.79,0.68\n"
-        "cain,0.74,14.1,28.4,0.82,0.66\n"
-        "nic-vicorob,0.71,13.5,56.3,0.81,0.62\n"
-        "nlp_logix,0.68,13.0,27.9,0.66,0.73\n"
-    )
-
     def test_rank_table2_best_h95(self, tmp_path, capsys):
-        path = tmp_path / "teams.csv"
-        path.write_text(self.TABLE2_CSV)
+        reports = [team_report(tmp_path / f"{s.team}.json", asdict(s)) for s in TABLE2]
         out_csv = tmp_path / "ranks.csv"
-        assert run(["rank", "--summaries", str(path), "--out-csv", str(out_csv)]) == 0
+        assert run(["rank", "--summaries", *reports, "--out-csv", str(out_csv)]) == 0
         with open(out_csv, newline="") as f:
             row = next(r for r in csv.DictReader(f) if r["team"] == "nih_cidi_2")
         assert float(row["h95_rank"]) == 0.0
         assert float(row["avd_rank"]) == 0.0
 
-    def test_rank_missing_file_exits_1(self, tmp_path):
-        assert run(["rank", "--summaries", str(tmp_path / "nope.csv")]) == 1
+    def test_rank_reads_the_reports_evaluate_team_writes(self, tmp_path, dataset, trained):
+        # team A submits the pipeline's predictions, team B the truth masks
+        wm, wmh = trained
+        assert run(["predict", "--data", str(dataset), "--out", str(tmp_path / "pred"),
+                    "--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh),
+                    "--report", str(tmp_path / "predict.json")]) == 0
+        teams = {"A": tmp_path / "pred", "B": dataset}
+        for team, pred in teams.items():
+            assert run(["evaluate", "--pred-dir", str(pred), "--gt-dir", str(dataset),
+                        "--team", team, "--report", str(tmp_path / f"{team}.json")]) == 0
+        rpt, ranks = tmp_path / "rank.json", tmp_path / "ranks.csv"
+        assert run(["rank", "--summaries", str(tmp_path / "A.json"), str(tmp_path / "B.json"),
+                    "--out-csv", str(ranks), "--report", str(rpt)]) == 0
+        ids = [f"case_{i:03d}" for i in range(4)]
+        want = rank_teams([
+            summarize_cases(team, [evaluate_case(read_nifti_mask(pred / cid / "wmh.nii"),
+                                                 read_nifti_mask(dataset / cid / "wmh.nii"))
+                                   for cid in ids])
+            for team, pred in teams.items()])
+        assert json.loads(rpt.read_text())["outputs"]["overall"] == dict(
+            zip(want.teams, want.overall))
+        with open(ranks, newline="") as f:
+            assert [(r["team"], float(r["overall_rank"])) for r in csv.DictReader(f)] == list(
+                zip(want.teams, want.overall))
+        assert want.overall[0] > want.overall[1] == 0.0  # the truth ranks first
 
-    @pytest.mark.parametrize("cell, message", [
-        ("", "team 'a' has no finite h95: None"),  # undefined, as the case CSV writes it
-        ("n/a", "team 'a': h95 'n/a' is not a number"),
+    def test_rank_missing_file_exits_1(self, tmp_path):
+        assert run(["rank", "--summaries", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("value, message", [
+        (None, "team 'a' has no finite h95: None"),  # undefined on every case
+        ("n/a", "a.json: team 'a': h95 'n/a' is not a number or null"),
     ], ids=["empty", "unparsable"])
     def test_rank_cell_without_a_value_exits_1_naming_team_and_metric(
-            self, tmp_path, cell, message):
-        path, rpt = tmp_path / "teams.csv", tmp_path / "fail.json"
-        path.write_text("team,dice,h95,avd_percent,recall,f1\n"
-                        f"a,0.7,{cell},20.0,0.8,0.7\n"
-                        "b,0.6,9.0,25.0,0.7,0.6\n")
-        assert run(["rank", "--summaries", str(path), "--report", str(rpt)]) == 1
+            self, tmp_path, value, message):
+        a, b = (asdict(s) for s in TABLE2[:2])
+        a.update(team="a", h95=value)
+        rpt = tmp_path / "fail.json"
+        assert run(["rank", "--summaries", team_report(tmp_path / "a.json", a),
+                    team_report(tmp_path / "b.json", b), "--report", str(rpt)]) == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("rank", "error")
         assert message in report["error"]
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"command": "evaluate", "status": "error", "error": "boom"}),
+        json.dumps({"command": "phantom", "status": "ok", "outputs": {"case_ids": []}}),
+        json.dumps({"command": "evaluate", "status": "ok", "outputs": {"cases": {}}}),
+        "team,dice,h95,avd_percent,recall,f1\na,0.7,9.0,20.0,0.8,0.7\n",
+    ], ids=["error-report", "phantom-report", "evaluate-without-team", "team-csv"])
+    def test_rank_input_without_a_team_summary_exits_1_naming_the_file(self, tmp_path, text):
+        bad, rpt = tmp_path / "bad.json", tmp_path / "fail.json"
+        bad.write_text(text)
+        good = team_report(tmp_path / "good.json", asdict(TABLE2[0]))
+        assert run(["rank", "--summaries", good, str(bad), "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("rank", "error")
+        assert report["error"].startswith(str(bad))
+
+    def test_rank_summary_without_a_key_exits_1_naming_team_and_key(self, tmp_path):
+        a = asdict(TABLE2[0])
+        del a["recall"]
+        rpt = tmp_path / "fail.json"
+        assert run(["rank", "--summaries", team_report(tmp_path / "a.json", a),
+                    team_report(tmp_path / "b.json", asdict(TABLE2[1])),
+                    "--report", str(rpt)]) == 1
+        assert json.loads(rpt.read_text())["error"] == (
+            f"{tmp_path / 'a.json'}: team 'sysu_media' summary has no 'recall'")
 
 
 class TestRunReports:
@@ -568,15 +636,14 @@ class TestRunReports:
             "runtime_seconds", "peak_rss_mb", "status"}
 
     def test_every_command_writes_the_same_report_shape(self, tmp_path, dataset):
-        gt = dataset / "case_000" / "wmh.nii"
-        teams = tmp_path / "teams.csv"
-        teams.write_text(TestRank.TABLE2_CSV)
         flags = {
             "phantom": ["--out", str(tmp_path / "d"), "--cases", "1"],
             "train-wm": ["--data", str(dataset), "--out", str(tmp_path / "wm.ckpt"),
                          "--base-width", "2", "--depth", "2", "--max-iterations", "1"],
-            "evaluate": ["--pred", str(gt), "--gt", str(gt)],
-            "rank": ["--summaries", str(teams)],
+            "evaluate": ["--pred-dir", str(dataset), "--gt-dir", str(dataset),
+                         "--team", "truth"],
+            "rank": ["--summaries", str(tmp_path / "evaluate.json"),
+                     team_report(tmp_path / "other.json", asdict(TABLE2[0]))],
         }
         for command, extra in flags.items():
             argv = [command, *extra, "--report", str(tmp_path / f"{command}.json")]
@@ -584,11 +651,28 @@ class TestRunReports:
             report = json.loads((tmp_path / f"{command}.json").read_text())
             assert set(report) == self.KEYS
             assert (report["command"], report["status"]) == (command, "ok")
+            assert report["schema_version"] == 4
             assert report["peak_rss_mb"] > 0
             # the config is the parsed flags, defaults included
             parsed = vars(build_parser().parse_args(argv))
             del parsed["func"], parsed["command"]
             assert report["config"] == parsed
+
+
+class TestDocs:
+    def test_readme_quickstart_commands_parse(self):
+        """Every `wmhseg ...` line of the README's command-line block parses,
+        so the README names no removed flag, and the block shows every
+        sub-command."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("wmhseg ")]
+        parser = build_parser()
+        for line in commands:
+            parser.parse_args(shlex.split(line)[1:])
+        sub = next(a for a in parser._actions if a.dest == "command")
+        assert {shlex.split(line)[1] for line in commands} == set(sub.choices)
 
 
 class TestErrors:
@@ -635,10 +719,8 @@ class TestErrors:
         assert stage1_calls == []
 
     @pytest.mark.parametrize("flags, message", [
-        (["--confounders", "-1"], "confounder count"),
         (["--dims", "0", "64", "8"], "dims"),
         (["--cases", "-1"], "number of cases"),
-        (["--noise-std", "nan"], "noise std must be finite and >= 0, got nan"),
     ])
     def test_bad_phantom_geometry_exits_1(self, tmp_path, flags, message):
         rpt, out = tmp_path / "fail.json", tmp_path / "phantom"
@@ -665,12 +747,13 @@ class TestErrors:
         assert not out.exists()
 
     def test_evaluate_probability_map_exits_1_with_report(self, tmp_path, dataset):
-        gt = dataset / "case_000" / "wmh.nii"
-        truth = read_nifti_mask(gt)
-        prob = tmp_path / "prob.nii"
-        write_nifti(Volume3D(data=0.7 * truth.data, spacing=truth.spacing), prob)
+        gt = one_case_dir(dataset, tmp_path / "gt")
+        truth = read_nifti_mask(gt / "case_000" / "wmh.nii")
+        (tmp_path / "pred" / "case_000").mkdir(parents=True)
+        write_nifti(Volume3D(data=0.7 * truth.data, spacing=truth.spacing),
+                    tmp_path / "pred" / "case_000" / "wmh.nii")
         rpt = tmp_path / "fail.json"
-        code = run(["evaluate", "--pred", str(prob), "--gt", str(gt),
+        code = run(["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(gt),
                     "--report", str(rpt)])
         assert code == 1
         report = json.loads(rpt.read_text())

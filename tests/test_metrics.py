@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,6 @@ from wmhseg.metrics import (
     h95,
     lesion_recall,
     rank_teams,
-    read_team_summaries,
     summarize_cases,
     write_case_csv,
     write_rank_csv,
@@ -384,6 +385,12 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_teams(TABLE1[:1])
 
+    def test_repeated_team_name_rejected(self):
+        # a report keyed by team name would keep only one of the two
+        twice = [TABLE1[0], replace(TABLE1[1], team=TABLE1[0].team), TABLE1[2]]
+        with pytest.raises(ValueError, match="a team name is given twice"):
+            rank_teams(twice)
+
     def test_overall_is_mean_of_five(self):
         table = rank_teams(TABLE1)
         for i, team in enumerate(table.teams):
@@ -400,8 +407,8 @@ class TestRanking:
         ]
         assert rank_teams(better).rank_of("nih_cidi_2", "dice") <= base
 
-    # an H95 undefined on every case of a team summarizes to None; a team
-    # CSV cell reading nan parses to NaN
+    # an H95 undefined on every case of a team summarizes to None; a run
+    # report's NaN token parses to NaN
     @pytest.mark.parametrize("nan_position", [0, 1])
     def test_non_finite_value_rejected_in_any_row_order(self, nan_position):
         for h95 in (None, float("nan")):
@@ -424,23 +431,6 @@ class TestCsv:
         assert lines[0].startswith("case_id,dice,h95_mm")
         assert lines[2].split(",")[2] == ""  # undefined h95 empty
         assert lines[2].split(",")[6] == "0"  # defined flag
-
-    def test_team_csv_round_trip(self, tmp_path):
-        path = tmp_path / "teams.csv"
-        with open(path, "w") as f:
-            f.write("team,dice,h95,avd_percent,recall,f1\n")
-            for s in TABLE2:
-                f.write(f"{s.team},{s.dice},{s.h95},{s.avd_percent},{s.recall},{s.f1}\n")
-        back = read_team_summaries(path)
-        assert [s.team for s in back] == [s.team for s in TABLE2]
-        table = rank_teams(back)
-        assert table.rank_of("nih_cidi_2", "h95") == 0.0
-
-    def test_missing_columns_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("team,dice\na,0.5\n")
-        with pytest.raises(ValueError):
-            read_team_summaries(path)
 
     def test_rank_csv_written(self, tmp_path):
         table = rank_teams(TABLE1)

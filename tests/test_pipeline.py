@@ -132,10 +132,10 @@ class TestRunPipeline:
     """The run `predict` makes: stage 1 on the T1, then the lesion stage inside its mask."""
 
     def test_volume_report_spacing_product(self, tmp_path, phantom_case, untrained_models):
+        (tmp_path / "c").mkdir()
         for kind in ("t1", "flair"):
-            write_nifti(getattr(phantom_case, kind), tmp_path / f"{kind}.nii")
-        report = _predict_one("c", tmp_path / "t1.nii", tmp_path / "flair.nii",
-                              tmp_path / "out", *untrained_models)
+            write_nifti(getattr(phantom_case, kind), tmp_path / "c" / f"{kind}.nii")
+        report = _predict_one(tmp_path / "c", tmp_path / "out", *untrained_models)
         sx, sy, sz = phantom_case.t1.spacing
         assert report["wmh_volume_mm3"] == report["wmh_voxels"] * sx * sy * sz
         assert report["wm_volume_mm3"] == report["wm_voxels"] * sx * sy * sz
