@@ -66,8 +66,8 @@ def load_checkpoint(path: str | Path) -> Network:
         index = json.loads(raw[16:offset])
         dtype = np.dtype(index["dtype"]).newbyteorder("=")
         net = Network(NetworkSpec(**index["spec"]), dtype)  # float32 or float64
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed checkpoint index or spec: {e}") from e
+    except (KeyError, TypeError, ValueError) as e:  # ValueError: JSON that does not decode
+        raise ValueError(f"{path}: malformed checkpoint index or spec: {e}") from e
     if index != _index(net):
         raise ValueError("the index differs from the one written for its network: "
                          "a parameter name, shape, dtype or order, or a key")

@@ -33,7 +33,8 @@ from .metrics import (
     write_case_csv,
     write_rank_csv,
 )
-from .phantom import PhantomConfig, generate_dataset, load_dataset, save_dataset
+from .phantom import (PhantomConfig, case_dirs, generate_dataset, load_dataset, read_images,
+                      save_dataset)
 from .pipeline import (
     run_ablation,
     segment_white_matter,
@@ -42,7 +43,7 @@ from .pipeline import (
     wmh_training_cases,
 )
 from .training import TrainConfig, TrainingCase, train
-from .volume_io import BinaryMask3D, read_nifti, read_nifti_mask, write_nifti
+from .volume_io import BinaryMask3D, read_nifti_mask, write_nifti
 
 log = logging.getLogger("wmhseg")
 
@@ -85,7 +86,7 @@ def cmd_phantom(args) -> dict:
 def _stage1_masks(args) -> tuple[list, list[BinaryMask3D]]:
     """The cases of --data and the white matter mask that --wm-checkpoint
     segments in each."""
-    cases, _ = load_dataset(args.data)
+    cases = load_dataset(args.data)
     wm_net = load_checkpoint(args.wm_checkpoint)
     log.info("computing stage-1 white matter masks for normalization")
     return cases, [segment_white_matter(c.t1, wm_net) for c in cases]
@@ -96,7 +97,7 @@ def _training_cases(args, stage: str) -> list[TrainingCase]:
     stage-1 network and its masks are dropped on return, so that
     training does not hold them."""
     if stage == "wm":
-        return wm_training_cases(load_dataset(args.data)[0])
+        return wm_training_cases(load_dataset(args.data))
     return wmh_training_cases(*_stage1_masks(args))
 
 
@@ -125,7 +126,7 @@ def _train_stage(args) -> dict:
 
 
 def _predict_one(case_dir: Path, out_dir: Path, wm_net, wmh_net) -> dict:
-    t1, flair = read_nifti(case_dir / "t1.nii"), read_nifti(case_dir / "flair.nii")
+    t1, flair = read_images(case_dir)
     wm_mask = segment_white_matter(t1, wm_net)
     wmh_mask = segment_wmh(t1, flair, wm_mask, wmh_net)
     d = out_dir / case_dir.name
@@ -147,34 +148,27 @@ def cmd_predict(args) -> dict:
     if out_dir.resolve() == data.resolve():
         raise ValueError(f"--out {args.out} is --data: predictions would overwrite "
                          "the truth masks wm.nii and wmh.nii")
-    case_dirs = sorted(d for d in data.iterdir() if d.is_dir() and (d / "t1.nii").exists())
-    if not case_dirs:
-        raise ValueError(f"no case directory with a t1.nii under {args.data}")
+    cases = case_dirs(data, "t1.nii", "flair.nii")
     wm_net = load_checkpoint(args.wm_checkpoint)
     wmh_net = load_checkpoint(args.wmh_checkpoint)
-    log.info("predicting %d cases", len(case_dirs))
-    return {"cases": [_predict_one(d, out_dir, wm_net, wmh_net) for d in case_dirs]}
+    log.info("predicting %d cases", len(cases))
+    return {"cases": [_predict_one(d, out_dir, wm_net, wmh_net) for d in cases]}
 
 
 def cmd_evaluate(args) -> dict:
     """Pairs <pred-dir>/<id>/wmh.nii with <gt-dir>/<id>/wmh.nii and needs
     the same case ids on both sides. With --team, `outputs.team_summary`
     holds the team's means, which `rank` reads back from the report."""
-    pred_root, gt_root = Path(args.pred_dir), Path(args.gt_dir)
-    pred_ids = {d.name for d in pred_root.iterdir() if d.is_dir()}
-    gt_ids = {d.name for d in gt_root.iterdir() if (d / "wmh.nii").exists()}
+    pred_dirs = case_dirs(args.pred_dir, "wmh.nii")
+    gt_dirs = case_dirs(args.gt_dir, "wmh.nii")
+    pred_ids, gt_ids = {d.name for d in pred_dirs}, {d.name for d in gt_dirs}
     if pred_ids != gt_ids:
-        raise ValueError(
-            f"prediction and truth case sets differ: no truth for "
-            f"{sorted(pred_ids - gt_ids)}, no prediction for {sorted(gt_ids - pred_ids)}"
-        )
-    if not pred_ids:
-        raise ValueError(f"no prediction/truth pairs under {pred_root}")
-    rows = [
-        (cid, evaluate_case(read_nifti_mask(pred_root / cid / "wmh.nii"),
-                            read_nifti_mask(gt_root / cid / "wmh.nii")))
-        for cid in sorted(pred_ids)
-    ]
+        raise ValueError(f"prediction and truth case sets differ: no truth for "
+                         f"{sorted(pred_ids - gt_ids)}, no prediction for "
+                         f"{sorted(gt_ids - pred_ids)}")
+    rows = [(p.name, evaluate_case(read_nifti_mask(p / "wmh.nii"),
+                                   read_nifti_mask(g / "wmh.nii")))
+            for p, g in zip(pred_dirs, gt_dirs)]
 
     outputs: dict = {"cases": {cid: asdict(m) for cid, m in rows}}
     if args.out_csv:

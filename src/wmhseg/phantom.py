@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .volume_io import BinaryMask3D, Volume3D, read_nifti, read_nifti_mask, write_nifti
+from .volume_io import (BinaryMask3D, Volume3D, read_nifti, read_nifti_mask, require_finite,
+                        write_nifti)
 from .morphology import dilate
 
 
@@ -82,33 +84,19 @@ class PhantomConfig:
         ):
             raise ValueError(f"bad lesion count range {self.lesion_count_range}")
 
-    @staticmethod
-    def from_dict(d: dict) -> "PhantomConfig":
-        d = dict(d)
-        for key in (
-            "dims",
-            "spacing",
-            "lesion_count_range",
-            "lesion_radius_range",
-            "brain_semiaxes",
-            "wm_semiaxes",
-        ):
-            if key in d:
-                d[key] = tuple(d[key])
-        return PhantomConfig(**d)
-
 
 @dataclass
 class PhantomCase:
     """One case: float32 T1 and FLAIR in file order, as `read_nifti`
-    gives them back from its files, and uint8 masks."""
+    gives them back from its files, and uint8 masks. A generated case
+    also holds its seed and confounder mask; a loaded one holds neither."""
 
     case_id: str
     t1: Volume3D
     flair: Volume3D
     wm_truth: BinaryMask3D
     wmh_truth: BinaryMask3D
-    seed: int
+    seed: int | None = None
     confounder: BinaryMask3D | None = None
 
 
@@ -245,54 +233,72 @@ def generate_dataset(cfg: PhantomConfig, n_cases: int, seed: int) -> Iterator[Ph
 
 
 # ---------------------------------------------------------------------------
-# On-disk layout: one directory per case with NIfTI quadruples + manifest
+# On-disk layout: one directory per case holding NIfTI volumes, and a
+# write-only manifest recording how a generated dataset was made
+
+CASE_FILES = ("t1.nii", "flair.nii", "wm.nii", "wmh.nii")
 
 
-def save_dataset(
-    cases: Iterable[PhantomCase], cfg: PhantomConfig, out_dir: str | Path
-) -> list[str]:
+def case_dirs(root: str | Path, *names: str) -> list[Path]:
+    """The sub-directories of `root`, sorted: the cases, each named by its
+    directory. Raises ValueError naming `root` if there is none, or naming
+    `<case>/<name>` if a case lacks one of `names`, so a stray sub-directory
+    fails; every case is checked before the caller reads or writes one."""
+    root = Path(root)
+    dirs = sorted(d for d in root.iterdir() if d.is_dir())
+    if not dirs:
+        raise ValueError(f"no case directory under {root}")
+    for d in dirs:
+        for name in names:
+            if not (d / name).is_file():
+                raise ValueError(f"{d.name}/{name} is missing under {root}")
+    return dirs
+
+
+def read_images(case_dir: Path) -> tuple[Volume3D, Volume3D]:
+    """A case directory's T1 and FLAIR. A non-finite voxel raises
+    ValueError naming the case and the channel."""
+    images = read_nifti(case_dir / "t1.nii"), read_nifti(case_dir / "flair.nii")
+    for channel, v in zip(("t1", "flair"), images):
+        require_finite(f"{case_dir.name} {channel}", v)
+    return images
+
+
+def save_dataset(cases: Iterable[PhantomCase], cfg: PhantomConfig,
+                 out_dir: str | Path) -> list[str]:
     """Write each case as the iterable yields it and drop it before taking
-    the next, then write manifest.json from the ids and seeds written.
-    Returns the case ids in order. A failure part-way leaves no manifest,
-    so the directory does not load as a dataset."""
+    the next, then manifest.json, the config and each case's id and seed.
+    Returns the case ids in order. The write goes into the fresh sibling
+    `.<name>.partial`, renamed to `out_dir` after the manifest and removed
+    if anything fails, so a failure part-way leaves nothing to read. An
+    existing `out_dir` raises FileExistsError before any case is taken."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for case in cases:
-        d = out / case.case_id
-        d.mkdir(exist_ok=True)
-        write_nifti(case.t1, d / "t1.nii")
-        write_nifti(case.flair, d / "flair.nii")
-        write_nifti(case.wm_truth, d / "wm.nii")
-        write_nifti(case.wmh_truth, d / "wmh.nii")
-        if case.confounder is not None:
-            write_nifti(case.confounder, d / "confounder.nii")
-        entries.append({"case_id": case.case_id, "seed": case.seed})
-        del case  # not held while the next case is generated
-    manifest = {"config": asdict(cfg), "cases": entries}
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    if out.exists():
+        raise FileExistsError(f"{out} already exists; a dataset must go to a new directory")
+    partial = out.with_name(f".{out.name}.partial")
+    partial.mkdir(parents=True)
+    try:
+        entries = []
+        for case in cases:
+            d = partial / case.case_id
+            d.mkdir()
+            volumes = case.t1, case.flair, case.wm_truth, case.wmh_truth
+            for name, v in zip(CASE_FILES, volumes):
+                write_nifti(v, d / name)
+            entries.append({"case_id": case.case_id, "seed": case.seed})
+            del case, volumes, v  # not held while the next case is generated
+        text = json.dumps({"config": asdict(cfg), "cases": entries}, indent=2, sort_keys=True)
+        (partial / "manifest.json").write_text(text + "\n")
+        partial.rename(out)
+    except BaseException:
+        shutil.rmtree(partial)
+        raise
     return [e["case_id"] for e in entries]
 
 
-def load_dataset(data_dir: str | Path) -> tuple[list[PhantomCase], PhantomConfig]:
-    root = Path(data_dir)
-    manifest = json.loads((root / "manifest.json").read_text())
-    cfg = PhantomConfig.from_dict(manifest["config"])
-    cases = []
-    for entry in manifest["cases"]:
-        d = root / entry["case_id"]
-        conf_path = d / "confounder.nii"
-        cases.append(
-            PhantomCase(
-                case_id=entry["case_id"],
-                t1=read_nifti(d / "t1.nii"),
-                flair=read_nifti(d / "flair.nii"),
-                wm_truth=read_nifti_mask(d / "wm.nii"),
-                wmh_truth=read_nifti_mask(d / "wmh.nii"),
-                seed=entry["seed"],
-                confounder=read_nifti_mask(conf_path) if conf_path.exists() else None,
-            )
-        )
-    return cases, cfg
+def load_dataset(data_dir: str | Path) -> list[PhantomCase]:
+    """Every case directory of `data_dir` (see `case_dirs`) with its four
+    volumes, T1 and FLAIR checked by `read_images`."""
+    return [PhantomCase(d.name, *read_images(d), read_nifti_mask(d / "wm.nii"),
+                        read_nifti_mask(d / "wmh.nii"))
+            for d in case_dirs(data_dir, *CASE_FILES)]

@@ -27,7 +27,7 @@ from .training import (
     predict_probabilities,
     train,
 )
-from .volume_io import BinaryMask3D, Volume3D
+from .volume_io import BinaryMask3D, Volume3D, require_finite
 
 
 # white matter refinement: largest 6-connected component, then a 6-connected
@@ -41,13 +41,6 @@ class PipelineError(RuntimeError):
     pass
 
 
-def _require_finite(channel: str, v: Volume3D) -> None:
-    """A NaN or infinity would spread and empty a mask without a word."""
-    bad = v.data.size - np.count_nonzero(np.isfinite(v.data))
-    if bad:
-        raise ValueError(f"{channel} volume has non-finite voxels: {bad}")
-
-
 def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
     """Per-slice forward pass on T1, threshold, keep the largest connected
     component, then dilate for full coverage."""
@@ -55,7 +48,7 @@ def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
         raise PipelineError(
             f"white matter model expects 1 input channel, has {wm_model.spec.in_channels}"
         )
-    _require_finite("t1", t1)
+    require_finite("t1", t1)
     probs = predict_probabilities(wm_model, axial_planes(t1.data))
     raw = BinaryMask3D(data=(probs >= THRESHOLD).astype(np.uint8), spacing=t1.spacing)
     if raw.voxel_count() == 0:
@@ -72,8 +65,8 @@ def stack_case_channels(t1: Volume3D, flair: Volume3D, wm_mask: BinaryMask3D) ->
         raise ValueError(f"t1/flair grid mismatch: {t1.data.shape} vs {flair.data.shape}")
     if t1.spacing != flair.spacing:
         raise ValueError(f"t1/flair spacing mismatch: {t1.spacing} vs {flair.spacing}")
-    _require_finite("t1", t1)
-    _require_finite("flair", flair)
+    require_finite("t1", t1)
+    require_finite("flair", flair)
     t1n = normalize_to_mask(t1, wm_mask)
     flairn = normalize_to_mask(flair, wm_mask)
     return axial_planes(t1n.data, flairn.data)
@@ -117,7 +110,7 @@ def wm_training_cases(phantom_cases) -> list[TrainingCase]:
     non-finite T1 voxel raises ValueError naming the case."""
     tcs = []
     for c in phantom_cases:
-        _require_finite(f"{c.case_id} t1", c.t1)
+        require_finite(f"{c.case_id} t1", c.t1)
         tcs.append(TrainingCase(
             case_id=c.case_id,
             images=axial_planes(c.t1.data),

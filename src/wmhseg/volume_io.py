@@ -121,6 +121,13 @@ class Volume3D:
         return sx * sy * sz
 
 
+def require_finite(name: str, v: Volume3D) -> None:
+    """A NaN or infinity would spread and empty a mask without a word."""
+    bad = v.data.size - np.count_nonzero(np.isfinite(v.data))
+    if bad:
+        raise ValueError(f"{name} volume has non-finite voxels: {bad}")
+
+
 def _binary_uint8(data: np.ndarray) -> np.ndarray:
     """`data` as uint8 (uint8 is kept without a copy), after checking that
     every value is exactly 0 or 1."""

@@ -351,6 +351,10 @@ MALFORMED = {
         "index differs",
     ),
     "trailing-bytes": (lambda raw: raw + b"\0" * 8, "trailing bytes"),
+    # 200 bytes end inside the JSON index, and a 0xff byte is not UTF-8
+    "index-cut-short": (lambda raw: raw[:200], "bad.ckpt: malformed checkpoint index"),
+    "index-not-utf8": (lambda raw: raw[:20] + b"\xff" + raw[21:],
+                       "bad.ckpt: malformed checkpoint index"),
 }
 
 

@@ -17,7 +17,7 @@ from wmhseg.architectures import Network, build_resunet, build_trimmed_unet
 from wmhseg.checkpoint import load_checkpoint
 from wmhseg.cli import build_parser, dispatch
 from wmhseg.metrics import dice, evaluate_case, rank_teams, summarize_cases
-from wmhseg.phantom import load_dataset
+from wmhseg.phantom import PhantomConfig, load_dataset
 from wmhseg.pipeline import (
     run_ablation,
     segment_white_matter,
@@ -97,13 +97,12 @@ class TestPhantomCommand:
 
     # sha256 of each kind of file `phantom --cases 10 --seed 42` writes (the
     # acceptance training set), its bytes concatenated over the cases in
-    # order, and of manifest.json
+    # order, and of manifest.json, which lists every case but reads nowhere
     PINNED_FILES = {
         "t1.nii": "ce16275b01d90c5082dc4bd7dcb328325594ec672a1217f7613ec985e1c360d0",
         "flair.nii": "ad9f404804a7c5ad67afeaa6d9347292ae992ee9884745f37f8faa73425383de",
         "wm.nii": "32aaf63f60b78796d84728fa72ba127b0e3c3152b97590dc6ff59bd470cee662",
         "wmh.nii": "e071f1d939eb8378b5f66479b340119a73d5f34a449507c6638285312731ea9c",
-        "confounder.nii": "ca9875007fa35a81ceea36fcd0a8d8a7cb54a6e72f00dfb5a9cfa4086ac907e9",
         "manifest.json": "3c28c1308788b002be64cfd203a21a0bc3168684b8d169104e8135eab37f992d",
     }
 
@@ -127,18 +126,18 @@ class TestPhantomCommand:
     def test_memory_independent_of_case_count(self, tmp_path):
         """The command holds one generated case at a time, so 8 cases
         peak where 1 does."""
-        def peak(n_cases):
+        def peak(n_cases, name):  # `name`: phantom writes only to a new directory
             tracemalloc.start()
             try:
-                assert run(["phantom", "--out", str(tmp_path / f"d{n_cases}"),
+                assert run(["phantom", "--out", str(tmp_path / name),
                             "--cases", str(n_cases), "--seed", "5",
-                            "--report", str(tmp_path / f"r{n_cases}.json")]) == 0
+                            "--report", str(tmp_path / f"{name}.json")]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(1)  # warm-up: first-call costs are not a case's
-        one, eight = peak(1), peak(8)
+        peak(1, "warm-up")  # first-call costs are not a case's
+        one, eight = peak(1, "one"), peak(8, "eight")
         assert eight <= 1.25 * one, (one, eight)
 
     def test_failure_part_way_leaves_no_loadable_dataset(self, tmp_path, monkeypatch):
@@ -153,11 +152,31 @@ class TestPhantomCommand:
         out = tmp_path / "d"
         assert run(["phantom", "--out", str(out), "--cases", "3", "--seed", "1",
                     "--report", str(tmp_path / "r.json")]) == 1
-        assert (out / "case_000" / "t1.nii").is_file()  # written before the failure
-        assert not (out / "manifest.json").exists()
+        assert "could not place sphere" in json.loads((tmp_path / "r.json").read_text())["error"]
+        # case_000 went into a sibling directory, removed with it
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
         assert run(["train-wm", "--data", str(out), "--out", str(tmp_path / "wm.ckpt"),
                     "--report", str(tmp_path / "t.json")]) == 1
         assert not (tmp_path / "wm.ckpt").exists()
+        assert run(["predict", "--data", str(out), "--out", str(tmp_path / "pred"),
+                    "--wm-checkpoint", "wm.ckpt", "--wmh-checkpoint", "wmh.ckpt",
+                    "--report", str(tmp_path / "p.json")]) == 1
+        assert not (tmp_path / "pred").exists()
+
+    def test_existing_out_exits_1_and_is_left_unchanged(self, tmp_path):
+        out = tmp_path / "d"
+        (out / "case_000").mkdir(parents=True)
+        (out / "case_000" / "t1.nii").write_bytes(b"not a volume")
+        (out / "notes.txt").write_text("kept\n")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        rpt = tmp_path / "fail.json"
+        assert run(["phantom", "--out", str(out), "--cases", "1", "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("phantom", "error")
+        assert f"{out} already exists" in report["error"]
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert sorted(p.name for p in out.rglob("*")) == ["case_000", "notes.txt", "t1.nii"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "fail.json"]
 
 
 def with_nan_voxel(src, dst):
@@ -188,8 +207,7 @@ class TestTraining:
     def test_train_wmh_writes_the_lesion_network_trained_in_memory(self, dataset, trained):
         # generated cases hold the float32 values their files store, so the
         # CLI and an in-memory run (the acceptance run's) train one network
-        _, cfg = load_dataset(dataset)
-        cases = list(phantom.generate_dataset(cfg, 4, 3))
+        cases = list(phantom.generate_dataset(PhantomConfig(), 4, 3))
         train_cfg = TrainConfig(epochs=6, seed=1)
         wm_net, _ = train(build_trimmed_unet(base_width=4, depth=3),
                           wm_training_cases(cases), train_cfg)
@@ -212,7 +230,7 @@ class TestTraining:
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("train-wmh", "error")
-        assert "flair volume has non-finite voxels: 1" in report["error"]
+        assert "case_001 flair volume has non-finite voxels: 1" in report["error"]
         assert not out.exists()
 
     def test_train_wm_with_a_nan_t1_voxel_in_the_validation_case_exits_1(
@@ -253,24 +271,22 @@ class TestTraining:
         assert {k: config[k] for k in ("epochs", "seed", "batch_size", "max_iterations")} == {
             "epochs": 1, "seed": 3, "batch_size": 4, "max_iterations": None}
 
-    def test_manifest_with_phantom_seed_fails(self, tmp_path, dataset):
-        # manifests written while PhantomConfig had a `seed` field carry it
-        old = tmp_path / "old"
-        shutil.copytree(dataset, old)
-        manifest = json.loads((old / "manifest.json").read_text())
-        manifest["config"]["seed"] = 3
-        (old / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(TypeError, match="seed"):
-            load_dataset(old)
-        assert run(["train-wm", "--data", str(old), "--out",
-                    str(tmp_path / "wm.ckpt")]) == 1
+    def test_dataset_without_a_manifest_trains(self, tmp_path, dataset):
+        # the manifest is a record of how the phantom was made; no command reads it
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        (data / "manifest.json").unlink()
+        assert [c.case_id for c in load_dataset(data)] == [f"case_{i:03d}" for i in range(4)]
+        assert run(["train-wm", "--data", str(data), "--out", str(tmp_path / "wm.ckpt"),
+                    "--base-width", "2", "--depth", "2", "--max-iterations", "1",
+                    "--report", str(tmp_path / "t.json")]) == 0
 
 
 class TestAblation:
     @pytest.fixture(scope="class")
     def ablation(self, dataset, trained):
         """The ablation on the stage-1 masks of the CLI checkpoint, 3 iterations."""
-        cases, _ = load_dataset(dataset)
+        cases = load_dataset(dataset)
         wm_net = load_checkpoint(trained[0])
         masks = [segment_white_matter(c.t1, wm_net) for c in cases]
         train_cfg = TrainConfig(epochs=1, seed=2, max_iterations=3)
@@ -356,7 +372,7 @@ class TestAblation:
         # An entrant that predicts nothing has no H95 on any case. The
         # report carries null for that mean, never the bare token NaN, so it
         # is valid JSON that strict parsers read.
-        cases, _ = load_dataset(dataset)
+        cases = load_dataset(dataset)
         val_ids = [c.case_id for c in cases[:2]]
 
         def predicts_nothing(spec, tcs, cfg):
@@ -439,7 +455,7 @@ class TestPredictEvaluate:
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("predict", "error")
-        assert f"{channel} volume has non-finite voxels: 1" in report["error"]
+        assert f"case_000 {channel} volume has non-finite voxels: 1" in report["error"]
         assert not (tmp_path / "out" / "case_000" / "wmh.nii").exists()
 
     @pytest.mark.parametrize("kind", ["grid", "spacing"])
@@ -510,9 +526,9 @@ class TestPredictEvaluate:
 
     def test_evaluate_refuses_case_sets_that_differ(self, tmp_path, dataset):
         # one prediction against a four-case truth, and a stray prediction
-        (tmp_path / "pred" / "case_000").mkdir(parents=True)
-        shutil.copy(dataset / "case_000" / "wmh.nii", tmp_path / "pred" / "case_000")
-        (tmp_path / "pred" / "extra").mkdir()
+        for case in ("case_000", "extra"):
+            (tmp_path / "pred" / case).mkdir(parents=True)
+            shutil.copy(dataset / "case_000" / "wmh.nii", tmp_path / "pred" / case)
         rpt = tmp_path / "fail.json"
         code = run(["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(dataset),
                     "--team", "us", "--report", str(rpt)])
@@ -758,3 +774,66 @@ class TestErrors:
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("evaluate", "error")
+
+    def test_predict_with_a_checkpoint_cut_short_exits_1_naming_it(self, tmp_path, dataset,
+                                                                     trained):
+        # 200 bytes end inside the JSON index, which once failed with the bare
+        # JSON decoder message
+        cut = tmp_path / "wm.ckpt"
+        cut.write_bytes(trained[0].read_bytes()[:200])
+        rpt = tmp_path / "fail.json"
+        assert run(["predict", "--data", str(dataset), "--out", str(tmp_path / "pred"),
+                    "--wm-checkpoint", str(cut), "--wmh-checkpoint", str(trained[1]),
+                    "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("predict", "error")
+        assert report["error"].startswith(f"{cut}: malformed checkpoint index or spec: ")
+        assert not (tmp_path / "pred").exists()
+
+
+def faulty_root(dataset, root, fault, needed):
+    """`root` as a dataset with `fault`, and the text its error must hold:
+    `case_001` without the file `needed`, no case directory at all, or a
+    stray empty sub-directory beside the four cases."""
+    if fault == "empty-root":
+        root.mkdir()
+        return str(root)
+    shutil.copytree(dataset, root)
+    if fault == "missing-file":
+        (root / "case_001" / needed).unlink()
+        return f"case_001/{needed}"
+    (root / "stray").mkdir()
+    return "stray/"
+
+
+class TestFaultMatrix:
+    """Every command that reads case directories lists them by one rule
+    (`phantom.case_dirs`), so each fault exits 1 with an error naming the
+    file or the root, before any case is read or written."""
+
+    @pytest.mark.parametrize("fault", ["missing-file", "empty-root", "stray-directory"])
+    @pytest.mark.parametrize("command", ["train-wm", "predict", "evaluate"])
+    def test_case_directory_fault_exits_1_naming_it(self, tmp_path, dataset, trained, capsys,
+                                                    command, fault):
+        root = tmp_path / "data"
+        needed = {"train-wm": "wm.nii", "predict": "flair.nii", "evaluate": "wmh.nii"}[command]
+        named = faulty_root(dataset, root, fault, needed)
+        out = tmp_path / "out"
+        argv = {
+            "train-wm": ["--data", str(root), "--out", str(out), "--base-width", "2",
+                         "--depth", "2", "--max-iterations", "1"],
+            "predict": ["--data", str(root), "--out", str(out),
+                        "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1])],
+            "evaluate": ["--pred-dir", str(dataset), "--gt-dir", str(root),
+                         "--out-csv", str(out)],
+        }[command]
+        rpt = tmp_path / "fail.json"
+        capsys.readouterr()
+        assert run([command, *argv, "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == (command, "error")
+        assert named in report["error"]
+        if fault == "stray-directory":
+            assert report["error"].startswith("stray/") and ".nii is missing" in report["error"]
+        assert '"status": "ok"' not in capsys.readouterr().out
+        assert not out.exists()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import weakref
 
 import numpy as np
@@ -186,14 +187,18 @@ class TestDatasetIO:
     def test_save_load_round_trip(self, tmp_path):
         cases = list(generate_dataset(CFG, 2, seed=31))
         save_dataset(cases, CFG, tmp_path / "d")
-        loaded, cfg = load_dataset(tmp_path / "d")
-        assert cfg == CFG
+        loaded = load_dataset(tmp_path / "d")
         assert [c.case_id for c in loaded] == [c.case_id for c in cases]
-        # volumes went through float32 NIfTI: compare at float32 resolution
+        # the file order values the cases hold are the ones read back
         for a, b in zip(cases, loaded):
-            assert np.allclose(a.t1.data, b.t1.data, atol=1e-6)
-            assert np.array_equal(a.wmh_truth.data, b.wmh_truth.data)
-            assert np.array_equal(a.confounder.data, b.confounder.data)
+            for kind in ("t1", "flair", "wm_truth", "wmh_truth"):
+                assert np.array_equal(getattr(a, kind).data, getattr(b, kind).data)
+            # the seed and confounder are recorded or dropped, not read back
+            assert (b.seed, b.confounder) == (None, None)
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["cases"] == [{"case_id": c.case_id, "seed": c.seed} for c in cases]
+        assert sorted(p.name for p in (tmp_path / "d" / "case_000").iterdir()) == [
+            "flair.nii", "t1.nii", "wm.nii", "wmh.nii"]
 
     def test_directory_content_deterministic(self, tmp_path):
         for name in ("a", "b"):
@@ -216,14 +221,16 @@ class TestDatasetIO:
             for i in range(3):
                 if i:
                     assert refs[-1]() is None  # nothing holds the written case
-                    assert (out / f"case_{i - 1:03d}" / "confounder.nii").is_file()
-                    assert not (out / "manifest.json").exists()
+                    # written into the sibling that becomes `out` at the end
+                    assert (tmp_path / ".d.partial" / f"case_{i - 1:03d}" / "wmh.nii").is_file()
+                    assert not out.exists()
                 yield track(next(source))
 
         assert save_dataset(stream(), CFG, out) == ["case_000", "case_001", "case_002"]
         assert len(refs) == 3
-        loaded, _ = load_dataset(out)
-        assert [c.seed for c in loaded] == [c.seed for c in generate_dataset(CFG, 3, seed=33)]
+        assert not (tmp_path / ".d.partial").exists()
+        seeds = [e["seed"] for e in json.loads((out / "manifest.json").read_text())["cases"]]
+        assert seeds == [c.seed for c in generate_dataset(CFG, 3, seed=33)]
 
 
 # sha256 of each volume's array bytes (float32 T1 and FLAIR, uint8 masks),
