@@ -97,7 +97,7 @@ class TestPhantomCommand:
 
     # sha256 of each kind of file `phantom --cases 10 --seed 42` writes (the
     # acceptance training set), its bytes concatenated over the cases in
-    # order, and of manifest.json, which lists every case but reads nowhere
+    # order, and of manifest.json, which no command reads
     PINNED_FILES = {
         "t1.nii": "ce16275b01d90c5082dc4bd7dcb328325594ec672a1217f7613ec985e1c360d0",
         "flair.nii": "ad9f404804a7c5ad67afeaa6d9347292ae992ee9884745f37f8faa73425383de",
@@ -162,6 +162,8 @@ class TestPhantomCommand:
                     "--wm-checkpoint", "wm.ckpt", "--wmh-checkpoint", "wmh.ckpt",
                     "--report", str(tmp_path / "p.json")]) == 1
         assert not (tmp_path / "pred").exists()
+        for rpt in ("t.json", "p.json"):  # both name the missing dataset
+            assert str(out) in json.loads((tmp_path / rpt).read_text())["error"]
 
     def test_existing_out_exits_1_and_is_left_unchanged(self, tmp_path):
         out = tmp_path / "d"
