@@ -33,8 +33,8 @@ from .metrics import (
     write_case_csv,
     write_rank_csv,
 )
-from .phantom import (PhantomConfig, case_dirs, generate_dataset, load_dataset, read_images,
-                      save_dataset)
+from .phantom import (PhantomConfig, case_dirs, generate_dataset, load_dataset, new_directory,
+                      read_images, save_dataset)
 from .pipeline import (
     run_ablation,
     segment_white_matter,
@@ -130,29 +130,23 @@ def _predict_one(case_dir: Path, out_dir: Path, wm_net, wmh_net) -> dict:
     wm_mask = segment_white_matter(t1, wm_net)
     wmh_mask = segment_wmh(t1, flair, wm_mask, wmh_net)
     d = out_dir / case_dir.name
-    d.mkdir(parents=True, exist_ok=True)
+    d.mkdir()
     write_nifti(wmh_mask, d / "wmh.nii")
     write_nifti(wm_mask, d / "wm.nii")
     n_wmh, n_wm, vox = wmh_mask.voxel_count(), wm_mask.voxel_count(), t1.voxel_volume_mm3()
-    record = {"case_id": case_dir.name, "wmh_voxels": n_wmh, "wmh_volume_mm3": n_wmh * vox,
-              "wm_voxels": n_wm, "wm_volume_mm3": n_wm * vox}
-    (d / "report.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return record
+    return {"case_id": case_dir.name, "wmh_voxels": n_wmh, "wmh_volume_mm3": n_wmh * vox,
+            "wm_voxels": n_wm, "wm_volume_mm3": n_wm * vox}
 
 
 def cmd_predict(args) -> dict:
-    """Writes <out>/<case_id>/{wmh.nii, wm.nii, report.json} for each case
-    directory of --data. A case directory of a dataset holds its truth
-    masks under those names, so --out may not be --data."""
-    data, out_dir = Path(args.data), Path(args.out)
-    if out_dir.resolve() == data.resolve():
-        raise ValueError(f"--out {args.out} is --data: predictions would overwrite "
-                         "the truth masks wm.nii and wmh.nii")
-    cases = case_dirs(data, "t1.nii", "flair.nii")
-    wm_net = load_checkpoint(args.wm_checkpoint)
-    wmh_net = load_checkpoint(args.wmh_checkpoint)
-    log.info("predicting %d cases", len(cases))
-    return {"cases": [_predict_one(d, out_dir, wm_net, wmh_net) for d in cases]}
+    """Writes <out>/<case_id>/{wmh.nii, wm.nii} for each case of --data, all
+    through `new_directory`: --out is new (so never --data), and a failure leaves none."""
+    cases = case_dirs(args.data, "t1.nii", "flair.nii")
+    with new_directory(args.out) as out_dir:
+        wm_net = load_checkpoint(args.wm_checkpoint)
+        wmh_net = load_checkpoint(args.wmh_checkpoint)
+        log.info("predicting %d cases", len(cases))
+        return {"cases": [_predict_one(d, out_dir, wm_net, wmh_net) for d in cases]}
 
 
 def cmd_evaluate(args) -> dict:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -264,20 +265,29 @@ def read_images(case_dir: Path) -> tuple[Volume3D, Volume3D]:
     return images
 
 
-def save_dataset(cases: Iterable[PhantomCase], cfg: PhantomConfig,
-                 out_dir: str | Path) -> list[str]:
-    """Write each case as the iterable yields it and drop it before taking
-    the next, then manifest.json, the config and each case's id and seed.
-    Returns the case ids in order. The write goes into the fresh sibling
-    `.<name>.partial`, renamed to `out_dir` after the manifest and removed
-    if anything fails, so a failure part-way leaves nothing to read. An
-    existing `out_dir` raises FileExistsError before any case is taken."""
+@contextmanager
+def new_directory(out_dir: str | Path) -> Iterator[Path]:
+    """Yields the fresh sibling `.<name>.partial`, renamed to `out_dir` when the block
+    ends or removed if it raises; an existing `out_dir` raises FileExistsError."""
     out = Path(out_dir)
     if out.exists():
-        raise FileExistsError(f"{out} already exists; a dataset must go to a new directory")
+        raise FileExistsError(f"{out} already exists; the output must go to a new directory")
     partial = out.with_name(f".{out.name}.partial")
     partial.mkdir(parents=True)
     try:
+        yield partial
+        partial.rename(out)
+    except BaseException:
+        shutil.rmtree(partial)
+        raise
+
+
+def save_dataset(cases: Iterable[PhantomCase], cfg: PhantomConfig,
+                 out_dir: str | Path) -> list[str]:
+    """Write each case as the iterable yields it and drop it before taking
+    the next, then manifest.json, the config and each case's id and seed,
+    through `new_directory`. Returns the case ids in order."""
+    with new_directory(out_dir) as partial:
         entries = []
         for case in cases:
             d = partial / case.case_id
@@ -289,10 +299,6 @@ def save_dataset(cases: Iterable[PhantomCase], cfg: PhantomConfig,
             del case, volumes, v  # not held while the next case is generated
         text = json.dumps({"config": asdict(cfg), "cases": entries}, indent=2, sort_keys=True)
         (partial / "manifest.json").write_text(text + "\n")
-        partial.rename(out)
-    except BaseException:
-        shutil.rmtree(partial)
-        raise
     return [e["case_id"] for e in entries]
 
 

@@ -411,37 +411,57 @@ class TestAblation:
 class TestPredictEvaluate:
     def test_predict_writes_masks_and_reports(self, tmp_path, dataset, trained):
         wm, wmh = trained
-        out = tmp_path / "pred"
+        out, rpt = tmp_path / "pred", tmp_path / "predict.json"
         assert run(
             ["predict", "--data", str(dataset), "--out", str(out),
-             "--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh)]
+             "--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh), "--report", str(rpt)]
         ) == 0
-        case_dirs = sorted(p for p in out.iterdir() if p.is_dir())
-        assert len(case_dirs) == 4
-        for d in case_dirs:
-            assert (d / "wmh.nii").exists()
-            assert (d / "wm.nii").exists()
-            rep = json.loads((d / "report.json").read_text())
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert written == [f"case_{i:03d}/{name}" for i in range(4) for name in ("wm.nii",
+                                                                              "wmh.nii")]
+        records = json.loads(rpt.read_text())["outputs"]["cases"]
+        assert [r["case_id"] for r in records] == [f"case_{i:03d}" for i in range(4)]
+        for rep in records:
             assert rep["wmh_volume_mm3"] == rep["wmh_voxels"] * 3.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pred", "predict.json"]
 
     def test_predict_confines_lesions_to_the_written_white_matter(self, tmp_path, dataset,
                                                                   trained):
         wm, wmh = trained
         data = one_case_dir(dataset, tmp_path / "data")
+        rpt = tmp_path / "predict.json"
         assert run(["predict", "--data", str(data), "--out", str(tmp_path / "pred"),
-                    "--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh)]) == 0
+                    "--wm-checkpoint", str(wm), "--wmh-checkpoint", str(wmh),
+                    "--report", str(rpt)]) == 0
         out = tmp_path / "pred" / "case_000"
         lesions, white_matter = (read_nifti_mask(out / f"{kind}.nii")
                                  for kind in ("wmh", "wm"))
         assert lesions.voxel_count() > 0
         assert not np.any(lesions.data & ~white_matter.data)
-        report = json.loads((out / "report.json").read_text())
+        [report] = json.loads(rpt.read_text())["outputs"]["cases"]
         voxel_mm3 = float(np.prod(white_matter.spacing))
         assert report == {"case_id": "case_000",
                           "wmh_voxels": lesions.voxel_count(),
                           "wmh_volume_mm3": lesions.voxel_count() * voxel_mm3,
                           "wm_voxels": white_matter.voxel_count(),
                           "wm_volume_mm3": white_matter.voxel_count() * voxel_mm3}
+
+    def test_predict_failing_on_a_later_case_leaves_no_output(self, tmp_path, dataset,
+                                                             trained):
+        # case_000 is predicted and written before case_001's NaN is read
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        flair = data / "case_001" / "flair.nii"
+        with_nan_voxel(flair, flair)
+        rpt = tmp_path / "fail.json"
+        code = run(["predict", "--data", str(data), "--out", str(tmp_path / "pred"),
+                    "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1]),
+                    "--report", str(rpt)])
+        assert code == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("predict", "error")
+        assert "case_001 flair volume has non-finite voxels: 1" in report["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "fail.json"]
 
     @pytest.mark.parametrize("channel", ["t1", "flair"])
     def test_single_case_mode_nan_voxel_exits_1(self, tmp_path, dataset, trained, channel):
@@ -478,22 +498,36 @@ class TestPredictEvaluate:
         assert f"t1/flair {kind} mismatch" in report["error"]
         assert not (tmp_path / "out" / "case_000" / "wmh.nii").exists()
 
-    def test_predict_refuses_out_equal_to_data(self, tmp_path, dataset, trained):
-        # a phantom case directory holds its truth as wm.nii and wmh.nii,
-        # the names predict writes
-        data = tmp_path / "data"
+    @staticmethod
+    def refused_predict(root, dataset, out):
+        """Run predict from a copy of `dataset` at `root/data` into `root/out`
+        beside an existing `root/pred`, with checkpoints that do not exist,
+        and check that it exits 1 before it reads them and changes nothing."""
+        data = root / "data"
         shutil.copytree(dataset, data)
-        truth = {p: p.read_bytes() for p in sorted(data.rglob("*.nii"))}
-        rpt = tmp_path / "fail.json"
-        code = run(["predict", "--data", str(data), "--out", f"{tmp_path}/./data/",
-                    "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1]),
+        (root / "pred" / "case_000").mkdir(parents=True)
+        (root / "pred" / "notes.txt").write_text("kept\n")
+        before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+        rpt, missing = root / "fail.json", str(root / "missing.ckpt")
+        code = run(["predict", "--data", str(data), "--out", f"{root}/{out}",
+                    "--wm-checkpoint", missing, "--wmh-checkpoint", missing,
                     "--report", str(rpt)])
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("predict", "error")
-        assert "is --data" in report["error"]
-        assert {p: p.read_bytes() for p in sorted(data.rglob("*.nii"))} == truth
-        assert not list(data.rglob("report.json"))
+        assert "already exists" in report["error"]
+        rpt.unlink()
+        assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+        assert sorted(p.name for p in root.iterdir()) == ["data", "pred"]
+
+    def test_predict_refuses_out_equal_to_data(self, tmp_path, dataset):
+        # a phantom case directory holds its truth as wm.nii and wmh.nii,
+        # the names predict writes; --data exists, so the general rule refuses it
+        self.refused_predict(tmp_path, dataset, "./data/")
+
+    def test_predict_into_an_existing_out_exits_1_and_changes_nothing(self, tmp_path,
+                                                                      dataset):
+        self.refused_predict(tmp_path, dataset, "pred")
 
     def test_predict_needs_data_or_pair(self, tmp_path):
         # --data is required, and a --t1/--flair pair is no longer an input:

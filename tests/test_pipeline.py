@@ -135,6 +135,7 @@ class TestRunPipeline:
         (tmp_path / "c").mkdir()
         for kind in ("t1", "flair"):
             write_nifti(getattr(phantom_case, kind), tmp_path / "c" / f"{kind}.nii")
+        (tmp_path / "out").mkdir()  # predict's staged output directory
         report = _predict_one(tmp_path / "c", tmp_path / "out", *untrained_models)
         sx, sy, sz = phantom_case.t1.spacing
         assert report["wmh_volume_mm3"] == report["wmh_voxels"] * sx * sy * sz
