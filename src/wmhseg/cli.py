@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .architectures import build_resunet, build_trimmed_unet
+from .architectures import Network, build_resunet, build_trimmed_unet
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (
     TeamSummary,
@@ -36,6 +36,8 @@ from .metrics import (
 from .phantom import (PhantomConfig, case_dirs, generate_dataset, load_dataset, new_directory,
                       read_images, save_dataset)
 from .pipeline import (
+    PipelineError,
+    check_model,
     run_ablation,
     segment_white_matter,
     segment_wmh,
@@ -76,6 +78,8 @@ def _add_train_flags(p: argparse.ArgumentParser, base_width: int, depth: int) ->
 
 
 def cmd_phantom(args) -> dict:
+    if args.cases < 1:  # a dataset without a case is one every reading command rejects
+        raise ValueError(f"number of cases must be >= 1, got {args.cases}")
     cfg = PhantomConfig(dims=tuple(args.dims))
     log.info("generating %d phantom cases into %s", args.cases, args.out)
     # streamed: one generated case is held at a time
@@ -83,11 +87,21 @@ def cmd_phantom(args) -> dict:
     return {"dataset_dir": args.out, "case_ids": case_ids}
 
 
+def _load_model(path: str, stage: str) -> Network:
+    """The network of checkpoint `path`, checked by `check_model` as it is
+    loaded, so that a swapped checkpoint fails naming its file before any
+    case is read."""
+    try:
+        return check_model(stage, load_checkpoint(path))
+    except PipelineError as e:
+        raise PipelineError(f"{path}: {e}") from None
+
+
 def _stage1_masks(args) -> tuple[list, list[BinaryMask3D]]:
     """The cases of --data and the white matter mask that --wm-checkpoint
     segments in each."""
     cases = load_dataset(args.data)
-    wm_net = load_checkpoint(args.wm_checkpoint)
+    wm_net = _load_model(args.wm_checkpoint, "white matter")
     log.info("computing stage-1 white matter masks for normalization")
     return cases, [segment_white_matter(c.t1, wm_net) for c in cases]
 
@@ -143,8 +157,8 @@ def cmd_predict(args) -> dict:
     through `new_directory`: --out is new (so never --data), and a failure leaves none."""
     cases = case_dirs(args.data, "t1.nii", "flair.nii")
     with new_directory(args.out) as out_dir:
-        wm_net = load_checkpoint(args.wm_checkpoint)
-        wmh_net = load_checkpoint(args.wmh_checkpoint)
+        wm_net = _load_model(args.wm_checkpoint, "white matter")
+        wmh_net = _load_model(args.wmh_checkpoint, "lesion")
         log.info("predicting %d cases", len(cases))
         return {"cases": [_predict_one(d, out_dir, wm_net, wmh_net) for d in cases]}
 

@@ -227,8 +227,9 @@ def generate_dataset(cfg: PhantomConfig, n_cases: int, seed: int) -> Iterator[Ph
     if seed < 0:
         raise ValueError(f"dataset seed must be >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(n_cases)
+    width = max(3, len(str(n_cases - 1)))  # ids sort in generation order
     return (
-        generate_case(cfg, int(c.generate_state(1)[0]), case_id=f"case_{i:03d}")
+        generate_case(cfg, int(c.generate_state(1)[0]), case_id=f"case_{i:0{width}d}")
         for i, c in enumerate(children)
     )
 

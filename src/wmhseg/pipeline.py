@@ -37,17 +37,28 @@ DILATION_CONNECTIVITY = 6
 DILATION_RADIUS = 2
 
 
+# input channels of each stage's network: T1, then T1 and FLAIR
+STAGE_CHANNELS = {"white matter": 1, "lesion": 2}
+
+
 class PipelineError(RuntimeError):
     pass
+
+
+def check_model(stage: str, model: Network) -> Network:
+    """`model`, if it takes the input channels of `stage` ("white matter"
+    or "lesion"); PipelineError otherwise."""
+    want, has = STAGE_CHANNELS[stage], model.spec.in_channels
+    if has != want:
+        raise PipelineError(f"{stage} model expects {want} input channel{'s' * (want > 1)}, "
+                            f"has {has}")
+    return model
 
 
 def segment_white_matter(t1: Volume3D, wm_model: Network) -> BinaryMask3D:
     """Per-slice forward pass on T1, threshold, keep the largest connected
     component, then dilate for full coverage."""
-    if wm_model.spec.in_channels != 1:
-        raise PipelineError(
-            f"white matter model expects 1 input channel, has {wm_model.spec.in_channels}"
-        )
+    check_model("white matter", wm_model)
     require_finite("t1", t1)
     probs = predict_probabilities(wm_model, axial_planes(t1.data))
     raw = BinaryMask3D(data=(probs >= THRESHOLD).astype(np.uint8), spacing=t1.spacing)
@@ -77,10 +88,7 @@ def segment_wmh(
 ) -> BinaryMask3D:
     """Lesion segmentation on normalized 2-channel slices; predictions
     outside the white matter mask are zeroed."""
-    if wmh_model.spec.in_channels != 2:
-        raise PipelineError(
-            f"lesion model expects 2 input channels, has {wmh_model.spec.in_channels}"
-        )
+    check_model("lesion", wmh_model)
     if wm_mask.voxel_count() == 0:
         raise PipelineError("white matter mask is empty")
     probs = predict_probabilities(wmh_model, stack_case_channels(t1, flair, wm_mask))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -270,6 +271,16 @@ def _parse_header(raw: bytes) -> NiftiHeaderSubset:
     )
 
 
+@contextmanager
+def _naming(path: str | Path):
+    """Prefixes `path` to a ValueError raised in the block, keeping its
+    type, so that every read error names its file."""
+    try:
+        yield
+    except ValueError as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
 def read_nifti(path: str | Path) -> Volume3D:
     """Read an uncompressed single-file NIfTI-1 volume.
 
@@ -280,30 +291,30 @@ def read_nifti(path: str | Path) -> Volume3D:
     value = slope*raw + inter into a C-ordered float64 array. Raises a
     distinct VolumeIOError subclass for each malformation (wrong magic,
     unsupported datatype, gzip stream, extra axes, non-finite scaling,
-    truncated payload).
+    truncated payload), its message prefixed with `path`.
     """
     raw = Path(path).read_bytes()
-    hdr = _parse_header(raw)
-
-    dtype = _DTYPE_BY_CODE[hdr.datatype].newbyteorder(">" if hdr.big_endian else "<")
-    nx, ny, nz = hdr.dims
-    count = nx * ny * nz
-    available = max(len(raw) - hdr.vox_offset, 0)
-    if available < count * dtype.itemsize:
-        raise TruncatedPayloadError(
-            f"payload has {available} bytes, expected {count * dtype.itemsize}"
-        )
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=hdr.vox_offset)
-    data = flat.reshape((nx, ny, nz), order="F")  # the file is x-fastest
-    if hdr.scl_slope != 0.0:
-        data = hdr.scl_slope * data.astype(np.float64, order="C") + hdr.scl_inter
-    return Volume3D(data=data, spacing=hdr.pixdim)
+    with _naming(path):
+        hdr = _parse_header(raw)
+        dtype = _DTYPE_BY_CODE[hdr.datatype].newbyteorder(">" if hdr.big_endian else "<")
+        nx, ny, nz = hdr.dims
+        count = nx * ny * nz
+        available = max(len(raw) - hdr.vox_offset, 0)
+        if available < count * dtype.itemsize:
+            raise TruncatedPayloadError(
+                f"payload has {available} bytes, expected {count * dtype.itemsize}"
+            )
+        flat = np.frombuffer(raw, dtype=dtype, count=count, offset=hdr.vox_offset)
+        data = flat.reshape((nx, ny, nz), order="F")  # the file is x-fastest
+        if hdr.scl_slope != 0.0:
+            data = hdr.scl_slope * data.astype(np.float64, order="C") + hdr.scl_inter
+        return Volume3D(data=data, spacing=hdr.pixdim)
 
 
 def read_nifti_mask(path: str | Path) -> BinaryMask3D:
     """Read a NIfTI file expected to contain a {0,1} mask. The values are
     checked as stored (after scl_slope scaling), so a probability map or
-    an integer label outside {0, 1} raises ValueError.
+    an integer label outside {0, 1} raises ValueError naming `path`.
 
     One scan of the file's values finds the foreground in file order; its
     indices, mapped to C order and sorted, become the mask's `foreground`.
@@ -312,7 +323,8 @@ def read_nifti_mask(path: str | Path) -> BinaryMask3D:
     grid, and the mask is never scanned again.
     """
     v = read_nifti(path)
-    stored = _binary_uint8(v.data).reshape(-1, order="F")  # file order
+    with _naming(path):
+        stored = _binary_uint8(v.data).reshape(-1, order="F")  # file order
     fg = np.sort(_transposed_flat_index(_scan_foreground(stored), v.dims[::-1]))
     return BinaryMask3D._from_foreground(fg, v.dims, v.spacing)
 

@@ -773,6 +773,7 @@ class TestErrors:
     @pytest.mark.parametrize("flags, message", [
         (["--dims", "0", "64", "8"], "dims"),
         (["--cases", "-1"], "number of cases"),
+        (["--cases", "0"], "number of cases must be >= 1, got 0"),
     ])
     def test_bad_phantom_geometry_exits_1(self, tmp_path, flags, message):
         rpt, out = tmp_path / "fail.json", tmp_path / "phantom"
@@ -842,30 +843,37 @@ def faulty_root(dataset, root, fault, needed):
     return "stray/"
 
 
+def matrix_argv(command, root, out, dataset, trained):
+    """The flags of `command` reading the cases under `root`: the truth side
+    for `evaluate`, whose predictions are the `dataset` masks."""
+    return {
+        "train-wm": ["--data", str(root), "--out", str(out), "--base-width", "2",
+                     "--depth", "2", "--max-iterations", "1"],
+        "predict": ["--data", str(root), "--out", str(out),
+                    "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1])],
+        "evaluate": ["--pred-dir", str(dataset), "--gt-dir", str(root), "--out-csv", str(out)],
+    }[command]
+
+
 class TestFaultMatrix:
     """Every command that reads case directories lists them by one rule
-    (`phantom.case_dirs`), so each fault exits 1 with an error naming the
-    file or the root, before any case is read or written."""
+    (`phantom.case_dirs`), so each fault of the layout exits 1 with an error
+    naming the file or the root, before any case is read or written. A file
+    that cannot be read exits 1 naming it, and leaves no output."""
+
+    NEEDED = {"train-wm": "wm.nii", "predict": "flair.nii", "evaluate": "wmh.nii"}
 
     @pytest.mark.parametrize("fault", ["missing-file", "empty-root", "stray-directory"])
     @pytest.mark.parametrize("command", ["train-wm", "predict", "evaluate"])
     def test_case_directory_fault_exits_1_naming_it(self, tmp_path, dataset, trained, capsys,
                                                     command, fault):
         root = tmp_path / "data"
-        needed = {"train-wm": "wm.nii", "predict": "flair.nii", "evaluate": "wmh.nii"}[command]
-        named = faulty_root(dataset, root, fault, needed)
+        named = faulty_root(dataset, root, fault, self.NEEDED[command])
         out = tmp_path / "out"
-        argv = {
-            "train-wm": ["--data", str(root), "--out", str(out), "--base-width", "2",
-                         "--depth", "2", "--max-iterations", "1"],
-            "predict": ["--data", str(root), "--out", str(out),
-                        "--wm-checkpoint", str(trained[0]), "--wmh-checkpoint", str(trained[1])],
-            "evaluate": ["--pred-dir", str(dataset), "--gt-dir", str(root),
-                         "--out-csv", str(out)],
-        }[command]
         rpt = tmp_path / "fail.json"
         capsys.readouterr()
-        assert run([command, *argv, "--report", str(rpt)]) == 1
+        assert run([command, *matrix_argv(command, root, out, dataset, trained),
+                    "--report", str(rpt)]) == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == (command, "error")
         assert named in report["error"]
@@ -873,3 +881,52 @@ class TestFaultMatrix:
             assert report["error"].startswith("stray/") and ".nii is missing" in report["error"]
         assert '"status": "ok"' not in capsys.readouterr().out
         assert not out.exists()
+
+    # predict reads no mask, so the mask row runs for the commands that do;
+    # 3 is no label of the WMH challenge (1 lesion, 2 other pathology)
+    @pytest.mark.parametrize("command, fault", [
+        ("train-wm", "truncated"), ("predict", "truncated"), ("evaluate", "truncated"),
+        ("train-wm", "mask-value-3"), ("evaluate", "mask-value-3"),
+    ])
+    def test_unreadable_file_exits_1_naming_it(self, tmp_path, dataset, trained, capsys,
+                                               command, fault):
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        bad = root / "case_001" / self.NEEDED[command]
+        if fault == "truncated":  # the header and 648 bytes of the payload
+            bad.write_bytes(bad.read_bytes()[:1000])
+            message = "payload has 648 bytes, expected "
+        else:
+            mask = read_nifti_mask(bad)
+            data = mask.data.copy()
+            data[0, 0, 0] = 3
+            write_nifti(Volume3D(data=data, spacing=mask.spacing), bad)
+            message = "mask values must be exactly 0 or 1"
+        rpt = tmp_path / "fail.json"
+        capsys.readouterr()
+        assert run([command, *matrix_argv(command, root, tmp_path / "out", dataset, trained),
+                    "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == (command, "error")
+        assert report["error"].startswith(f"{bad}: {message}")
+        assert '"status": "ok"' not in capsys.readouterr().out
+        # predict wrote case_000 before it read case_001, into a sibling now removed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "fail.json"]
+
+    @pytest.mark.parametrize("wm, wmh, named, message", [
+        (1, 0, 1, "white matter model expects 1 input channel, has 2"),
+        (0, 0, 0, "lesion model expects 2 input channels, has 1"),
+    ], ids=["swapped", "white-matter-as-lesion"])
+    def test_wrong_checkpoint_exits_1_naming_it_before_any_case_is_read(
+            self, tmp_path, dataset, trained, monkeypatch, wm, wmh, named, message):
+        reads = []
+        monkeypatch.setattr(cli, "read_images", lambda d: reads.append(d))
+        rpt = tmp_path / "fail.json"
+        assert run(["predict", "--data", str(dataset), "--out", str(tmp_path / "out"),
+                    "--wm-checkpoint", str(trained[wm]), "--wmh-checkpoint", str(trained[wmh]),
+                    "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == ("predict", "error")
+        assert report["error"] == f"{trained[named]}: {message}"
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fail.json"]

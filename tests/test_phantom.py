@@ -182,6 +182,15 @@ class TestGenerateDataset:
         cases = generate_dataset(CFG, 3, seed=24)
         assert [c.case_id for c in cases] == ["case_000", "case_001", "case_002"]
 
+    def test_case_ids_sort_in_generation_order_past_1000_cases(self):
+        # every command lists cases by sorted name, and case_1000 once sorted
+        # between case_100 and case_101
+        tiny = PhantomConfig(dims=(4, 4, 1), lesion_count_range=(0, 0), confounder_count=0)
+        ids = [c.case_id for c in generate_dataset(tiny, 1001, seed=25)]
+        assert ids == sorted(ids)
+        assert (ids[0], ids[1000]) == ("case_0000", "case_1000")
+        assert [c.case_id for c in generate_dataset(tiny, 1000, seed=25)][-1] == "case_999"
+
 
 class TestDatasetIO:
     def test_save_load_round_trip(self, tmp_path):

@@ -89,8 +89,9 @@ class TestNifti:
         data[1, 1, 1] = value
         path = tmp_path / "m.nii"
         write_nifti(Volume3D(data=data, spacing=(1, 1, 1)), path)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             read_nifti_mask(path)
+        assert str(info.value) == f"{path}: mask values must be exactly 0 or 1"
 
     def test_mask_reader_applies_scl_slope(self, tmp_path):
         data = np.zeros((3, 3, 3), dtype=np.uint8)
@@ -330,8 +331,14 @@ class TestFuzz:
     def test_malformed_rejected_with_typed_error(self, tmp_path, name, data, exc):
         path = tmp_path / "bad.nii"
         path.write_bytes(data)
-        with pytest.raises(exc):
+        with pytest.raises(exc) as info:
             read_nifti(path)
+        # the subclass is kept, and the message names the file once
+        assert type(info.value) is exc
+        assert str(info.value).startswith(f"{path}: ") and str(info.value).count(str(path)) == 1
+        with pytest.raises(exc) as info:
+            read_nifti_mask(path)
+        assert str(info.value).count(str(path)) == 1
 
     def test_fuzz_corpus_is_large_enough(self):
         assert len(fuzz_cases()) >= 20
