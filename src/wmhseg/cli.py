@@ -99,9 +99,10 @@ def _load_model(path: str, stage: str) -> Network:
 
 def _stage1_masks(args) -> tuple[list, list[BinaryMask3D]]:
     """The cases of --data and the white matter mask that --wm-checkpoint
-    segments in each."""
-    cases = load_dataset(args.data)
+    segments in each. The checkpoint is loaded and checked before any case
+    is read."""
     wm_net = _load_model(args.wm_checkpoint, "white matter")
+    cases = load_dataset(args.data)
     log.info("computing stage-1 white matter masks for normalization")
     return cases, [segment_white_matter(c.t1, wm_net) for c in cases]
 
@@ -154,7 +155,10 @@ def _predict_one(case_dir: Path, out_dir: Path, wm_net, wmh_net) -> dict:
 
 def cmd_predict(args) -> dict:
     """Writes <out>/<case_id>/{wmh.nii, wm.nii} for each case of --data, all
-    through `new_directory`: --out is new (so never --data), and a failure leaves none."""
+    through `new_directory`: --out is new (so never --data), and a failure leaves none.
+    An --out inside --data is refused too, since it would become a stray case there."""
+    if Path(args.data).resolve() in Path(args.out).resolve().parents:
+        raise ValueError(f"--out {args.out} lies inside --data {args.data}")
     cases = case_dirs(args.data, "t1.nii", "flair.nii")
     with new_directory(args.out) as out_dir:
         wm_net = _load_model(args.wm_checkpoint, "white matter")

@@ -13,30 +13,30 @@ the reverse order drives backpropagation.
 Convolutions use zero "same" padding so every stage preserves spatial
 dims; each is one GEMM against its (inC*k*k, B*H*W) im2col columns, and
 its input gradient is the convolution of the upstream gradient with the
-flipped, channel-transposed kernel. A 1x1 conv's columns are its input
-reshaped, with no copy. Max-pool tie-breaking is first occurrence in
-row-major window scan. Forward passes are deterministic: identical inputs
-and parameters produce bit-identical outputs, and the layout changes no
-product and no order of summation. A forward keeps each activation only
-until its last consumer has run.
+flipped, channel-transposed kernel. `_im2col` builds a 3x3 conv's
+columns from whole flattened planes: one zero-padded copy of the input,
+then one contiguous slice copy per tap and one strided zero fill per tap
+that shifts sideways. A 1x1 conv's columns are its input reshaped, with
+no copy. Max-pool tie-breaking is first occurrence in row-major window
+scan. Forward passes are deterministic: identical inputs and parameters
+produce bit-identical outputs, and the layout changes no product and no
+order of summation. A forward keeps each activation only until its last
+consumer has run.
 
 Column buffers: a training forward (keep_cache=True) writes each 3x3 conv
 node's im2col columns into the array that the same node's columns used in
 the previous training forward, whenever its shape and dtype match, and
 allocates a new one otherwise. Every write fills the whole array, its
-zero border strips included. The node keeps that array as `OpNode.cols`
-between steps, so training does not allocate and free tens of MB of
-columns every step; `Graph.release_column_buffers` drops them, and
+zeros included. The node keeps that array as `OpNode.cols` between
+steps, so training does not allocate and free tens of MB of columns
+every step; `Graph.release_column_buffers` drops them, and
 `training.train` calls it when training ends. An inference forward
 allocates its own columns and never writes into those buffers. Backward
 has finished with the columns by the time the next training forward
 overwrites them. The reuse pays: allocating fresh columns every step
 made the pinned benchmark pipeline's `commands_s` 8.5% slower (17.88 ->
 19.40 s medians, slower in 10 of 10 alternating runs on 2 shared vCPUs)
-and its peak RSS 1% higher. Skipping the rewrite of border strips that
-an earlier step had zeroed did not pay: over 8 alternating `train-wmh`
-runs at the pinned config on the same machine, CPU time read 12.99 s
-with the skip and 13.13 s without, slower in only 4 of the 8.
+and its peak RSS 1% higher.
 
 Input gradient: `Graph.backward(..., input_grad=False)`, the training
 path, computes no dL/d(input); the convs that read the input node run no
@@ -87,30 +87,36 @@ def _check4(x: np.ndarray, who: str) -> np.ndarray:
 
 def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) -> (C*k*k, B*H*W) with zero 'same' padding: one column
-    per output pixel of the whole batch. Each tap copies its in-bounds
-    window straight from the input and zeroes only the strips that fall
-    outside it, so no padded copy is made. The columns are written into
-    `out` when its shape and dtype match.
-    Without `out`, k = 1 returns `_channel_rows(x)`."""
+    per output pixel of the whole batch. The input is copied once, as
+    (C, B, H*W) flattened planes, into a zeroed buffer with pad*(W+1)
+    zeros before and after each plane. Output pixel p of tap (di, dj)
+    then reads buffer element p + di*W + dj, so each tap is one copy of a
+    contiguous slice per plane: a shift into the rows above or below
+    reads the zeros, and a shift past the left or right edge, which wraps
+    in from the neighbouring row, is zeroed by one strided fill of the
+    affected columns. The columns are written into `out` when its shape
+    and dtype match. Without `out`, k = 1 returns `_channel_rows(x)`."""
     if k == 1 and out is None:
         return _channel_rows(x)
     b, c, h, w = x.shape
-    pad = (k - 1) // 2
-    xt = x.transpose(1, 0, 2, 3)
-    if out is not None and out.shape == (c * k * k, b * h * w) and out.dtype == x.dtype:
-        cols = out.reshape(c, k, k, b, h, w)
+    pad, hw = (k - 1) // 2, h * w
+    if out is not None and out.shape == (c * k * k, b * hw) and out.dtype == x.dtype:
+        cols = out.reshape(c, k, k, b, hw)
     else:
-        cols = np.empty((c, k, k, b, h, w), dtype=x.dtype)
+        cols = np.empty((c, k, k, b, hw), dtype=x.dtype)
+    start = pad * (w + 1)
+    planes = np.zeros((c, b, hw + 2 * start), dtype=x.dtype)
+    planes[:, :, start:start + hw].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
     for di in range(k):
-        i0, i1 = max(pad - di, 0), min(h + pad - di, h)  # output rows inside
         for dj in range(k):
-            j0, j1 = max(pad - dj, 0), min(w + pad - dj, w)
             tap = cols[:, di, dj]
-            tap[:, :, i0:i1, j0:j1] = xt[:, :, i0 + di - pad : i1 + di - pad,
-                                         j0 + dj - pad : j1 + dj - pad]
-            tap[:, :, :i0] = tap[:, :, i1:] = 0
-            tap[..., :j0] = tap[..., j1:] = 0
-    return cols.reshape(c * k * k, b * h * w)
+            tap[...] = planes[:, :, di * w + dj:di * w + dj + hw]
+            # zero the columns that the shift wraps in from the neighbouring row
+            if dj < pad:
+                tap.reshape(c, b, h, w)[..., :pad - dj] = 0
+            elif dj > pad:
+                tap.reshape(c, b, h, w)[..., w + pad - dj:] = 0
+    return cols.reshape(c * k * k, b * hw)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,

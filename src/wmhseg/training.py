@@ -281,14 +281,17 @@ def predict_probabilities(net: Network, planes: np.ndarray) -> np.ndarray:
     forward's activations and im2col columns are those of a single plane
     whatever the volume's depth.
 
-    The result bit-equals one forward over all planes stacked as a batch
-    when each pooling level's plane holds a multiple of 8 pixels in a
-    float64 network, or of 16 in a float32 one, as on the 64x64 and
-    128x128 grids. Otherwise OpenBLAS's Haswell kernels compute the last
-    columns of a GEMM (up to 7 in dgemm, up to 15 in sgemm) with an edge
-    kernel whose rounding differs, so a plane's last pixels at such a
-    level can differ in the last bits; the 240x240 grid is such a grid at
-    depth 3 or more (its 30x30 level holds 900 pixels)."""
+    The result need not bit-equal one forward over all planes stacked as
+    a batch: a GEMM column's rounding can depend on how many columns the
+    GEMM has. With OpenBLAS's Haswell kernels, measured on 8 random
+    planes in float32: the pinned checkpoints (widths 4, depths 3 and 4)
+    are bit-equal at 128x128, and the white matter one at 64x64, but the
+    lesion one differs there in 187 of 32,768 probabilities, by up to
+    5.1e-7, from its 4x4 bottleneck conv on (a GEMM of 16 columns per
+    plane against 128 batched). A level whose plane holds no multiple of
+    8 pixels in float64, or of 16 in float32, differs more often, since
+    the last columns of such a GEMM run through an edge kernel; the
+    240x240 grid has one at depth 3 or more (its 30x30 level)."""
     nz, _, nx, ny = planes.shape
     probs = np.empty((nx, ny, nz), dtype=np.float64)
     for z in range(nz):

@@ -499,15 +499,16 @@ class TestPredictEvaluate:
         assert not (tmp_path / "out" / "case_000" / "wmh.nii").exists()
 
     @staticmethod
-    def refused_predict(root, dataset, out):
+    def refused_predict(root, dataset, out, message="already exists"):
         """Run predict from a copy of `dataset` at `root/data` into `root/out`
         beside an existing `root/pred`, with checkpoints that do not exist,
-        and check that it exits 1 before it reads them and changes nothing."""
+        and check that it exits 1 with `message` before it reads them and
+        changes nothing."""
         data = root / "data"
         shutil.copytree(dataset, data)
         (root / "pred" / "case_000").mkdir(parents=True)
         (root / "pred" / "notes.txt").write_text("kept\n")
-        before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+        before = {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
         rpt, missing = root / "fail.json", str(root / "missing.ckpt")
         code = run(["predict", "--data", str(data), "--out", f"{root}/{out}",
                     "--wm-checkpoint", missing, "--wmh-checkpoint", missing,
@@ -515,15 +516,22 @@ class TestPredictEvaluate:
         assert code == 1
         report = json.loads(rpt.read_text())
         assert (report["command"], report["status"]) == ("predict", "error")
-        assert "already exists" in report["error"]
+        assert message in report["error"]
         rpt.unlink()
-        assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+        assert {p: p.read_bytes() if p.is_file() else None
+                for p in sorted(root.rglob("*"))} == before
         assert sorted(p.name for p in root.iterdir()) == ["data", "pred"]
 
     def test_predict_refuses_out_equal_to_data(self, tmp_path, dataset):
         # a phantom case directory holds its truth as wm.nii and wmh.nii,
         # the names predict writes; --data exists, so the general rule refuses it
         self.refused_predict(tmp_path, dataset, "./data/")
+
+    def test_predict_refuses_out_inside_data(self, tmp_path, dataset):
+        # the new directory would list as a case without its files in --data
+        self.refused_predict(tmp_path, dataset, "data/sub/../pred",
+                             f"--out {tmp_path}/data/sub/../pred lies inside "
+                             f"--data {tmp_path / 'data'}")
 
     def test_predict_into_an_existing_out_exits_1_and_changes_nothing(self, tmp_path,
                                                                       dataset):
@@ -930,3 +938,21 @@ class TestFaultMatrix:
         assert report["error"] == f"{trained[named]}: {message}"
         assert reads == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fail.json"]
+
+    @pytest.mark.parametrize("command", ["train-wmh", "ablate"])
+    def test_wrong_stage1_checkpoint_is_named_before_a_case_fault(
+            self, tmp_path, dataset, trained, command):
+        # the lesion checkpoint as --wm-checkpoint, and a NaN FLAIR voxel in
+        # case_002 that reading the cases would report first
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        flair = root / "case_002" / "flair.nii"
+        with_nan_voxel(flair, flair)
+        rpt = tmp_path / "fail.json"
+        assert run([command, "--data", str(root), "--out", str(tmp_path / "out"),
+                    "--wm-checkpoint", str(trained[1]), "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == (command, "error")
+        assert report["error"] == (f"{trained[1]}: white matter model expects 1 input "
+                                   "channel, has 2")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "fail.json"]

@@ -497,3 +497,50 @@ def test_property_operator_gradients_on_random_shapes(batch, channels, h, w, k, 
     assert abs(np.sum(x * dx) - lin) <= 1e-12 * scale
     assert abs(np.sum(wk * dw) - lin) <= 1e-12 * scale
     assert abs(np.sum(db * bk) - np.sum(r * b4)) <= 1e-12 * np.sum(np.abs(r * b4))
+
+
+def reference_im2col(x, k):
+    """The columns by definition: a zero-padded copy, then one window per tap."""
+    b, c, h, w = x.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    taps = [xp[:, :, di:di + h, dj:dj + w] for di in range(k) for dj in range(k)]
+    return np.stack(taps, axis=1).reshape(c * k * k, b * h * w)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    channels=st.integers(1, 3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    channel_major=st.booleans(),
+    buffer=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_property_columns_bit_equal_to_padded_windows(channels, dtype, channel_major,
+                                                      buffer, seed):
+    """_im2col writes the reference's bits, signed zeros, NaN and +-inf
+    included, on planes narrower or shorter than the kernel too, from
+    either input layout, and fills every element of a matching buffer."""
+    rng = np.random.default_rng(seed)
+    specials = np.array([-0.0, np.nan, np.inf, -np.inf], dtype=dtype)
+    for (h, w), batch, k in itertools.product(
+            [(1, 1), (1, 3), (3, 1), (2, 2), (2, 5), (13, 14)], (1, 3), (1, 3)):
+        shape = (channels, batch, h, w) if channel_major else (batch, channels, h, w)
+        x = rng.normal(size=shape).astype(dtype)
+        hit = rng.random(shape) < 0.2
+        x[hit] = rng.choice(specials, size=int(hit.sum()))
+        if channel_major:
+            x = x.transpose(1, 0, 2, 3)
+        want = reference_im2col(x, k)
+        if buffer:
+            out = np.full(want.shape, np.nan, dtype=dtype)
+            got = diff_core._im2col(x, k, out)
+            assert np.shares_memory(got, out)
+        else:
+            got = diff_core._im2col(x, k)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))

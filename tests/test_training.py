@@ -633,8 +633,9 @@ def random_net(spec, seed=3, dtype=np.float64):
 
 
 class TestPredictProbabilities:
-    # Every pooling level's plane holds a multiple of 16 pixels, as on the
-    # 64x64 and 128x128 grids; see the predict_probabilities docstring.
+    # Bit-equal at these sizes, where every pooling level's plane holds a
+    # multiple of 16 pixels; that alone does not make it so, as the pinned
+    # lesion network at 64x64 shows (see the predict_probabilities docstring).
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("spec, plane", [
         (build_resunet(base_width=2, depth=2), (16, 16)),
