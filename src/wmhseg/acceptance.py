@@ -20,6 +20,7 @@ report's summaries, and criterion 9 repeats the run once.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import math
 import struct
@@ -448,6 +449,8 @@ def crit_end_to_end() -> tuple[bool, dict, str]:
         "wm_val_dice": wm_hist.val_dice[-1],
         "wm_iterations": wm_hist.iterations,
         "wmh_val_dice": wmh_hist.val_dice[-1],
+        # reported beside the raw Dice that the gate reads, not gated
+        "wmh_val_dice_confined": wmh_hist.val_dice_confined[-1],
         "wmh_iterations": wmh_hist.iterations,
         "refined_wm_dice_val_cases": refined_dice,
         "end_to_end_wmh_dice_val_cases": e2e_dice,
@@ -529,10 +532,14 @@ def crit_determinism() -> tuple[bool, dict, str]:
     # (network, history) of the white matter net and both lesion variants
     runs = list(zip([(wm_a, wm_hist_a), *trained_a.values()],
                     [(wm_b, wm_hist_b), *trained_b.values()]))
-    ckpt_equal = all(checkpoint_bytes(a) == checkpoint_bytes(b) for (a, _), (b, _) in runs)
+    ckpts = [(checkpoint_bytes(a), checkpoint_bytes(b)) for (a, _), (b, _) in runs]
+    ckpt_equal = all(a == b for a, b in ckpts)
     hist_equal = all(asdict(a) == asdict(b) for (_, a), (_, b) in runs)
     abl_equal = json.dumps(abl_a, sort_keys=True) == json.dumps(abl_b, sort_keys=True)
     measured = {
+        # the first run's, to compare across changes that keep training
+        "checkpoint_sha256": {name: hashlib.sha256(a).hexdigest()
+                              for name, (a, _) in zip(("white_matter", *trained_a), ckpts)},
         "checkpoints_bit_identical": ckpt_equal,
         "histories_identical": hist_equal,
         "ablation_reports_identical": abl_equal,
@@ -566,7 +573,7 @@ def fuzz_cases() -> list[tuple[str, bytes, type]]:
     # float64, complex, rgb and binary datatype codes
     cases += [(f"datatype_{code}", _mutate(raw, "<h", 70, code), UnsupportedDatatypeError)
               for code in (64, 32, 128, 1)]
-    # more than 3 nontrivial axes, and a zero dim[0]
+    # an axis past the third longer than 1, and a zero dim[0]
     cases += [(name, _mutate(raw, "<8h", 40, *dims), DimensionError) for name, dims in (
         ("dim4", (4, 4, 4, 2, 2, 1, 1, 1)),
         ("dim5", (5, 4, 4, 1, 2, 2, 1, 1)),

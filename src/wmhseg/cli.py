@@ -178,9 +178,14 @@ def cmd_evaluate(args) -> dict:
         raise ValueError(f"prediction and truth case sets differ: no truth for "
                          f"{sorted(pred_ids - gt_ids)}, no prediction for "
                          f"{sorted(gt_ids - pred_ids)}")
-    rows = [(p.name, evaluate_case(read_nifti_mask(p / "wmh.nii"),
-                                   read_nifti_mask(g / "wmh.nii")))
-            for p, g in zip(pred_dirs, gt_dirs)]
+    rows = []
+    for p, g in zip(pred_dirs, gt_dirs):
+        pred, gt = read_nifti_mask(p / "wmh.nii"), read_nifti_mask(g / "wmh.nii")
+        try:
+            rows.append((p.name, evaluate_case(pred, gt)))
+        except ValueError as e:  # a grid or spacing mismatch: name the case
+            raise ValueError(f"{p.name} {e}") from None
+        del pred, gt  # not held while the next case is read
 
     outputs: dict = {"cases": {cid: asdict(m) for cid, m in rows}}
     if args.out_csv:

@@ -23,20 +23,20 @@ produce bit-identical outputs, and the layout changes no product and no
 order of summation. A forward keeps each activation only until its last
 consumer has run.
 
-Column buffers: a training forward (keep_cache=True) writes each 3x3 conv
-node's im2col columns into the array that the same node's columns used in
-the previous training forward, whenever its shape and dtype match, and
-allocates a new one otherwise. Every write fills the whole array, its
-zeros included. The node keeps that array as `OpNode.cols` between
-steps, so training does not allocate and free tens of MB of columns
-every step; `Graph.release_column_buffers` drops them, and
-`training.train` calls it when training ends. An inference forward
-allocates its own columns and never writes into those buffers. Backward
-has finished with the columns by the time the next training forward
-overwrites them. The reuse pays: allocating fresh columns every step
-made the pinned benchmark pipeline's `commands_s` 8.5% slower (17.88 ->
-19.40 s medians, slower in 10 of 10 alternating runs on 2 shared vCPUs)
-and its peak RSS 1% higher.
+Caches: every op's cache lives from its forward until the next forward
+of the graph starts. The one exception is a training forward
+(keep_cache=True), which hands each 3x3 conv node its cache from the
+previous training forward, its im2col columns, as the array to write its
+new columns into when the shape and dtype match; every write fills the
+whole array, zeros included. Backward has finished with the columns by
+the time the next training forward overwrites them, and an inference
+forward drops every cache, so the trained network keeps none. The reuse
+pays, measured on the pinned white matter training at one BLAS thread
+on 2 shared vCPUs: fresh columns at every step raised its peak RSS from
+65.3 to 75.7 MB and made three trainings slower in 5 of 6 alternated
+pairs (median 6.06 -> 6.27 CPU s). Only the columns carry over: holding
+every op's old cache through the next forward raised the peak from 64.4
+to 65.0 MB.
 
 Input gradient: `Graph.backward(..., input_grad=False)`, the training
 path, computes no dL/d(input); the convs that read the input node run no
@@ -57,18 +57,13 @@ class Parameter:
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = None  # type: ignore[assignment]
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.value = np.asarray(self.value)
         if self.value.dtype not in (np.float32, np.float64):
             self.value = self.value.astype(np.float64)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise ValueError(
-                f"{self.name}: grad shape {self.grad.shape} != value {self.value.shape}"
-            )
+        self.grad = np.zeros_like(self.value)
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -95,8 +90,9 @@ def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     reads the zeros, and a shift past the left or right edge, which wraps
     in from the neighbouring row, is zeroed by one strided fill of the
     affected columns. The columns are written into `out` when its shape
-    and dtype match. Without `out`, k = 1 returns `_channel_rows(x)`."""
-    if k == 1 and out is None:
+    and dtype match. For k = 1 the columns are `_channel_rows(x)`, a view
+    of a channel-major x, and `out` is not used."""
+    if k == 1:
         return _channel_rows(x)
     b, c, h, w = x.shape
     pad, hw = (k - 1) // 2, h * w
@@ -276,19 +272,9 @@ def sigmoid_backward(g: np.ndarray, cache) -> np.ndarray:
 # Graph
 
 
-def _conv_forward(ins: list, n: OpNode, train: bool):
-    """A training forward of a 3x3 conv writes the columns into the node's
-    buffer from its previous training forward and keeps them there for
-    the next; a 1x1 conv's columns are its input, so it keeps none."""
-    x, w = ins[0], n.weight.value
-    if not train or w.shape[2] == 1:
-        return conv2d_forward(x, w, n.bias.value)
-    out, n.cols = conv2d_forward(x, w, n.bias.value, cols=n.cols)
-    return out, n.cols
-
-
-# One entry per op kind: (forward, backward). forward(inputs, node, train)
-# returns (out, cache); train is True in a training forward.
+# One entry per op kind: (forward, backward). forward(inputs, node, cache)
+# returns (out, cache); its cache argument is the node's cache from the
+# previous training forward (3x3 convs in a training forward) or None.
 # backward(g, node, cache) returns one gradient per input, followed by
 # (dw, db) for ops with parameters; a conv's takes False as a fourth
 # argument to skip its input gradient (None). The entries look the op
@@ -296,34 +282,34 @@ def _conv_forward(ins: list, n: OpNode, train: bool):
 # `diff_core.conv2d_forward` and the others (e.g. to time them) takes
 # effect in the executor.
 _CONV = (
-    _conv_forward,
+    lambda ins, n, c: conv2d_forward(ins[0], n.weight.value, n.bias.value, cols=c),
     lambda g, n, c, need_dx=True: conv2d_backward(g, n.weight.value, c, need_dx),
 )
 OPS: dict[str, tuple[Callable, Callable]] = {
     "conv3x3": _CONV,
     "conv1x1": _CONV,
     "relu": (
-        lambda ins, n, train: relu_forward(ins[0]),
+        lambda ins, n, c: relu_forward(ins[0]),
         lambda g, n, c: (relu_backward(g, c),),
     ),
     "maxpool2": (
-        lambda ins, n, train: maxpool2_forward(ins[0]),
+        lambda ins, n, c: maxpool2_forward(ins[0]),
         lambda g, n, c: (maxpool2_backward(g, c),),
     ),
     "upconv2": (
-        lambda ins, n, train: upconv2_forward(ins[0], n.weight.value, n.bias.value),
+        lambda ins, n, c: upconv2_forward(ins[0], n.weight.value, n.bias.value),
         lambda g, n, c: upconv2_backward(g, n.weight.value, c),
     ),
     "concat": (
-        lambda ins, n, train: concat_forward(ins[0], ins[1]),
+        lambda ins, n, c: concat_forward(ins[0], ins[1]),
         lambda g, n, c: concat_backward(g, c),
     ),
     "add": (
-        lambda ins, n, train: add_forward(ins[0], ins[1]),
+        lambda ins, n, c: add_forward(ins[0], ins[1]),
         lambda g, n, c: add_backward(g, c),
     ),
     "sigmoid": (
-        lambda ins, n, train: sigmoid_forward(ins[0]),
+        lambda ins, n, c: sigmoid_forward(ins[0]),
         lambda g, n, c: (sigmoid_backward(g, c),),
     ),
 }
@@ -337,9 +323,6 @@ class OpNode:
     inputs: tuple[int, ...] = ()
     weight: Parameter | None = None
     bias: Parameter | None = None
-    # 3x3 conv nodes: the im2col columns of the last training forward,
-    # which the next training forward writes into (see the module docstring)
-    cols: np.ndarray | None = field(default=None, repr=False)
 
 
 class Graph:
@@ -347,7 +330,6 @@ class Graph:
 
     def __init__(self) -> None:
         self.nodes: list[OpNode] = [OpNode(kind="input")]
-        self._x: np.ndarray | None = None
         self._caches: list | None = None
         self._last_use: dict[int, int] = {}  # node -> its last consumer
 
@@ -381,27 +363,23 @@ class Graph:
         for p in self.parameters():
             p.zero_grad()
 
-    def release_column_buffers(self) -> None:
-        """Drop the column buffers kept between training forwards."""
-        for n in self.nodes:
-            n.cols = None
-
     def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
         """Run every node in order. Each activation is dropped once its
         last consumer has run. keep_cache=True keeps the per-op caches
         for backward; otherwise each cache is dropped as soon as its op
-        returns, and those of an earlier forward are released too. A
-        training forward writes each 3x3 conv's columns into that node's
-        buffer from the previous training forward; an inference forward
-        leaves those buffers as they are."""
-        self._x = self._caches = None
+        returns. The caches of the previous forward are dropped at the
+        start, except that a training forward writes each 3x3 conv's
+        columns into that node's previous training cache (see the module
+        docstring)."""
+        reuse = {idx: c for idx, (n, c) in enumerate(zip(self.nodes, self._caches or ()))
+                 if keep_cache and n.kind == "conv3x3"}
+        self._caches = None
         # the input is stored channel-major, as every activation is
         x = np.ascontiguousarray(np.asarray(x).transpose(1, 0, 2, 3))
-        x = x.transpose(1, 0, 2, 3)
-        acts: list[np.ndarray | None] = [x]
+        acts: list[np.ndarray | None] = [x.transpose(1, 0, 2, 3)]
         caches: list = [None]
         for idx, n in enumerate(self.nodes[1:], 1):
-            out, cache = OPS[n.kind][0]([acts[i] for i in n.inputs], n, keep_cache)
+            out, cache = OPS[n.kind][0]([acts[i] for i in n.inputs], n, reuse.pop(idx, None))
             acts.append(out)
             for i in n.inputs:
                 if self._last_use[i] == idx:
@@ -410,7 +388,7 @@ class Graph:
                 caches.append(cache)
             del cache
         if keep_cache:
-            self._x, self._caches = x, caches
+            self._caches = caches
         return acts[-1]
 
     def backward(self, g_out: np.ndarray, at: int | None = None,
@@ -446,10 +424,7 @@ class Graph:
                     # no gradient is written in place, so views need no copy
                     grads[i] = gi if grads[i] is None else grads[i] + gi
             grads[idx] = None
-        if not input_grad:
-            return None
-        out = grads[0]
-        return out if out is not None else np.zeros_like(self._x)
+        return grads[0] if input_grad else None
 
 
 # ---------------------------------------------------------------------------

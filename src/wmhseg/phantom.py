@@ -257,13 +257,20 @@ def case_dirs(root: str | Path, *names: str) -> list[Path]:
     return dirs
 
 
-def read_images(case_dir: Path) -> tuple[Volume3D, Volume3D]:
-    """A case directory's T1 and FLAIR. A non-finite voxel raises
-    ValueError naming the case and the channel."""
-    images = read_nifti(case_dir / "t1.nii"), read_nifti(case_dir / "flair.nii")
-    for channel, v in zip(("t1", "flair"), images):
+def read_images(case_dir: Path, *masks: str) -> tuple:
+    """A case directory's T1 and FLAIR, then the truth mask of each file
+    stem in `masks`. A volume off T1's grid or spacing, or a non-finite
+    T1 or FLAIR voxel, raises ValueError naming the case."""
+    t1 = read_nifti(case_dir / "t1.nii")
+    rest = {"flair": read_nifti(case_dir / "flair.nii")}
+    rest.update((m, read_nifti_mask(case_dir / f"{m}.nii")) for m in masks)
+    for name, v in rest.items():
+        for what, a, b in (("grid", t1.dims, v.dims), ("spacing", t1.spacing, v.spacing)):
+            if a != b:
+                raise ValueError(f"{case_dir.name} t1/{name} {what} mismatch: {a} vs {b}")
+    for channel, v in (("t1", t1), ("flair", rest["flair"])):
         require_finite(f"{case_dir.name} {channel}", v)
-    return images
+    return (t1, *rest.values())
 
 
 @contextmanager
@@ -305,7 +312,6 @@ def save_dataset(cases: Iterable[PhantomCase], cfg: PhantomConfig,
 
 def load_dataset(data_dir: str | Path) -> list[PhantomCase]:
     """Every case directory of `data_dir` (see `case_dirs`) with its four
-    volumes, T1 and FLAIR checked by `read_images`."""
-    return [PhantomCase(d.name, *read_images(d), read_nifti_mask(d / "wm.nii"),
-                        read_nifti_mask(d / "wmh.nii"))
+    volumes, read and checked by `read_images`."""
+    return [PhantomCase(d.name, *read_images(d, "wm", "wmh"))
             for d in case_dirs(data_dir, *CASE_FILES)]

@@ -412,5 +412,4 @@ def train(
 
     history.iterations = iteration
     history.grad_norms = optimizer.grad_norms
-    net.graph.release_column_buffers()  # the trained network keeps none
     return net, history

@@ -60,7 +60,7 @@ class CompressedStreamError(VolumeIOError):
 
 
 class DimensionError(VolumeIOError):
-    """More than 3 nontrivial axes, or invalid dim counts."""
+    """An axis past the third longer than 1, or invalid dim counts."""
 
 
 class TruncatedPayloadError(VolumeIOError):
@@ -236,12 +236,12 @@ def _parse_header(raw: bytes) -> NiftiHeaderSubset:
     ndim = dim[0]
     if ndim < 1 or ndim > 7:
         raise DimensionError(f"dim[0]={ndim} outside 1..7")
-    sizes = [max(1, d) for d in dim[1 : 1 + ndim]]
-    if sum(1 for s in sizes if s > 1) > 3 or len([s for s in sizes[3:] if s > 1]) > 0:
-        raise DimensionError(f"more than 3 nontrivial axes: dim={dim[: 1 + ndim]}")
-    sizes = (sizes + [1, 1, 1])[:3]
-    if any(d < 1 for d in dim[1 : 1 + ndim]):
+    sizes = list(dim[1 : 1 + ndim])
+    if any(d < 1 for d in sizes):
         raise DimensionError(f"nonpositive axis length in dim={dim[: 1 + ndim]}")
+    if any(d > 1 for d in sizes[3:]):
+        raise DimensionError(f"an axis past the third is longer than 1: dim={dim[: 1 + ndim]}")
+    sizes = (sizes + [1, 1, 1])[:3]
 
     (datatype,) = struct.unpack_from(endian + "h", raw, 70)
     if datatype not in _DTYPE_BY_CODE:

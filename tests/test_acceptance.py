@@ -74,7 +74,8 @@ def test_end_to_end_wall_counts_training_once(monkeypatch):
 
     cases = [SimpleNamespace(case_id=f"c{i}", wm_truth=None) for i in range(4)]
     wm_hist = TrainHistory(val_dice=[0.9], iterations=128)
-    wmh_hist = TrainHistory(val_dice=[0.9], iterations=480, val_case_ids=["c1", "c3"])
+    wmh_hist = TrainHistory(val_dice=[0.9], val_dice_confined=[0.95], iterations=480,
+                            val_case_ids=["c1", "c3"])
     val_cases = {"c1": {"dice": 0.91}, "c3": {"dice": 0.97}}
     report = {"variants": {"residual": {"val_cases": val_cases}}}
     pinned = (None, wm_hist, [None] * 4, report, {"residual": (None, wmh_hist)})
@@ -91,6 +92,7 @@ def test_end_to_end_wall_counts_training_once(monkeypatch):
     assert measured["wm_iterations_margin"] == 372
     assert measured["wmh_iterations_margin"] == 20
     assert measured["wmh_val_dice_margin"] == 0.9 - 0.85
+    assert measured["wmh_val_dice_confined"] == 0.95
     assert measured["end_to_end_wmh_dice_val_cases_margin"] == 0.91 - 0.85
 
 

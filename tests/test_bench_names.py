@@ -1,14 +1,18 @@
 """The benchmark in `wmhbench/` wraps program functions by name. Every
-name it wraps must resolve in `wmhseg`, and one case of `evaluate` (two
-mask reads and `evaluate_case`) and of `predict` (the CLI command on one
-phantom case) must each call every span the benchmark requires of that
-phase; otherwise a traced benchmark run fails. The benchmark's files are
-only read here."""
+name it wraps must resolve in `wmhseg`, and one run of each traced phase
+must call every span the benchmark requires of that phase: `evaluate`
+(two mask reads and `evaluate_case`), and `train_wm`, `train_wmh` and
+`predict` (the CLI commands on a two-case phantom, training at width 2,
+depth 2 for one iteration). Otherwise a traced benchmark run fails, as it
+does when a graph op calls a function the tracer cannot patch. The
+benchmark's files are only read here."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import wmhseg
 
@@ -47,7 +51,8 @@ if not unresolved:
                                       tmp / f"{name}.nii")
         else:
             cfg = phantom.PhantomConfig()
-            phantom.save_dataset([phantom.generate_case(cfg, seed=0)], cfg, tmp / "data")
+            cases = [phantom.generate_case(cfg, seed=s) for s in (0, 1)]
+            phantom.save_dataset(cases, cfg, tmp / "data")
             # every parameter zero and a large head bias: all voxels are white matter
             wm = architectures.Network(architectures.build_trimmed_unet(base_width=2, depth=2))
             {p.name: p for p in wm.parameters()}["head.b"].value[...] = 10.0
@@ -62,11 +67,15 @@ if not unresolved:
             metrics.evaluate_case(volume_io.read_nifti_mask(tmp / "pred.nii"),
                                   volume_io.read_nifti_mask(tmp / "gt.nii"))
         else:
-            assert cli.dispatch(["predict", "--data", str(tmp / "data"),
-                                 "--out", str(tmp / "pred"),
-                                 "--wm-checkpoint", str(tmp / "wm.ckpt"),
-                                 "--wmh-checkpoint", str(tmp / "wmh.ckpt"),
-                                 "--report", str(tmp / "report.json")]) == 0
+            io = ["--data", str(tmp / "data"), "--out", str(tmp / "out"),
+                  "--report", str(tmp / "report.json")]
+            net = ["--base-width", "2", "--depth", "2", "--max-iterations", "1"]
+            wm_ckpt = ["--wm-checkpoint", str(tmp / "wm.ckpt")]
+            argv = {"train_wm": ["train-wm", *io, *net],
+                    "train_wmh": ["train-wmh", *io, *wm_ckpt, *net],
+                    "predict": ["predict", *io, *wm_ckpt,
+                                "--wmh-checkpoint", str(tmp / "wmh.ckpt")]}[phase]
+            assert cli.dispatch(argv) == 0
     silent = sorted({span for m in layers["METRICS"] if m.phase == phase
                      for span in m.required if not tracer.calls[(phase, span)]})
 print(json.dumps({"unresolved": unresolved, "silent": silent}))
@@ -88,3 +97,8 @@ def test_traced_names_resolve_and_evaluate_calls_every_required_span():
 
 def test_predict_command_calls_every_required_span():
     assert probe("predict") == {"unresolved": [], "silent": []}
+
+
+@pytest.mark.parametrize("phase", ["train_wm", "train_wmh"])
+def test_training_command_calls_every_required_span(phase):
+    assert probe(phase) == {"unresolved": [], "silent": []}

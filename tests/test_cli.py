@@ -956,3 +956,41 @@ class TestFaultMatrix:
         assert report["error"] == (f"{trained[1]}: white matter model expects 1 input "
                                    "channel, has 2")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "fail.json"]
+
+    # each file of case_001 off its T1's grid (one slice short) or spacing
+    # (double the slice thickness); evaluate's truth side is under `root`
+    @pytest.mark.parametrize("command, name, kind, message", [
+        ("evaluate", "wmh.nii", "grid", "case_001 grid mismatch: (64, 64, 8) vs (64, 64, 7)"),
+        ("train-wm", "wm.nii", "grid", "case_001 t1/wm grid mismatch: (64, 64, 8) vs (64, 64, 7)"),
+        ("train-wm", "wmh.nii", "spacing",
+         "case_001 t1/wmh spacing mismatch: (1.0, 1.0, 3.0) vs (1.0, 1.0, 6.0)"),
+        ("train-wmh", "flair.nii", "grid",
+         "case_001 t1/flair grid mismatch: (64, 64, 8) vs (64, 64, 7)"),
+        ("predict", "flair.nii", "grid",
+         "case_001 t1/flair grid mismatch: (64, 64, 8) vs (64, 64, 7)"),
+    ], ids=["evaluate-wmh", "train-wm-wm", "train-wm-wmh-spacing", "train-wmh-flair",
+            "predict-flair"])
+    def test_file_off_its_cases_grid_exits_1_naming_the_case(
+            self, tmp_path, dataset, trained, monkeypatch, command, name, kind, message):
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        bad = root / "case_001" / name
+        v = read_nifti(bad)
+        write_nifti(Volume3D(data=v.data[..., :-1], spacing=v.spacing) if kind == "grid" else
+                    Volume3D(data=v.data, spacing=(*v.spacing[:2], 2 * v.spacing[2])), bad)
+        stage1 = []
+        real = cli.segment_white_matter
+        monkeypatch.setattr(cli, "segment_white_matter",
+                            lambda *a: stage1.append(a) or real(*a))
+        argv = (["--data", str(root), "--out", str(tmp_path / "out"),
+                 "--wm-checkpoint", str(trained[0]), "--base-width", "2", "--depth", "2",
+                 "--max-iterations", "1"] if command == "train-wmh" else
+                matrix_argv(command, root, tmp_path / "out", dataset, trained))
+        rpt = tmp_path / "fail.json"
+        assert run([command, *argv, "--report", str(rpt)]) == 1
+        report = json.loads(rpt.read_text())
+        assert (report["command"], report["status"]) == (command, "error")
+        assert report["error"] == message
+        # train-wmh reads every case before stage 1 runs; predict had run case_000
+        assert len(stage1) == (command == "predict")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "fail.json"]

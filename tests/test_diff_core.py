@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -81,12 +82,16 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_columns_written_into_a_matching_buffer(self, k):
+        """A 3x3 conv writes its columns into a matching buffer; a 1x1
+        conv's columns are a view of its channel-major input, buffer or not."""
         rng = np.random.default_rng(4)
-        x, w, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, k, k)), rng.normal(size=2)
+        x = rng.normal(size=(3, 2, 4, 5)).transpose(1, 0, 2, 3)  # stored channel-major
+        w, b = rng.normal(size=(2, 3, k, k)), rng.normal(size=2)
         want, want_cols = conv2d_forward(x, w, b)
         buf = np.full_like(want_cols, np.nan)  # every element must be overwritten
         got, cols = conv2d_forward(x, w, b, cols=buf)
-        assert np.shares_memory(cols, buf)
+        assert np.shares_memory(cols, buf) == (k == 3)
+        assert np.shares_memory(cols, x) == (k == 1)
         assert np.array_equal(got, want) and np.array_equal(cols, want_cols)
         wider = np.empty((want_cols.shape[0], want_cols.shape[1] + 1))
         for other in (wider, buf.astype(np.float32)):
@@ -399,35 +404,38 @@ class TestColumnBuffers:
     def test_same_shape_steps_share_column_memory(self, monkeypatch):
         rng = np.random.default_rng(23)
         net = self.net()
-        convs = [n for n in net.graph.nodes if n.kind == "conv3x3"]
-        pointwise = [n for n in net.graph.nodes if n.kind == "conv1x1"]
-        shared = []  # per 1x1 forward: do its columns share its input's memory?
+        n3x3 = sum(n.kind == "conv3x3" for n in net.graph.nodes)
+        seen = []  # per conv forward: (kernel size, its columns, its input)
         real = diff_core.conv2d_forward
 
         def spy(x, w, b, **kwargs):
             out, cols = real(x, w, b, **kwargs)
-            if w.shape[2] == 1:
-                shared.append(np.shares_memory(cols, x))
+            seen.append((w.shape[2], cols, x))
             return out, cols
 
         monkeypatch.setattr(diff_core, "conv2d_forward", spy)
+        x, dz = rng.normal(size=(2, 2, 16, 16)), rng.normal(size=(2, 1, 16, 16))
 
         def step():
-            self.training_step(net, [(rng.normal(size=(2, 2, 16, 16)),
-                                      rng.normal(size=(2, 1, 16, 16)))])
+            """The 3x3 columns of one training step."""
+            seen.clear()
+            self.training_step(net, [(x, dz)])
+            # a 1x1 conv's columns are its input, so it has nothing to reuse
+            assert all(np.shares_memory(c, i) for k, c, i in seen if k == 1)
+            return [c for k, c, _ in seen if k == 3]
 
-        step()
-        first = [n.cols for n in convs]
-        saved = [c.copy() for c in first]
-        net.forward(rng.normal(size=(2, 2, 16, 16)))  # inference: same shapes
-        assert all(np.array_equal(n.cols, c) for n, c in zip(convs, saved))
-        step()
-        assert all(np.shares_memory(n.cols, c) for n, c in zip(convs, first))
-        # a 1x1 conv's columns are its input, so it keeps no buffer
-        assert all(n.cols is None for n in pointwise)
-        assert len(shared) == 3 * len(pointwise) and all(shared)
-        net.graph.release_column_buffers()
-        assert all(n.cols is None for n in net.graph.nodes)
+        first = step()
+        second = step()
+        assert len(first) == len(second) == n3x3
+        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
+        # an inference forward drops every cache, the columns included
+        kept = [weakref.ref(c) for c in second]
+        seen.clear()
+        del first, second
+        net.forward(x)
+        assert all(r() is None for r in kept)
+        with pytest.raises(RuntimeError, match="keep_cache=True"):
+            net.backward_from_logits(dz)
 
 
 class TestGradCheck:
@@ -539,8 +547,11 @@ def test_property_columns_bit_equal_to_padded_windows(channels, dtype, channel_m
         if buffer:
             out = np.full(want.shape, np.nan, dtype=dtype)
             got = diff_core._im2col(x, k, out)
-            assert np.shares_memory(got, out)
+            # a 1x1 conv's columns are the channel rows of its input
+            assert np.shares_memory(got, out) == (k == 3)
         else:
             got = diff_core._im2col(x, k)
+        if k == 1 and channel_major:
+            assert np.shares_memory(got, x)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(bits(got), bits(want))
